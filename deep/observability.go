@@ -24,11 +24,11 @@ type KernelStats struct {
 	// a machine-wide queue that never exists).
 	MaxQueueDepth int `json:"max_queue_depth"`
 	// PoolHitRate is the event free-list hit rate (reused over
-	// total), aggregated over every domain engine's pool under the
-	// partitioned kernel. It is an allocator diagnostic, not a model
-	// output: sync.Pool reuse depends on the runtime scheduler, so
-	// this one field sits outside the byte-stability contract when
-	// domains run concurrently.
+	// total), aggregated over every domain engine's free list under
+	// the partitioned kernel. Each engine owns its list and touches it
+	// from its own thread only, so the rate is a pure function of that
+	// engine's event sequence: byte-stable run to run like every other
+	// field here (per fixed domain count under the partitioned kernel).
 	PoolHitRate float64 `json:"pool_hit_rate"`
 	// Domains, Windows and CrossEvents describe the partitioned
 	// kernel's run: the domain count, completed conservative

@@ -78,6 +78,10 @@ type Network struct {
 	energy    EnergyModel
 	transferJ float64
 
+	// freePackets recycles the packet path's per-segment records (see
+	// packetSend); it grows to the most packets ever in flight at once.
+	freePackets []*packet
+
 	// Obs, when non-nil, receives the fabric timeline as trace events:
 	// one message span per Send on the sender's node lane, flow-commit
 	// instants when the fast path fires, and link outage instants.
@@ -266,29 +270,146 @@ func (n *Network) obsWrap(src, dst topology.NodeID, size int,
 	}
 }
 
+// message is the completion record the segments of one packet-model
+// message share, and the typed delivery event that fires RecvOverhead
+// after the last of them arrives.
+type message struct {
+	net       *Network
+	route     []topology.LinkID
+	size      int
+	remaining int // segments still in flight
+	failed    bool
+	done      func(at sim.Time, err error)
+}
+
+// packet is one segment in flight: a state machine the link resources
+// and the engine step through typed events, so a hop costs no
+// allocation. Each hop serializes on the link resource, then pays
+// router and propagation delay; a corrupted traversal is detected by
+// CRC at the far end and retransmitted by the link after
+// RetransmitDelay.
+type packet struct {
+	msg     *message
+	bytes   int
+	hop     int // index into msg.route of the link being crossed
+	attempt int // retransmissions of this hop so far
+}
+
+// The packet phases, carried as the first event argument.
+const (
+	pktSerialized = iota // the link resource finished serializing the segment
+	pktArrived           // router and wire delay elapsed: CRC check at the far end
+	pktRetry             // retransmit turnaround elapsed: contend for the link again
+)
+
 // packetSend injects one message into the exact per-packet model:
 // every segment contends for every link of the route.
 func (n *Network) packetSend(route []topology.LinkID, segs []int, size int,
 	done func(at sim.Time, err error)) {
-	remaining := len(segs)
-	failed := false
-	finish := func(err error) {
-		if err != nil && !failed {
-			failed = true
-			n.Stats.Drops++
-			done(n.Eng.Now(), err)
-		}
-		remaining--
-		if remaining == 0 && !failed {
-			n.Eng.After(n.P.RecvOverhead, func() {
-				n.Stats.BytesDelivered += uint64(size)
-				done(n.Eng.Now(), nil)
-			})
-		}
-	}
+	m := &message{net: n, route: route, size: size, remaining: len(segs), done: done}
 	for _, s := range segs {
-		n.forward(route, 0, s, finish)
+		var p *packet
+		if k := len(n.freePackets); k > 0 {
+			p, n.freePackets = n.freePackets[k-1], n.freePackets[:k-1]
+		} else {
+			p = new(packet)
+		}
+		*p = packet{msg: m, bytes: s}
+		p.acquire()
 	}
+}
+
+// acquire queues the packet on the link of its current hop.
+func (p *packet) acquire() {
+	n := p.msg.net
+	n.link(p.msg.route[p.hop]).AcquireHandler(n.P.serTime(p.bytes), p, pktSerialized)
+}
+
+// OnEvent implements sim.Handler: it advances the packet one phase.
+func (p *packet) OnEvent(_ sim.Time, phase, _ int64) {
+	n := p.msg.net
+	switch phase {
+	case pktSerialized:
+		n.Eng.ScheduleAfter(n.P.RouterDelay+n.P.LinkLatency, p, pktArrived, 0)
+	case pktArrived:
+		p.arrive()
+	case pktRetry:
+		p.attempt++
+		p.acquire()
+	}
+}
+
+// arrive settles one link traversal at its far end.
+func (p *packet) arrive() {
+	m := p.msg
+	n, l := m.net, m.route[p.hop]
+	if n.energy.PerByteJ != 0 {
+		// The bytes crossed the link whether or not the CRC rejects
+		// them at the far end: retransmissions burn energy, which is
+		// exactly what E10's inflation shows.
+		n.transferJ += n.energy.PerByteJ * float64(p.bytes)
+	}
+	corrupted := n.P.PacketErrorRate > 0 && n.src.Bool(n.P.PacketErrorRate)
+	down := n.down[n.li(l)]
+	if down {
+		// A failed link delivers nothing: the CRC handshake times out
+		// and the link layer retries, exactly like a corrupted
+		// traversal, until the outage ends or the retry budget is
+		// exhausted.
+		n.Stats.LinkOutageHits++
+		corrupted = true
+	}
+	if corrupted {
+		n.Stats.Retransmits++
+		if p.attempt+1 >= n.P.maxRetries() {
+			n.retire(p, fmt.Errorf("fabric: packet dropped after %d retries on %s",
+				p.attempt+1, n.linkName(l)))
+			return
+		}
+		delay := n.P.RetransmitDelay
+		if down {
+			// Outages last far longer than a CRC turnaround: back off
+			// exponentially so a packet parked on a failed link costs
+			// O(log outage) events instead of busy-spinning at the
+			// retransmit cadence.
+			delay <<= uint(min(p.attempt, 20))
+		}
+		n.Eng.ScheduleAfter(delay, p, pktRetry, 0)
+		return
+	}
+	p.hop++
+	p.attempt = 0
+	if p.hop == len(m.route) {
+		n.retire(p, nil)
+		return
+	}
+	p.acquire()
+}
+
+// retire frees a packet that reached its destination (err == nil) or
+// was dropped, and settles its message: the first drop fails the
+// message at once, the last arrival of an intact one schedules its
+// delivery.
+func (n *Network) retire(p *packet, err error) {
+	m := p.msg
+	*p = packet{} // the free list must not pin the message
+	n.freePackets = append(n.freePackets, p)
+	if err != nil && !m.failed {
+		m.failed = true
+		n.Stats.Drops++
+		m.done(n.Eng.Now(), err)
+	}
+	m.remaining--
+	if m.remaining == 0 && !m.failed {
+		n.Eng.ScheduleAfter(n.P.RecvOverhead, m, 0, 0)
+	}
+}
+
+// OnEvent implements sim.Handler: the receive overhead has elapsed
+// and the message is delivered.
+func (m *message) OnEvent(now sim.Time, _, _ int64) {
+	m.net.Stats.BytesDelivered += uint64(m.size)
+	m.done(now, nil)
 }
 
 // segment splits size bytes into at most maxPackets segments of at
@@ -311,72 +432,6 @@ func (n *Network) segment(size int) []int {
 		}
 	}
 	return segs
-}
-
-// forward moves one segment across route[hop:]. Each hop serializes on
-// the link resource, then pays router and propagation delay; a
-// corrupted traversal is detected by CRC at the far end and
-// retransmitted by the link after RetransmitDelay.
-func (n *Network) forward(route []topology.LinkID, hop, bytes int, finish func(error)) {
-	if hop >= len(route) {
-		finish(nil)
-		return
-	}
-	n.traverse(route[hop], bytes, 0, func(err error) {
-		if err != nil {
-			finish(err)
-			return
-		}
-		n.forward(route, hop+1, bytes, finish)
-	})
-}
-
-func (n *Network) traverse(l topology.LinkID, bytes, attempt int, done func(error)) {
-	link := n.link(l)
-	link.Acquire(n.P.serTime(bytes), func(_, _ sim.Time) {
-		n.Eng.After(n.P.RouterDelay+n.P.LinkLatency, func() {
-			if n.energy.PerByteJ != 0 {
-				// The bytes crossed the link whether or not the CRC
-				// rejects them at the far end: retransmissions burn
-				// energy, which is exactly what E10's inflation shows.
-				n.transferJ += n.energy.PerByteJ * float64(bytes)
-			}
-			corrupted := n.P.PacketErrorRate > 0 && n.src.Bool(n.P.PacketErrorRate)
-			if n.down[n.li(l)] {
-				// A failed link delivers nothing: the CRC handshake
-				// times out and the link layer retries, exactly like a
-				// corrupted traversal, until the outage ends or the
-				// retry budget is exhausted.
-				n.Stats.LinkOutageHits++
-				corrupted = true
-			}
-			if corrupted {
-				n.Stats.Retransmits++
-				if attempt+1 >= n.P.maxRetries() {
-					done(fmt.Errorf("fabric: packet dropped after %d retries on %s",
-						attempt+1, n.linkName(l)))
-					return
-				}
-				delay := n.P.RetransmitDelay
-				if n.down[n.li(l)] {
-					// Outages last far longer than a CRC turnaround:
-					// back off exponentially so a packet parked on a
-					// failed link costs O(log outage) events instead
-					// of busy-spinning at the retransmit cadence.
-					shift := uint(attempt)
-					if shift > 20 {
-						shift = 20
-					}
-					delay <<= shift
-				}
-				n.Eng.After(delay, func() {
-					n.traverse(l, bytes, attempt+1, done)
-				})
-				return
-			}
-			done(nil)
-		})
-	})
 }
 
 // LinkFailed implements resil.LinkTarget: the link stops delivering

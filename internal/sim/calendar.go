@@ -13,6 +13,16 @@ package sim
 // Determinism contract: popMin always returns the globally least
 // event under (time, sequence) order, so execution order is identical
 // to the heap implementation regardless of bucket geometry.
+//
+// Geometry follows the head of the queue, not its span: the day width
+// is fitted to the spacing of the earliest events (Brown's sampling),
+// because those are the ones about to be popped and the ones new
+// events land beside. A population of far-future timers spread over
+// milliseconds therefore cannot stretch the days under a cluster of
+// in-flight packets nanoseconds from now. When the head moves to a
+// different density the calendar notices — inserts start walking
+// bucket lists, or pops start walking empty days — and refits once
+// the walking has cost as much as the refit will.
 
 const (
 	minBuckets = 64
@@ -20,6 +30,13 @@ const (
 	// initialWidth is the day width before the first resize has seen
 	// real event spacing; fabric events are nanoseconds apart.
 	initialWidth = 100 * Nanosecond
+	// headSample is how many of the earliest events the width is
+	// fitted to.
+	headSample = 64
+	// walkLimit is how many steps an insert (along a bucket list) or a
+	// pop (over empty days) may take for free; steps beyond it are
+	// charged to the current width as strain.
+	walkLimit = 8
 )
 
 // bucket is one sorted day list.
@@ -44,9 +61,42 @@ type calendar struct {
 	// maxDepth records the high-water mark of count.
 	maxDepth int
 	resizes  uint64
-	// recycle returns an unlinked event to the owning engine's free
-	// list; installed by the engine before the first insert.
-	recycle func(*Event)
+	// strain sums the steps past walkLimit that inserts and pops have
+	// walked since the width was last fitted; linkSteps and daySteps
+	// total the steps ever walked.
+	strain              int
+	linkSteps, daySteps uint64
+	// free heads the event free list, a stack threaded through the
+	// events' own next pointers (it costs no memory and never grows),
+	// and nfree is its length. An event enters it when it leaves the
+	// calendar and the next schedule takes the most recent one, so the
+	// list never outgrows the most events ever queued at once and
+	// reuse is a pure function of the event sequence.
+	free  *Event
+	nfree int
+}
+
+// recycle clears an unlinked event — the free list must not pin the
+// callback it carried — and pushes it on the free list.
+func (c *calendar) recycle(ev *Event) {
+	ev.fn = nil
+	ev.h = nil
+	ev.queued = false
+	ev.cancelled = false
+	ev.next = c.free
+	c.free = ev
+	c.nfree++
+}
+
+// reuse pops an event off the free list, or returns nil when it is
+// empty.
+func (c *calendar) reuse() *Event {
+	ev := c.free
+	if ev != nil {
+		c.free, ev.next = ev.next, nil
+		c.nfree--
+	}
+	return ev
 }
 
 func (c *calendar) init() {
@@ -70,24 +120,28 @@ func less(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// insert links ev into its bucket, keeping the bucket sorted. now is
-// the engine clock, used only when a resize re-anchors the calendar.
-func (c *calendar) insert(ev *Event, now Time) {
+// insert links ev into its bucket, keeping the bucket sorted.
+func (c *calendar) insert(ev *Event) {
 	c.init()
-	c.link(ev)
+	steps := c.link(ev)
 	c.count++
 	c.nodes++
 	if c.count > c.maxDepth {
 		c.maxDepth = c.count
 	}
+	c.linkSteps += uint64(steps)
+	if steps > walkLimit {
+		c.strain += steps - walkLimit
+	}
 	if c.count > 2*len(c.buckets) && len(c.buckets) < maxBuckets {
-		c.resize(2*len(c.buckets), now)
+		c.resize(2 * len(c.buckets))
 	}
 }
 
-// link places ev into sorted position within its bucket. Monotone
-// arrivals append at the tail in O(1); out-of-order arrivals walk.
-func (c *calendar) link(ev *Event) {
+// link places ev into sorted position within its bucket and returns
+// the list steps it took. Monotone arrivals append at the tail in
+// O(1); out-of-order arrivals walk.
+func (c *calendar) link(ev *Event) (steps int) {
 	b := &c.buckets[c.bucketOf(ev.at)]
 	switch {
 	case b.head == nil:
@@ -104,10 +158,12 @@ func (c *calendar) link(ev *Event) {
 		p := b.head
 		for p.next != nil && !less(ev, p.next) {
 			p = p.next
+			steps++
 		}
 		ev.next = p.next
 		p.next = ev
 	}
+	return steps
 }
 
 // headOf purges cancelled events from the front of bucket idx and
@@ -120,8 +176,6 @@ func (c *calendar) headOf(idx int) *Event {
 		if b.head == nil {
 			b.tail = nil
 		}
-		ev.next = nil
-		ev.queued = false
 		c.nodes--
 		c.recycle(ev)
 	}
@@ -160,8 +214,6 @@ func (c *calendar) sweep() {
 				} else {
 					prev.next = next
 				}
-				ev.next = nil
-				ev.queued = false
 				c.nodes--
 				c.recycle(ev)
 			} else {
@@ -179,18 +231,25 @@ func (c *calendar) popMin(deadline Time, remove bool) *Event {
 	if c.count == 0 {
 		return nil
 	}
-	if remove && c.count < len(c.buckets)/4 && len(c.buckets) > minBuckets {
-		c.resize(len(c.buckets)/2, c.day)
+	if remove {
+		switch {
+		case c.count < len(c.buckets)/4 && len(c.buckets) > minBuckets:
+			c.resize(len(c.buckets) / 2)
+		case c.strain > c.count+minBuckets:
+			// The width no longer fits the head. A refit costs O(count)
+			// and is paid for by the walking already done, so refits
+			// stay amortised O(1) per step even when no width can help.
+			c.resize(len(c.buckets))
+		}
 	}
 	if ev, conclusive := c.dayWalk(deadline, remove); conclusive {
 		return ev
 	}
-	// A whole year passed without a hit: the population is spread far
-	// wider than the current day width covers (a handful of events
-	// milliseconds apart under a nanosecond-era width). Re-fit the
-	// width to the live spread — afterwards one year spans the whole
-	// population — and walk again.
-	c.resize(len(c.buckets), c.day)
+	// A whole year passed without a hit: the head of the population is
+	// spread far wider than the current day width covers (a handful of
+	// events milliseconds apart under a nanosecond-era width). Re-fit
+	// the width to it and walk again.
+	c.resize(len(c.buckets))
 	if ev, conclusive := c.dayWalk(deadline, remove); conclusive {
 		return ev
 	}
@@ -235,6 +294,10 @@ func (c *calendar) dayWalk(deadline Time, remove bool) (*Event, bool) {
 			// and a cursor moved past those insertions would skip them.
 			if remove {
 				c.cur, c.day = cur, day
+				c.daySteps += uint64(i)
+				if i > walkLimit {
+					c.strain += i - walkLimit
+				}
 				return c.unlinkHead(cur), true
 			}
 			return ev, true
@@ -246,50 +309,70 @@ func (c *calendar) dayWalk(deadline Time, remove bool) (*Event, bool) {
 }
 
 // resize rebuilds the calendar with n buckets and a day width fitted
-// to the observed event spread, re-anchored at now.
-func (c *calendar) resize(n int, now Time) {
+// to the spacing of the earliest live events. The calendar is anchored
+// at c.day, the day of the last removal: the engine clock never runs
+// behind it, so no live event and no later insert can precede it.
+func (c *calendar) resize(n int) {
 	var all *Event
-	var lo, hi Time
-	first := true
+	var hi Time
+	// head[:k] holds the k earliest times seen so far, ascending.
+	var head [headSample]Time
+	k := 0
 	for idx := range c.buckets {
 		ev := c.buckets[idx].head
 		for ev != nil {
 			next := ev.next
 			if ev.cancelled {
-				ev.next = nil
-				ev.queued = false
 				c.nodes--
 				c.recycle(ev)
 			} else {
-				if first || ev.at < lo {
-					lo = ev.at
-				}
-				if first || ev.at > hi {
+				if ev.at > hi {
 					hi = ev.at
 				}
-				first = false
+				if k < headSample || ev.at < head[k-1] {
+					if k < headSample {
+						k++
+					}
+					i := k - 1
+					for ; i > 0 && head[i-1] > ev.at; i-- {
+						head[i] = head[i-1]
+					}
+					head[i] = ev.at
+				}
 				ev.next = all
 				all = ev
 			}
 			ev = next
 		}
 	}
-	// Aim for ~one live event per day across the observed span; the
-	// factor of 2 keeps slack for skewed distributions. Widths both
-	// far above and far below the initial guess matter: resilience
-	// horizons are seconds apart, packet bursts picoseconds.
+	// Three mean gaps of the earliest events per day (Brown's rule):
+	// the events about to be popped then sit about one to a bucket
+	// whatever the rest of the population does. When the whole sample
+	// shares one instant (a halo exchange fired at a single time) fall
+	// back to ~one live event per day across the observed span, with a
+	// factor of 2 of slack. Widths both far above and far below the
+	// initial guess matter: resilience horizons are seconds apart,
+	// packet bursts picoseconds.
 	width := initialWidth
-	if c.count > 1 && hi > lo {
-		width = 2 * (hi - lo) / Time(c.count)
-		if width < 1 {
-			width = 1
-		}
+	switch {
+	case k > 1 && head[k-1] > head[0]:
+		width = 3 * ((head[k-1] - head[0]) / Time(k-1))
+	case k > 1 && hi > head[0]:
+		width = 2 * (hi - head[0]) / Time(c.count)
 	}
-	c.buckets = make([]bucket, n)
-	c.mask = n - 1
+	if width < 1 {
+		width = 1
+	}
+	if n == len(c.buckets) {
+		clear(c.buckets)
+	} else {
+		c.buckets = make([]bucket, n)
+		c.mask = n - 1
+	}
 	c.width = width
 	c.resizes++
-	c.day = now - now%width
+	c.strain = 0
+	c.day -= c.day % width
 	c.cur = c.bucketOf(c.day)
 	for all != nil {
 		next := all.next

@@ -38,99 +38,181 @@ func (h *oracleHeap) Pop() interface{} {
 	return e
 }
 
-// TestCalendarMatchesHeapOracle drives the engine with random
-// interleaved Schedule/Cancel/pop sequences and asserts that events
-// pop in nondecreasing (time, seq) order, exactly matching the heap
-// oracle. This is the determinism contract the calendar queue must
-// uphold: bucket geometry may never change execution order.
+// population shapes the events an oracle run schedules.
+type population struct {
+	name string
+	// far events are scheduled up front, uniformly over farSpan.
+	far     int
+	farSpan Time
+	// near events are scheduled up front through pick at time zero.
+	near int
+	// pick returns the time of an event scheduled at virtual time now.
+	pick func(r *rng.Source, now Time) Time
+	// hops is how many successors an event scheduled through pick
+	// spawns, one per firing — a packet crossing that many more links.
+	hops int
+}
+
+// uniformMix is the original property-test population: offsets up to a
+// microsecond, 30% of events exactly at the current horizon to stress
+// same-time ties.
+var uniformMix = population{
+	name: "uniform",
+	pick: func(r *rng.Source, now Time) Time {
+		if r.Intn(10) < 3 {
+			return now
+		}
+		return now + Time(r.Intn(1_000_000))
+	},
+}
+
+// runOracle drives the engine with ops random interleaved
+// Schedule/Cancel/peek/pop operations over pop's event population and
+// asserts that every peek and every pop matches the container/heap
+// oracle — the exact queue the calendar replaced. This is the
+// determinism contract the calendar queue must uphold: bucket geometry
+// may never change execution order. It returns the drained engine.
+func runOracle(t *testing.T, seed uint64, ops int, pop population) *Engine {
+	t.Helper()
+	r := rng.New(seed)
+	e := New()
+	var oracle oracleHeap
+	type held struct {
+		tok Token
+		id  int
+	}
+	var tokens []held
+	var oracleByID = map[int]*oracleEvent{}
+	var got, want []int
+
+	var handler handlerFunc
+	schedule := func(at Time, hops int) {
+		id := len(oracleByID)
+		tok := e.Schedule(at, handler, int64(id), int64(hops))
+		tokens = append(tokens, held{tok: tok, id: id})
+		oe := &oracleEvent{at: at, seq: e.seq, id: id}
+		oracleByID[id] = oe
+		heap.Push(&oracle, oe)
+	}
+	handler = func(now Time, id, hops int64) {
+		got = append(got, int(id))
+		if hops > 0 {
+			schedule(pop.pick(r, now), int(hops-1))
+		}
+	}
+	// oracleMin discards cancelled entries and returns the oracle's
+	// least live event, nil when it is empty.
+	oracleMin := func() *oracleEvent {
+		for oracle.Len() > 0 && oracle[0].cancelled {
+			heap.Pop(&oracle)
+		}
+		if oracle.Len() == 0 {
+			return nil
+		}
+		return oracle[0]
+	}
+	step := func() bool {
+		oe := oracleMin()
+		at, ok := e.NextEventTime()
+		if ok != (oe != nil) || (ok && at != oe.at) {
+			t.Fatalf("%s seed %d: peek = %v, %v; oracle min %+v", pop.name, seed, at, ok, oe)
+		}
+		ev := e.cal.popMin(math.MaxInt64, true)
+		if ev == nil {
+			return false
+		}
+		heap.Pop(&oracle)
+		want = append(want, oe.id)
+		e.now = ev.at
+		e.executed++
+		e.dispatch(ev)
+		return true
+	}
+
+	for i := 0; i < pop.far; i++ {
+		schedule(Time(r.Intn(int(pop.farSpan))), 0)
+	}
+	for i := 0; i < pop.near; i++ {
+		schedule(pop.pick(r, 0), pop.hops)
+	}
+	// Random mixture of operations, executed between engine steps so
+	// scheduling happens both before Run and from inside events.
+	for i := 0; i < ops; i++ {
+		switch r.Intn(10) {
+		case 0, 1, 2, 3, 4, 5:
+			schedule(pop.pick(r, e.Now()), pop.hops)
+		case 6, 7: // cancel a random outstanding token
+			if len(tokens) == 0 {
+				continue
+			}
+			k := r.Intn(len(tokens))
+			hd := tokens[k]
+			// The oracle only honours the cancel if the engine did:
+			// stale tokens (fired or re-used events) are no-ops.
+			if e.Cancel(hd.tok) {
+				oracleByID[hd.id].cancelled = true
+			}
+			tokens = append(tokens[:k], tokens[k+1:]...)
+		case 8, 9: // step the engine by a few events
+			for s := r.Intn(5) + 1; s > 0 && step(); s-- {
+			}
+		}
+	}
+	for step() {
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s seed %d: engine ran %d events, oracle %d", pop.name, seed, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s seed %d: divergence at %d: engine %d, oracle %d", pop.name, seed, i, got[i], want[i])
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%s seed %d: %d events left pending", pop.name, seed, e.Pending())
+	}
+	return e
+}
+
 func TestCalendarMatchesHeapOracle(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 99, 424242} {
-		r := rng.New(seed)
-		e := New()
-		var oracle oracleHeap
-		type held struct {
-			tok Token
-			id  int
-		}
-		var tokens []held
-		var oracleByID = map[int]*oracleEvent{}
-		var got, want []int
-		nextID := 0
+		runOracle(t, seed, 4000, uniformMix)
+	}
+}
 
-		handler := handlerFunc(func(_ Time, a0, _ int64) { got = append(got, int(a0)) })
-
-		// Random mixture of operations, executed between engine steps
-		// so scheduling happens both before Run and from inside events.
-		ops := 4000
-		for i := 0; i < ops; i++ {
-			switch r.Intn(10) {
-			case 0, 1, 2, 3, 4, 5: // schedule at a random future offset
-				// Cluster times deliberately: 30% chance of reusing the
-				// exact current horizon to stress same-time ties.
-				var at Time
-				if r.Intn(10) < 3 {
-					at = e.Now()
-				} else {
-					at = e.Now() + Time(r.Intn(1_000_000))
-				}
-				id := nextID
-				nextID++
-				tok := e.Schedule(at, handler, int64(id), 0)
-				tokens = append(tokens, held{tok: tok, id: id})
-				oe := &oracleEvent{at: at, seq: e.seq, id: id}
-				oracleByID[id] = oe
-				heap.Push(&oracle, oe)
-			case 6, 7: // cancel a random outstanding token
-				if len(tokens) == 0 {
-					continue
-				}
-				k := r.Intn(len(tokens))
-				hd := tokens[k]
-				// The oracle only honours the cancel if the engine did:
-				// stale tokens (fired or re-used events) are no-ops.
-				if e.Cancel(hd.tok) {
-					oracleByID[hd.id].cancelled = true
-				}
-				tokens = append(tokens[:k], tokens[k+1:]...)
-			case 8, 9: // step the engine by a few events
-				steps := r.Intn(5) + 1
-				for s := 0; s < steps; s++ {
-					ev := e.cal.popMin(math.MaxInt64, true)
-					if ev == nil {
-						break
-					}
-					e.now = ev.at
-					e.executed++
-					e.dispatch(ev)
-					// Advance the oracle past cancelled entries.
-					for oracle.Len() > 0 {
-						oe := heap.Pop(&oracle).(*oracleEvent)
-						if !oe.cancelled {
-							want = append(want, oe.id)
-							break
-						}
-					}
-				}
+// TestCalendarSkewedPopulations runs the oracle property over the two
+// populations a span-fitted day width handles worst.
+func TestCalendarSkewedPopulations(t *testing.T) {
+	// The packet fabric's shape: thousands of injection events spread
+	// over milliseconds, and a cluster of in-flight packets whose next
+	// events all land within half a microsecond of now. Fitting the
+	// width to the span (~100 ns between injections) put the whole
+	// cluster in a few buckets, and every insert walked their lists.
+	cluster := population{
+		name: "far-spread+near-cluster",
+		far:  20000, farSpan: 2 * Millisecond,
+		near: 120, hops: 30,
+		pick: func(r *rng.Source, now Time) Time { return now + Time(r.Intn(500_000)+1) },
+	}
+	// E15's halo exchange: every event of a round shares one instant.
+	burst := population{
+		name: "equal-timestamp-bursts",
+		near: 2000, hops: 3,
+		pick: func(_ *rng.Source, now Time) Time { return (now/Microsecond + 1) * Microsecond },
+	}
+	for _, pop := range []population{cluster, burst} {
+		for _, seed := range []uint64{1, 2} {
+			e := runOracle(t, seed, 6000, pop)
+			// Geometry must track the head of the queue on both sides:
+			// inserts walking bucket lists mean days too wide, pops
+			// walking empty days mean days too narrow.
+			links := float64(e.cal.linkSteps) / float64(e.seq)
+			days := float64(e.cal.daySteps) / float64(e.executed)
+			t.Logf("%s seed %d: %.2f list steps per insert, %.2f empty days per pop over %d events",
+				pop.name, seed, links, days, e.seq)
+			if links > 2 || days > 2 {
+				t.Errorf("%s seed %d: want <= 2 of each", pop.name, seed)
 			}
-		}
-		// Drain both completely.
-		e.Run()
-		for oracle.Len() > 0 {
-			oe := heap.Pop(&oracle).(*oracleEvent)
-			if !oe.cancelled {
-				want = append(want, oe.id)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: engine ran %d events, oracle %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: divergence at %d: engine %d, oracle %d", seed, i, got[i], want[i])
-			}
-		}
-		if e.Pending() != 0 {
-			t.Fatalf("seed %d: %d events left pending", seed, e.Pending())
 		}
 	}
 }
@@ -288,14 +370,25 @@ func TestNextEventTime(t *testing.T) {
 	e.Run()
 }
 
-func BenchmarkSchedulePop(b *testing.B) {
-	// Steady-state churn: a self-rescheduling population of 1024
-	// events, the shape of a busy fabric.
+func BenchmarkSchedulePop(b *testing.B) { benchSchedulePop(b, 0) }
+
+// BenchmarkSchedulePopSkewed is the same churn under 20000 pending
+// far-future events spread over two milliseconds — injections waiting
+// behind the packets in flight.
+func BenchmarkSchedulePopSkewed(b *testing.B) { benchSchedulePop(b, 20000) }
+
+// benchSchedulePop measures steady-state churn: a self-rescheduling
+// population of 1024 events, the shape of a busy fabric, in front of
+// far idle events the churn never reaches.
+func benchSchedulePop(b *testing.B, far int) {
 	e := New()
 	var h handlerFunc
 	r := rng.New(1)
 	h = func(Time, int64, int64) {
 		e.ScheduleAfter(Time(r.Intn(10_000)+1), h, 0, 0)
+	}
+	for i := 0; i < far; i++ {
+		e.Schedule(Millisecond+Time(r.Intn(int(2*Millisecond))), nil, 0, 0)
 	}
 	for i := 0; i < 1024; i++ {
 		e.Schedule(Time(r.Intn(10_000)), h, 0, 0)

@@ -20,8 +20,9 @@ type Resource struct {
 	head    int
 	// current grant, carried in fields rather than a closure so the
 	// completion event is a typed, allocation-free Handler event.
-	curStart, curEnd Time
-	curFn            func(start, end Time)
+	curStart Time
+	curH     Handler
+	curArg   int64
 	// BusyTime accumulates total time the resource was occupied, for
 	// utilisation statistics.
 	BusyTime Time
@@ -29,9 +30,25 @@ type Resource struct {
 	Grants uint64
 }
 
+// waiter is one queued acquisition. A 16^3 torus keeps 24 576 link
+// queues of these, so it stays at 32 bytes: the closure form of a
+// grant callback rides in h through grantFunc rather than in a field
+// of its own.
 type waiter struct {
 	service Time
-	fn      func(start, end Time)
+	h       Handler
+	arg     int64
+}
+
+// grantFunc adapts a grant closure (nil included) to Handler. A func
+// value is pointer-shaped, so the conversion allocates nothing.
+type grantFunc func(start, end Time)
+
+// OnEvent implements Handler with the arguments Resource passes.
+func (f grantFunc) OnEvent(end Time, _, start int64) {
+	if f != nil {
+		f(Time(start), end)
+	}
 }
 
 // NewResource returns an idle resource bound to eng.
@@ -50,13 +67,21 @@ func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
 
 // Acquire requests the resource for the given service time. When the
 // request is granted and the service time has elapsed, done is invoked
-// with the service start and end times. Acquire never blocks; it is
-// event-driven.
+// with the service start and end times; a nil done just occupies the
+// resource. Acquire never blocks; it is event-driven.
 func (r *Resource) Acquire(service Time, done func(start, end Time)) {
+	r.AcquireHandler(service, grantFunc(done), 0)
+}
+
+// AcquireHandler is the typed, allocation-free form of Acquire: when
+// the grant's service time has elapsed, h.OnEvent(end, arg, start)
+// runs with the service end time as now and the service start time in
+// the second argument. Both forms share one FIFO queue.
+func (r *Resource) AcquireHandler(service Time, h Handler, arg int64) {
 	if service < 0 {
 		panic("sim: negative service time")
 	}
-	r.waiters = append(r.waiters, waiter{service: service, fn: done})
+	r.waiters = append(r.waiters, waiter{service: service, h: h, arg: arg})
 	if !r.busy {
 		r.startNext()
 	}
@@ -82,7 +107,7 @@ func (r *Resource) startNext() {
 	end := start + w.service
 	r.BusyTime += w.service
 	r.Grants++
-	r.curStart, r.curEnd, r.curFn = start, end, w.fn
+	r.curStart, r.curH, r.curArg = start, w.h, w.arg
 	r.eng.Schedule(end, r, 0, 0)
 }
 
@@ -90,11 +115,11 @@ func (r *Resource) startNext() {
 // elapsed. The grant callback runs first (it may Acquire again), then
 // the next waiter is started — the same order the closure-based
 // implementation used, so event sequences are unchanged.
-func (r *Resource) OnEvent(_ Time, _, _ int64) {
-	fn, start, end := r.curFn, r.curStart, r.curEnd
-	r.curFn = nil
-	if fn != nil {
-		fn(start, end)
+func (r *Resource) OnEvent(end Time, _, _ int64) {
+	h := r.curH
+	r.curH = nil
+	if h != nil {
+		h.OnEvent(end, r.curArg, int64(r.curStart))
 	}
 	r.startNext()
 }

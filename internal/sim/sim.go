@@ -5,9 +5,9 @@
 // absolute virtual times and executed in nondecreasing time order.
 // Ties are broken by schedule order (a monotonically increasing
 // sequence number), which makes every run fully deterministic. Events
-// are pooled through a free list, and hot models can schedule typed
-// Handler events instead of closures, so the steady-state event loop
-// allocates nothing.
+// are recycled through an engine-owned free list, and hot models can
+// schedule typed Handler events instead of closures, so the
+// steady-state event loop allocates nothing.
 //
 // Virtual time is kept as integer picoseconds so that latencies in the
 // nanosecond range and bandwidths in the GB/s range can be combined
@@ -17,7 +17,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Time is a virtual time stamp in picoseconds since simulation start.
@@ -83,7 +82,6 @@ type Event struct {
 	next      *Event // bucket chain
 	queued    bool
 	cancelled bool
-	used      bool // ever dispatched through the pool (for alloc stats)
 }
 
 // Token identifies a scheduled event for cancellation. The zero Token
@@ -108,7 +106,7 @@ type Stats struct {
 	MaxQueueDepth int
 	// Allocs counts events that came from the allocator, Reused those
 	// recycled through the free list: Reused/(Allocs+Reused) is the
-	// pool hit rate.
+	// pool hit rate. Both are pure functions of the event sequence.
 	Allocs uint64
 	Reused uint64
 	// Buckets and BucketWidth describe the current calendar geometry;
@@ -121,6 +119,14 @@ type Stats struct {
 // Engine is a discrete-event scheduler. The zero value is ready to use.
 // Engine is not safe for concurrent use: models interact with it only
 // from inside event callbacks (or before Run).
+//
+// Events come from a free list the engine's calendar owns: a stack
+// threaded through idle events, touched only by the engine's own
+// thread. Events therefore never migrate across engines (the Token
+// safety contract relies on that), the list is bounded by the queue's
+// high-water mark, and the hit rate Stats reports is deterministic per
+// engine — the same event sequence reuses the same events whatever
+// the host, the GC or other goroutines do.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -131,13 +137,6 @@ type Engine struct {
 	cancelled uint64
 	allocs    uint64
 	reused    uint64
-
-	// pool is the engine-local event free list. sync.Pool gives the
-	// GC license to reclaim idle events between runs; keeping one pool
-	// per engine (rather than a process-global one) guarantees events
-	// never migrate across engines, which the Token safety contract
-	// and the engine's single-threadedness rely on.
-	pool sync.Pool
 
 	// probe, when set, observes the clock advancing: it runs before
 	// each event dispatches, with the new current time. It must not
@@ -179,22 +178,11 @@ func (e *Engine) schedule(t Time, fn func(), h Handler, a0, a1 int64) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	if e.cal.recycle == nil {
-		e.pool.New = func() any { return new(Event) }
-		e.cal.recycle = func(ev *Event) {
-			ev.fn = nil
-			ev.h = nil
-			ev.next = nil
-			ev.queued = false
-			ev.cancelled = false
-			e.pool.Put(ev)
-		}
-	}
-	ev := e.pool.Get().(*Event)
-	if ev.used {
+	ev := e.cal.reuse()
+	if ev != nil {
 		e.reused++
 	} else {
-		ev.used = true
+		ev = new(Event)
 		e.allocs++
 	}
 	e.seq++
@@ -204,8 +192,7 @@ func (e *Engine) schedule(t Time, fn func(), h Handler, a0, a1 int64) *Event {
 	ev.h = h
 	ev.a0, ev.a1 = a0, a1
 	ev.queued = true
-	ev.cancelled = false
-	e.cal.insert(ev, e.now)
+	e.cal.insert(ev)
 	return ev
 }
 

@@ -298,3 +298,101 @@ func BenchmarkEngine(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// recordHandler is a typed grant callback that records the order and
+// service interval of its grants.
+type recordHandler struct {
+	order  *[]int64
+	starts *[]Time
+}
+
+func (h recordHandler) OnEvent(_ Time, arg, start int64) {
+	*h.order = append(*h.order, arg)
+	*h.starts = append(*h.starts, Time(start))
+}
+
+// TestResourceHandlerAndClosureShareFIFO pins that the closure form,
+// the typed form and a nil callback are one queue: grants happen in
+// request order whatever form each request took, and the typed form
+// sees the service start in its second argument.
+func TestResourceHandlerAndClosureShareFIFO(t *testing.T) {
+	e := New()
+	r := NewResource(e, "link")
+	var order []int64
+	var starts []Time
+	h := recordHandler{&order, &starts}
+	closure := func(id int64) func(start, end Time) {
+		return func(start, end Time) {
+			if end-start != 10*Nanosecond {
+				t.Errorf("request %d: served %v..%v", id, start, end)
+			}
+			order = append(order, id)
+			starts = append(starts, start)
+		}
+	}
+	r.Acquire(10*Nanosecond, closure(0))
+	r.AcquireHandler(10*Nanosecond, h, 1)
+	r.Acquire(10*Nanosecond, nil) // occupies the resource, reports nothing
+	r.AcquireHandler(10*Nanosecond, h, 3)
+	r.Acquire(10*Nanosecond, closure(4))
+	r.AcquireHandler(10*Nanosecond, nil, 5)
+	r.AcquireHandler(10*Nanosecond, h, 6)
+	if got := e.Run(); got != 70*Nanosecond {
+		t.Fatalf("finished at %v, want 70ns", got)
+	}
+	wantOrder := []int64{0, 1, 3, 4, 6}
+	wantStarts := []Time{0, 10 * Nanosecond, 30 * Nanosecond, 40 * Nanosecond, 60 * Nanosecond}
+	if len(order) != len(wantOrder) {
+		t.Fatalf("grant order %v, want %v", order, wantOrder)
+	}
+	for i := range wantOrder {
+		if order[i] != wantOrder[i] || starts[i] != wantStarts[i] {
+			t.Fatalf("grants %v at %v, want %v at %v", order, starts, wantOrder, wantStarts)
+		}
+	}
+	if r.Grants != 7 || r.BusyTime != 70*Nanosecond {
+		t.Fatalf("grants %d busy %v", r.Grants, r.BusyTime)
+	}
+}
+
+// TestFreeListBoundedAndClean checks the engine-owned free list: it
+// never outgrows the queue's high-water mark, reuse is a function of
+// the event sequence alone, and a parked event pins no callback.
+func TestFreeListBoundedAndClean(t *testing.T) {
+	run := func() (*Engine, Stats) {
+		e := New()
+		r := rng.New(5)
+		var h handlerFunc
+		h = func(_ Time, depth, _ int64) {
+			for i := r.Intn(3); i > 0 && depth < 6; i-- {
+				e.ScheduleAfter(Time(r.Intn(1000)), h, depth+1, 0)
+			}
+		}
+		for i := 0; i < 500; i++ {
+			e.Schedule(Time(r.Intn(100_000)), h, 0, 0)
+			e.At(Time(r.Intn(100_000)), func() {})
+		}
+		e.Run()
+		return e, e.Stats()
+	}
+	e, st := run()
+	if e.cal.nfree > st.MaxQueueDepth {
+		t.Fatalf("free list holds %d events, queue never held more than %d", e.cal.nfree, st.MaxQueueDepth)
+	}
+	if uint64(e.cal.nfree) != st.Allocs {
+		t.Fatalf("%d events allocated but %d on the free list after the drain", st.Allocs, e.cal.nfree)
+	}
+	n := 0
+	for ev := e.cal.free; ev != nil; ev = ev.next {
+		if ev.fn != nil || ev.h != nil || ev.queued || ev.cancelled {
+			t.Fatalf("free event %d still carries state: %+v", n, *ev)
+		}
+		n++
+	}
+	if n != e.cal.nfree {
+		t.Fatalf("free list has %d events, nfree says %d", n, e.cal.nfree)
+	}
+	if _, again := run(); again.Allocs != st.Allocs || again.Reused != st.Reused {
+		t.Fatalf("pool counters differ between identical runs: %+v vs %+v", st, again)
+	}
+}

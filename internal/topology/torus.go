@@ -107,7 +107,8 @@ func (t *Torus3D) Route(src, dst NodeID) []LinkID {
 	}
 	sx, sy, sz := t.Coord(src)
 	dx, dy, dz := t.Coord(dst)
-	var route []LinkID
+	// One allocation whatever the distance: the length is known.
+	route := make([]LinkID, 0, t.Hops(src, dst))
 	cx, cy, cz := sx, sy, sz
 	walk := func(cur *int, target, size, plus, minus int, coord func() NodeID) {
 		s := step(*cur, target, size)
