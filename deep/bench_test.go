@@ -6,15 +6,13 @@ import (
 	"testing"
 
 	"repro/deep"
-	"repro/internal/fabric"
-	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // benchExperiment runs one registered experiment per iteration through
 // the public Runner and renders its table to io.Discard, so `go test
 // -bench` both times the full figure regeneration and exercises the
-// rendering path. Run cmd/deepbench -bench for wall-clock numbers.
+// rendering path. These are for measuring while you work; performance
+// claims go through `go run ./bench` (see bench/README.md).
 func benchExperiment(b *testing.B, id string, fid deep.Fidelity) {
 	b.Helper()
 	runner := &deep.Runner{Fidelity: fid}
@@ -107,46 +105,4 @@ func BenchmarkE09Fidelity(b *testing.B) {
 func BenchmarkE15Fidelity(b *testing.B) {
 	b.Run("flow", func(b *testing.B) { benchExperiment(b, "E15", deep.Flow) })
 	b.Run("packet", func(b *testing.B) { benchExperiment(b, "E15", deep.Packet) })
-}
-
-// BenchmarkKernelSchedulePop is the scheduler microbenchmark at the
-// SDK level: steady-state churn of a self-rescheduling population,
-// the shape of a busy fabric (see internal/sim for finer-grained
-// variants).
-func BenchmarkKernelSchedulePop(b *testing.B) {
-	eng := sim.New()
-	var pump func()
-	n := 0
-	pump = func() {
-		n++
-		if n < b.N {
-			eng.After(sim.Time(n%977+1)*sim.Nanosecond, pump)
-		}
-	}
-	b.ReportAllocs()
-	eng.After(sim.Nanosecond, pump)
-	b.ResetTimer()
-	eng.Run()
-}
-
-// BenchmarkKernelTransfer contrasts one 64 KiB fabric transfer under
-// the packet and flow models, end to end.
-func BenchmarkKernelTransfer(b *testing.B) {
-	for _, fid := range []fabric.Fidelity{fabric.FidelityPacket, fabric.FidelityFlow} {
-		b.Run(fid.String(), func(b *testing.B) {
-			eng := sim.New()
-			net := fabric.MustNetwork(eng, topology.NewTorus3D(8, 8, 8), fabric.Extoll, 1)
-			net.SetFidelity(fid)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net.Send(topology.NodeID(i%512), topology.NodeID((i*7+3)%512), 64<<10,
-					func(sim.Time, error) {})
-				if i%512 == 511 {
-					eng.Run()
-				}
-			}
-			eng.Run()
-		})
-	}
 }

@@ -21,7 +21,7 @@ import (
 // and the modelled makespan must agree exactly, because the partitioned
 // runtime reorders only wall-clock execution, never the virtual-clock
 // arithmetic. The table is therefore byte-identical at every K; what K
-// changes is wall time, which cmd/deepbench's -speedup sweep measures.
+// changes is wall time: `time deepbench -run E17 -domains K` measures it.
 //
 // Domains == 1 is the serialized baseline: the same coroutine runtime
 // on a single domain engine, so a speedup curve over K measures the
@@ -139,7 +139,7 @@ func runE17(ctx context.Context, cfg *Config) (*stats.Table, error) {
 			joules, gfw)...)
 	}
 	tab.AddNote("twin: partitioned outputs and modelled makespan are identical to the plain goroutine-per-rank world")
-	tab.AddNote("the table is byte-identical at every K; wall time is what K buys (deepbench -speedup measures it)")
+	tab.AddNote("the table is byte-identical at every K; wall time is what K buys (time deepbench -run E17 -domains K)")
 	tab.SetSummary("domains", float64(K))
 	tab.SetSummary("kernel_windows", float64(kwin))
 	tab.SetSummary("kernel_executed", float64(kexec))
