@@ -100,29 +100,25 @@ func e15HaloSlab(net *fabric.Network, tor *topology.Torus3D, lo, hi int, cb func
 }
 
 // e15Chain passes a partial sum down ring[i] -> ring[i-1] -> ... ->
-// ring[0], one message at a time, then releases the latch.
-func e15Chain(net *fabric.Network, ring []topology.NodeID, latch *sim.Latch) {
-	e15ChainSeg(net, ring, latch.Done)
-}
-
-// e15ChainSeg is the latch-free chain primitive shared by the
-// sequential and partitioned sweeps: on a shard, every sender ring[1:]
-// must be owned by net; ring[0] may live on the slab below (a send's
-// link belongs to its source, so the boundary hop is still
-// shard-local).
-func e15ChainSeg(net *fabric.Network, ring []topology.NodeID, done func()) {
+// ring[0], one message at a time, then calls done. It is the chain
+// primitive of both the sequential and the partitioned sweep: on a
+// shard, every sender ring[1:] must be owned by net; ring[0] may live
+// on the slab below (a send's link belongs to its source, so the
+// boundary hop is still shard-local). One completion callback serves
+// every hop of the chain.
+func e15Chain(net *fabric.Network, ring []topology.NodeID, done func()) {
 	i := len(ring) - 1
-	var step func()
-	step = func() {
+	var hop func(sim.Time, error)
+	hop = func(sim.Time, error) {
 		if i == 0 {
 			done()
 			return
 		}
 		from, to := ring[i], ring[i-1]
 		i--
-		net.Send(from, to, e15ReduceBytes, func(sim.Time, error) { step() })
+		net.Send(from, to, e15ReduceBytes, hop)
 	}
-	step()
+	hop(0, nil)
 }
 
 // e15Reduce runs the dimension-ordered global reduction to node
@@ -140,21 +136,20 @@ func e15Reduce(net *fabric.Network, tor *topology.Torus3D, done func()) {
 		return r
 	}
 	phaseZ := func() {
-		latch := sim.NewLatch(1, done)
-		e15Chain(net, ring(func(i int) topology.NodeID { return tor.ID(0, 0, i) }), latch)
+		e15Chain(net, ring(func(i int) topology.NodeID { return tor.ID(0, 0, i) }), done)
 	}
 	phaseY := func() {
-		latch := sim.NewLatch(k, phaseZ)
+		arrive := sim.NewLatch(k, phaseZ).Done
 		for z := 0; z < k; z++ {
 			z := z
-			e15Chain(net, ring(func(i int) topology.NodeID { return tor.ID(0, i, z) }), latch)
+			e15Chain(net, ring(func(i int) topology.NodeID { return tor.ID(0, i, z) }), arrive)
 		}
 	}
-	latch := sim.NewLatch(k*k, phaseY)
+	arrive := sim.NewLatch(k*k, phaseY).Done
 	for y := 0; y < k; y++ {
 		for z := 0; z < k; z++ {
 			y, z := y, z
-			e15Chain(net, ring(func(i int) topology.NodeID { return tor.ID(i, y, z) }), latch)
+			e15Chain(net, ring(func(i int) topology.NodeID { return tor.ID(i, y, z) }), arrive)
 		}
 	}
 }
@@ -364,7 +359,7 @@ func runE15Par(ctx context.Context, cfg *Config, edges []int) (*stats.Table, err
 				sh, rings := doms.Shard(d), byDomain[d]
 				cl.Engine(d).At(t, func() {
 					for _, r := range rings {
-						e15ChainSeg(sh, r, noop)
+						e15Chain(sh, r, noop)
 					}
 				})
 			}
@@ -373,7 +368,7 @@ func runE15Par(ctx context.Context, cfg *Config, edges []int) (*stats.Table, err
 		reduceZ := func(t sim.Time) sim.Time {
 			for d := K - 1; d >= 0; d-- {
 				sh, seg := doms.Shard(d), segZ[d]
-				cl.Engine(d).At(t, func() { e15ChainSeg(sh, seg, noop) })
+				cl.Engine(d).At(t, func() { e15Chain(sh, seg, noop) })
 				t = cl.Run()
 			}
 			return t

@@ -185,20 +185,50 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// segment is the reference segmentation shape() replaced: size bytes in
+// at most maxPackets segments of at least MTU bytes each (except
+// possibly the last), as an explicit slice.
+func segment(p *Params, size int) []int {
+	if size == 0 {
+		return []int{0}
+	}
+	packets := (size + p.MTU - 1) / p.MTU
+	if packets > p.maxPackets() {
+		packets = p.maxPackets()
+	}
+	segs := make([]int, packets)
+	for i := range segs {
+		segs[i] = size / packets
+		if i < size%packets {
+			segs[i]++
+		}
+	}
+	return segs
+}
+
+// TestSegmentPartition: the segment shape partitions the message,
+// reproduces the reference segmentation element by element, and its
+// serialization times are the sums the packet model pays.
 func TestSegmentPartition(t *testing.T) {
-	topo := topology.NewTorus3D(2, 1, 1)
-	_, net := newTestNet(t, topo, Extoll)
-	for _, size := range []int{0, 1, 2047, 2048, 2049, 1 << 20} {
-		segs := net.segment(size)
-		total := 0
-		for _, s := range segs {
-			total += s
+	p := Extoll
+	for _, size := range []int{0, 1, p.MTU - 1, p.MTU, p.MTU + 1, p.maxPackets()*p.MTU + 7, 1 << 20} {
+		sh, want := p.shape(size), segment(&p, size)
+		if sh.packets != len(want) || sh.packets > p.maxPackets() {
+			t.Fatalf("size %d: %d segments, reference has %d", size, sh.packets, len(want))
+		}
+		total, ser := 0, sim.Time(0)
+		for i, w := range want {
+			if got := sh.seg(i); got != w {
+				t.Fatalf("size %d: segment %d is %d bytes, reference %d", size, i, got, w)
+			}
+			total += sh.seg(i)
+			ser += p.serTime(w)
 		}
 		if total != size {
 			t.Fatalf("segments of %d sum to %d", size, total)
 		}
-		if len(segs) > net.P.maxPackets() {
-			t.Fatalf("size %d produced %d segments", size, len(segs))
+		if ser0, all := p.serTimes(sh); ser0 != p.serTime(want[0]) || all != ser {
+			t.Fatalf("size %d: serTimes = (%v, %v), reference (%v, %v)", size, ser0, all, p.serTime(want[0]), ser)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -91,17 +92,85 @@ func (n *Network) SetFidelity(f Fidelity) {
 // FidelityLevel returns the configured transfer model.
 func (n *Network) FidelityLevel() Fidelity { return n.fidelity }
 
+// flow is one message between Send and the packet model, or — on the
+// flow path — between Send and delivery: a pooled record that is its
+// own injection and completion event, so a flow-level message costs no
+// allocation once the free list is warm.
+type flow struct {
+	net      *Network
+	src, dst topology.NodeID
+	size     int
+	done     func(at sim.Time, err error)
+	next     *flow // free-list link
+}
+
+// The flow phases, carried as the first event argument.
+const (
+	flowInject  = iota // SendOverhead elapsed: choose the model and book the transfer
+	flowDeliver        // the last byte has been received
+)
+
+// newFlow takes a record off the free list, or a fresh one from the
+// slab, so a halo burst's first pass is not an allocation per message.
+func (n *Network) newFlow(src, dst topology.NodeID, size int, done func(at sim.Time, err error)) *flow {
+	f := n.freeFlows
+	if f != nil {
+		n.freeFlows = f.next
+	} else {
+		f = n.flowSlab.New()
+		f.net = n
+	}
+	f.src, f.dst, f.size, f.done = src, dst, size, done
+	return f
+}
+
+// release returns a record whose message has moved on. The free list
+// must not pin the completion callback.
+func (n *Network) release(f *flow) (size int, done func(at sim.Time, err error)) {
+	size, done = f.size, f.done
+	f.done, f.next = nil, n.freeFlows
+	n.freeFlows = f
+	return size, done
+}
+
+// OnEvent implements sim.Handler.
+func (f *flow) OnEvent(now sim.Time, phase, hop int64) {
+	n := f.net
+	if phase == flowDeliver {
+		size, done := n.release(f)
+		n.Stats.BytesDelivered += uint64(size)
+		done(now, nil)
+		return
+	}
+	// The fidelity decision happens at injection time (after the send
+	// overhead), when the route and event-queue state that the Auto
+	// proof needs are current. Fault-affected routes are rejected
+	// before any planning work.
+	route, sh := n.route(f.src, f.dst, hop), n.P.shape(f.size)
+	if (n.fidelity == FidelityFlow || n.fidelity == FidelityAuto) && n.routeFaultFree(route) {
+		starts, total, delivery := n.flowPlan(route, sh)
+		if n.fidelity == FidelityFlow || n.autoQuiescent(route, delivery) {
+			if n.Obs.Enabled() {
+				n.Obs.Instant(obs.LaneNodes+int(f.src), "fabric", "flow-commit",
+					now, obs.KV{K: "dst", V: int(f.dst)}, obs.KV{K: "bytes", V: f.size})
+			}
+			n.commitFlow(route, f.size, starts, total)
+			n.Eng.Schedule(delivery, f, flowDeliver, 0)
+			return
+		}
+	}
+	size, done := n.release(f)
+	n.packetSend(route, sh, size, done)
+}
+
 // flowPlan computes the flow-level trajectory of one message over
 // route at the current virtual time without committing it: the head
 // service start on each hop (after waiting out the link's flow
 // reservation), the per-link busy-until times, and the delivery time.
 // The arithmetic mirrors the packet model's pipelined store-and-
 // forward recurrence, so with idle links the two agree exactly.
-func (n *Network) flowPlan(route []topology.LinkID, segs []int) (starts []sim.Time, total sim.Time, delivery sim.Time) {
-	ser0 := n.P.serTime(segs[0])
-	for _, s := range segs {
-		total += n.P.serTime(s)
-	}
+func (n *Network) flowPlan(route []topology.LinkID, sh segShape) (starts []sim.Time, total sim.Time, delivery sim.Time) {
+	ser0, total := n.P.serTimes(sh)
 	perHop := n.P.RouterDelay + n.P.LinkLatency
 	h := n.Eng.Now()
 	starts = n.flowStarts[:0]
@@ -118,11 +187,9 @@ func (n *Network) flowPlan(route []topology.LinkID, segs []int) (starts []sim.Ti
 	return starts, total, delivery
 }
 
-// commitFlow books the planned trajectory: link reservations, the
-// same utilisation statistics the packet model records, and a single
-// typed completion event.
-func (n *Network) commitFlow(route []topology.LinkID, size int,
-	starts []sim.Time, total, delivery sim.Time, done func(at sim.Time, err error)) {
+// commitFlow books the planned trajectory: link reservations and the
+// same utilisation statistics the packet model records.
+func (n *Network) commitFlow(route []topology.LinkID, size int, starts []sim.Time, total sim.Time) {
 	for k, l := range route {
 		n.flowFree[n.li(l)] = starts[k] + total
 		n.flowBusy[n.li(l)] += total
@@ -134,33 +201,6 @@ func (n *Network) commitFlow(route []topology.LinkID, size int,
 		// segment, keeping energy fidelity-invariant.
 		n.transferJ += n.energy.TransferJ(size, len(route))
 	}
-	id := int64(len(n.flows))
-	n.flows = append(n.flows, flowDone{size: size, fn: done})
-	n.Eng.Schedule(delivery, (*flowCompleter)(n), id, 0)
-}
-
-// flowDone is one pending flow completion.
-type flowDone struct {
-	size int
-	fn   func(at sim.Time, err error)
-}
-
-// flowCompleter dispatches flow completion events without a closure
-// per message: the event argument indexes the pending-flow table.
-type flowCompleter Network
-
-// OnEvent implements sim.Handler.
-func (fc *flowCompleter) OnEvent(now sim.Time, id, _ int64) {
-	n := (*Network)(fc)
-	f := n.flows[id]
-	n.flows[id] = flowDone{}
-	n.flowsDone++
-	if n.flowsDone == len(n.flows) {
-		n.flows = n.flows[:0]
-		n.flowsDone = 0
-	}
-	n.Stats.BytesDelivered += uint64(f.size)
-	f.fn(now, nil)
 }
 
 // routeFaultFree reports whether the flow model may represent a

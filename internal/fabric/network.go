@@ -59,15 +59,23 @@ type Network struct {
 	slot  []int32
 	owned []topology.LinkID
 
-	// Flow fast-path state (see flow.go): the configured fidelity,
-	// the per-link reservation ledger, a scratch buffer for planned
-	// hop start times, and the pending flow-completion table.
+	// Flow fast-path state (see flow.go): the configured fidelity, the
+	// per-link reservation ledger and a scratch buffer for planned hop
+	// start times.
 	fidelity   Fidelity
 	flowFree   []sim.Time
 	flowBusy   []sim.Time
 	flowStarts []sim.Time
-	flows      []flowDone
-	flowsDone  int
+
+	// scratch holds the route of the message being injected or, on a
+	// shard, sent. The next one overwrites it, so whatever outlives the
+	// current event (the packet path's message) copies it.
+	scratch []topology.LinkID
+	// freeFlows recycles the per-message flow records (see flow.go), a
+	// stack through their next pointers as deep as the most messages ever
+	// between Send and delivery; flowSlab issues those it cannot supply.
+	freeFlows *flow
+	flowSlab  sim.Slab[flow]
 
 	// energy is the electrical model; transferJ accumulates per-byte
 	// link-traversal energy as delivery events fire. Both the packet
@@ -218,39 +226,43 @@ func (n *Network) Send(src, dst topology.NodeID, size int, done func(at sim.Time
 	if n.Obs.Enabled() {
 		done = n.obsWrap(src, dst, size, done)
 	}
-	route := n.Topo.Route(src, dst)
-	if len(route) == 0 {
-		// Loopback: only the software overheads apply.
-		n.Eng.After(n.P.SendOverhead+n.P.RecvOverhead, func() {
-			n.Stats.BytesDelivered += uint64(size)
-			done(n.Eng.Now(), nil)
-		})
+	// A shard routes now, to tell whether the message leaves it; any other
+	// network routes at injection and here only checks the endpoints.
+	var route []topology.LinkID
+	if n.part != nil {
+		route = n.route(src, dst, 0)
+	} else if nodes := n.Topo.Nodes(); uint(src) >= uint(nodes) || uint(dst) >= uint(nodes) {
+		panic(fmt.Sprintf("fabric: send %d -> %d outside the %d nodes of %s", src, dst, nodes, n.Topo.Name()))
+	}
+	if src == dst {
+		// Loopback (the empty route): only the software overheads apply.
+		n.Eng.ScheduleAfter(n.P.SendOverhead+n.P.RecvOverhead, n.newFlow(src, dst, size, done), flowDeliver, 0)
 		return
 	}
-	segs := n.segment(size)
-	n.Stats.Packets += uint64(len(segs))
+	sh := n.P.shape(size)
+	n.Stats.Packets += uint64(sh.packets)
 	if n.part != nil && !n.routeLocal(route) {
-		n.crossSend(dst, route, segs, size, done)
+		n.crossSend(dst, len(route), sh, size, done)
 		return
 	}
-	n.Eng.After(n.P.SendOverhead, func() {
-		// The fidelity decision happens at injection time (after the
-		// send overhead), when the route and event-queue state that
-		// the Auto proof needs are current. Fault-affected routes are
-		// rejected before any planning work.
-		if (n.fidelity == FidelityFlow || n.fidelity == FidelityAuto) && n.routeFaultFree(route) {
-			starts, total, delivery := n.flowPlan(route, segs)
-			if n.fidelity == FidelityFlow || n.autoQuiescent(route, delivery) {
-				if n.Obs.Enabled() {
-					n.Obs.Instant(obs.LaneNodes+int(src), "fabric", "flow-commit",
-						n.Eng.Now(), obs.KV{K: "dst", V: int(dst)}, obs.KV{K: "bytes", V: size})
-				}
-				n.commitFlow(route, size, starts, total, delivery, done)
-				return
-			}
-		}
-		n.packetSend(route, segs, size, done)
-	})
+	var hop int64 // a shard's one-hop route, as link+1: see route
+	if len(route) == 1 {
+		hop = int64(route[0]) + 1
+	}
+	n.Eng.ScheduleAfter(n.P.SendOverhead, n.newFlow(src, dst, size, done), flowInject, hop)
+}
+
+// route writes the route from src to dst into the scratch buffer. A
+// non-zero hop is that route already, the one link hop-1: found by a
+// shard's Send (neighbour traffic, which link ownership keeps on the
+// sender's shard) and carried by the injection event.
+func (n *Network) route(src, dst topology.NodeID, hop int64) []topology.LinkID {
+	if hop != 0 {
+		n.scratch = append(n.scratch[:0], topology.LinkID(hop-1))
+	} else {
+		n.scratch = n.Topo.AppendRoute(n.scratch[:0], src, dst)
+	}
+	return n.scratch
 }
 
 // obsWrap interposes on a Send completion callback to emit the
@@ -303,18 +315,20 @@ const (
 )
 
 // packetSend injects one message into the exact per-packet model:
-// every segment contends for every link of the route.
-func (n *Network) packetSend(route []topology.LinkID, segs []int, size int,
+// every segment contends for every link of the route, which the
+// message keeps a copy of.
+func (n *Network) packetSend(route []topology.LinkID, sh segShape, size int,
 	done func(at sim.Time, err error)) {
-	m := &message{net: n, route: route, size: size, remaining: len(segs), done: done}
-	for _, s := range segs {
+	m := &message{net: n, route: append([]topology.LinkID(nil), route...),
+		size: size, remaining: sh.packets, done: done}
+	for i := 0; i < sh.packets; i++ {
 		var p *packet
 		if k := len(n.freePackets); k > 0 {
 			p, n.freePackets = n.freePackets[k-1], n.freePackets[:k-1]
 		} else {
 			p = new(packet)
 		}
-		*p = packet{msg: m, bytes: s}
+		*p = packet{msg: m, bytes: sh.seg(i)}
 		p.acquire()
 	}
 }
@@ -412,26 +426,47 @@ func (m *message) OnEvent(now sim.Time, _, _ int64) {
 	m.done(now, nil)
 }
 
-// segment splits size bytes into at most maxPackets segments of at
-// least MTU bytes each (except possibly the last).
-func (n *Network) segment(size int) []int {
-	if size == 0 {
-		return []int{0}
+// segShape is how a message is cut into segments: packets of them, the
+// first rem carrying base+1 bytes and the rest base.
+type segShape struct{ packets, base, rem int }
+
+// shape splits size bytes into at most maxPackets segments of at least
+// MTU bytes each (except possibly the last).
+func (p *Params) shape(size int) segShape {
+	if size <= p.MTU {
+		return segShape{packets: 1, base: size}
 	}
-	packets := (size + n.P.MTU - 1) / n.P.MTU
-	if packets > n.P.maxPackets() {
-		packets = n.P.maxPackets()
+	packets := min((size+p.MTU-1)/p.MTU, p.maxPackets())
+	return segShape{packets: packets, base: size / packets, rem: size % packets}
+}
+
+// seg returns the size of segment i.
+func (s segShape) seg(i int) int {
+	if i < s.rem {
+		return s.base + 1
 	}
-	segs := make([]int, packets)
-	base := size / packets
-	rem := size % packets
-	for i := range segs {
-		segs[i] = base
-		if i < rem {
-			segs[i]++
-		}
+	return s.base
+}
+
+// serTimes returns the serialization time of the first segment and of
+// all segments together on one link.
+func (p *Params) serTimes(s segShape) (ser0, total sim.Time) {
+	base := p.serTime(s.base)
+	if s.rem == 0 {
+		return base, sim.Time(s.packets) * base
 	}
-	return segs
+	ser0 = p.serTime(s.base + 1)
+	return ser0, sim.Time(s.rem)*ser0 + sim.Time(s.packets-s.rem)*base
+}
+
+// zeroLoad is the pipelined store-and-forward latency of a message of
+// shape sh over hops idle links: the first segment pays every hop, the
+// remaining segments stream behind on the bottleneck (uniform links,
+// so any hop).
+func (p *Params) zeroLoad(hops int, sh segShape) sim.Time {
+	ser0, total := p.serTimes(sh)
+	return p.SendOverhead + p.RecvOverhead +
+		sim.Time(hops)*(p.RouterDelay+p.LinkLatency+ser0) + total - ser0
 }
 
 // LinkFailed implements resil.LinkTarget: the link stops delivering
@@ -485,19 +520,9 @@ func (n *Network) ObsLinkUtil() {
 // and propagation delays + pipelined serialization. It matches what
 // Send reports when nothing else contends.
 func (n *Network) ZeroLoadLatency(src, dst topology.NodeID, size int) sim.Time {
-	route := n.Topo.Route(src, dst)
-	t := n.P.SendOverhead + n.P.RecvOverhead
-	if len(route) == 0 {
-		return t
+	hops := topology.Hops(n.Topo, src, dst)
+	if hops == 0 {
+		return n.P.SendOverhead + n.P.RecvOverhead
 	}
-	segs := n.segment(size)
-	// Pipelined store-and-forward: first segment pays every hop;
-	// remaining segments stream behind on the bottleneck (uniform
-	// links, so any hop).
-	first := segs[0]
-	t += sim.Time(len(route)) * (n.P.RouterDelay + n.P.LinkLatency + n.P.serTime(first))
-	for _, s := range segs[1:] {
-		t += n.P.serTime(s)
-	}
-	return t
+	return n.P.zeroLoad(hops, n.P.shape(size))
 }

@@ -254,15 +254,10 @@ func (n *Network) routeLocal(route []topology.LinkID) bool {
 // transfer energy, and the completion callback runs on the destination
 // domain's engine: any further sends it issues must go through the
 // destination node's shard.
-func (n *Network) crossSend(dst topology.NodeID, route []topology.LinkID, segs []int, size int,
+func (n *Network) crossSend(dst topology.NodeID, hops int, sh segShape, size int,
 	done func(at sim.Time, err error)) {
 	n.Stats.CrossMessages++
-	t := n.Eng.Now() + n.P.SendOverhead + n.P.RecvOverhead
-	t += sim.Time(len(route)) * (n.P.RouterDelay + n.P.LinkLatency + n.P.serTime(segs[0]))
-	for _, s := range segs[1:] {
-		t += n.P.serTime(s)
-	}
-	hops := len(route)
+	t := n.Eng.Now() + n.P.zeroLoad(hops, sh)
 	owner := n.part.Owner(dst)
 	dsh := n.part.shards[owner]
 	n.part.cl.Post(n.domain, owner, t, func() {

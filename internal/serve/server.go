@@ -295,16 +295,27 @@ func (s *Server) admit(key string, spec *JobSpec) (*job, error) {
 	return j, nil
 }
 
-// register stores the job record and prunes old terminal records
-// beyond the retention bound. The caller holds s.mu.
+// register stores the job record and prunes the oldest terminal
+// records beyond the retention bound; queued and running jobs are
+// never pruned. The caller holds s.mu.
 func (s *Server) register(j *job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	if len(s.order) <= s.opts.RetainJobs {
+	excess := len(s.order) - s.opts.RetainJobs
+	// Jobs finish roughly in submission order, so the records to drop
+	// are almost always at the front: a steady stream of submits prunes
+	// in constant time instead of rebuilding the list under the lock.
+	for excess > 0 && s.jobs[s.order[0]].status().State.terminal() {
+		delete(s.jobs, s.order[0])
+		s.order = s.order[1:]
+		excess--
+	}
+	if excess <= 0 {
 		return
 	}
+	// The oldest record is still queued or running: keep it and drop the
+	// oldest terminal records behind it.
 	kept := s.order[:0]
-	excess := len(s.order) - s.opts.RetainJobs
 	for _, id := range s.order {
 		if excess > 0 && s.jobs[id].status().State.terminal() {
 			delete(s.jobs, id)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -500,4 +501,58 @@ func TestRetention(t *testing.T) {
 	if resub.State != StateDone || !resub.CacheHit {
 		t.Fatalf("cache lost a pruned job's result: %+v", resub)
 	}
+
+	// The record table stays bounded however many jobs pass through:
+	// never more than RetainJobs records beside the unfinished ones.
+	for i := 0; i < 3*h.srv.opts.RetainJobs; i++ {
+		h.wait(h.submit(fmt.Sprintf(`{"experiment": "E04", "seed": %d}`, i%2)).ID)
+		h.srv.mu.Lock()
+		order, jobs := len(h.srv.order), len(h.srv.jobs)
+		h.srv.mu.Unlock()
+		if order != jobs || order > h.srv.opts.RetainJobs {
+			t.Fatalf("after %d more submits: %d ordered ids, %d records, RetainJobs %d",
+				i+1, order, jobs, h.srv.opts.RetainJobs)
+		}
+	}
+}
+
+// TestRetentionKeepsRunningOldest: pruning takes terminal records
+// only. A job still running when the bound is hit stays resolvable and
+// first in the listing while the finished jobs submitted after it are
+// pruned, oldest first.
+func TestRetentionKeepsRunningOldest(t *testing.T) {
+	h := newHarness(t, Options{Workers: 2, RetainJobs: 2})
+	release := h.blockingExec()
+	defer release()
+	blocked, fast := h.srv.exec, execute
+	h.srv.exec = func(ctx context.Context, key string, spec *JobSpec, progress func(string)) (*Entry, error) {
+		if spec.Experiment == "E01" {
+			return blocked(ctx, key, spec, progress)
+		}
+		return fast(ctx, key, spec, progress)
+	}
+	slow := h.submit(`{"experiment": "E01"}`)
+	h.waitState(slow.ID, StateRunning)
+	var done []string
+	for seed := 0; seed < 3; seed++ {
+		sub := h.submit(fmt.Sprintf(`{"experiment": "E04", "seed": %d}`, seed))
+		h.wait(sub.ID)
+		done = append(done, sub.ID)
+	}
+	if code, _ := h.get("/v1/jobs/" + slow.ID); code != http.StatusOK {
+		t.Fatalf("running job was pruned: %d", code)
+	}
+	for _, id := range done[:2] {
+		if code, _ := h.get("/v1/jobs/" + id); code != http.StatusNotFound {
+			t.Fatalf("finished job %s survived pruning: %d", id, code)
+		}
+	}
+	h.srv.mu.Lock()
+	order := append([]string(nil), h.srv.order...)
+	h.srv.mu.Unlock()
+	if want := []string{slow.ID, done[2]}; !slices.Equal(order, want) {
+		t.Fatalf("retained jobs %v, want %v", order, want)
+	}
+	release()
+	h.wait(slow.ID)
 }

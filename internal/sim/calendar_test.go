@@ -473,3 +473,54 @@ func TestPeekInterleavedOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestCalendarTwoInstantBurst is E15's halo exchange at full size:
+// 300 000 events at one instant and 300 000 at a second. No geometry
+// can spread such a population, so the calendar must not chase it —
+// while the burst is live the buckets are rebuilt at most twice (not
+// once per doubling from 64 to 2^18), inserts do not walk, and the pop
+// order is the (time, sequence) order of a heap. Two shapes: the
+// second instant scheduled by the first's events as they fire (what a
+// fabric does), and both instants interleaved up front inside one
+// initial day (the worst case: every early insert walks the bucket the
+// two instants share until the calendar separates them).
+func TestCalendarTwoInstantBurst(t *testing.T) {
+	const n = 300_000
+	for _, interleaved := range []bool{false, true} {
+		e := New()
+		a, b := Microsecond+10*Nanosecond, Microsecond+60*Nanosecond
+		var got []int64
+		var h handlerFunc
+		h = func(now Time, id, _ int64) {
+			got = append(got, id)
+			if !interleaved && now == a {
+				e.Schedule(b, h, n+id, 0)
+			}
+		}
+		for i := int64(0); i < n; i++ {
+			e.Schedule(a, h, i, 0)
+			if interleaved {
+				e.Schedule(b, h, n+i, 0)
+			}
+		}
+		e.RunUntil(a)
+		if e.Pending() != n {
+			t.Fatalf("interleaved=%v: %d events pending after the first instant, want %d", interleaved, e.Pending(), n)
+		}
+		if r := e.cal.resizes; r > 2 {
+			t.Errorf("interleaved=%v: %d calendar rebuilds under a two-instant burst, want <= 2", interleaved, r)
+		}
+		e.Run()
+		if per := float64(e.cal.linkSteps) / float64(e.seq); per > 0.01 {
+			t.Errorf("interleaved=%v: %.3f list steps per insert, want ~0", interleaved, per)
+		}
+		if len(got) != 2*n {
+			t.Fatalf("interleaved=%v: %d events ran, want %d", interleaved, len(got), 2*n)
+		}
+		for i, id := range got {
+			if id != int64(i) {
+				t.Fatalf("interleaved=%v: event %d ran at position %d", interleaved, id, i)
+			}
+		}
+	}
+}

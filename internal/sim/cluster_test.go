@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -239,6 +240,23 @@ func TestClusterStatsAggregation(t *testing.T) {
 	}
 	if st.Windows == 0 {
 		t.Fatal("no windows recorded for K=3 run with events")
+	}
+}
+
+// TestClusterEnginesOnOwnCacheLines holds what domainEngine is for: no
+// 64-byte line holds bytes of two domains' engines, whatever size class
+// the allocator puts them in.
+func TestClusterEnginesOnOwnCacheLines(t *testing.T) {
+	c := NewCluster(8, 50)
+	owner := map[uintptr]int{}
+	for i := 0; i < c.Domains(); i++ {
+		lo := uintptr(unsafe.Pointer(c.Engine(i)))
+		for line := lo / 64; line <= (lo+unsafe.Sizeof(Engine{})-1)/64; line++ {
+			if j, taken := owner[line]; taken {
+				t.Fatalf("engines %d and %d share the cache line at %#x", j, i, line*64)
+			}
+			owner[line] = i
+		}
 	}
 }
 

@@ -182,7 +182,7 @@ func (e *Engine) schedule(t Time, fn func(), h Handler, a0, a1 int64) *Event {
 	if ev != nil {
 		e.reused++
 	} else {
-		ev = new(Event)
+		ev = e.cal.slab.New()
 		e.allocs++
 	}
 	e.seq++

@@ -92,24 +92,24 @@ func (f *FatTree) LinkOwner(l LinkID) NodeID {
 }
 
 // Route implements Topology.
-func (f *FatTree) Route(src, dst NodeID) []LinkID {
-	validateNode(src, f.Nodes(), f.Name())
-	validateNode(dst, f.Nodes(), f.Name())
+func (f *FatTree) Route(src, dst NodeID) []LinkID { return f.AppendRoute(nil, src, dst) }
+
+// AppendRoute implements Topology.
+func (f *FatTree) AppendRoute(buf []LinkID, src, dst NodeID) []LinkID {
+	sl, dl := f.Leaf(src), f.Leaf(dst) // Leaf validates the endpoints
 	if src == dst {
-		return nil
+		return buf
 	}
-	sl, dl := f.Leaf(src), f.Leaf(dst)
 	if sl == dl {
 		// Same leaf: up to the leaf switch, straight back down.
-		return []LinkID{f.nodeUp(src), f.nodeDown(dst)}
+		return append(buf, f.nodeUp(src), f.nodeDown(dst))
 	}
 	sp := f.spineFor(dst)
-	return []LinkID{
+	return append(buf,
 		f.nodeUp(src),
 		f.leafToSpine(sl, sp),
 		f.spineToLeaf(dl, sp),
-		f.nodeDown(dst),
-	}
+		f.nodeDown(dst))
 }
 
 // Hops implements HopCounter: 2 links within a leaf, 4 across spines.
@@ -161,13 +161,16 @@ func (c *Crossbar) Links() int { return 2 * c.N }
 
 // Route implements Topology: source egress port, destination ingress
 // port.
-func (c *Crossbar) Route(src, dst NodeID) []LinkID {
+func (c *Crossbar) Route(src, dst NodeID) []LinkID { return c.AppendRoute(nil, src, dst) }
+
+// AppendRoute implements Topology.
+func (c *Crossbar) AppendRoute(buf []LinkID, src, dst NodeID) []LinkID {
 	validateNode(src, c.N, c.Name())
 	validateNode(dst, c.N, c.Name())
 	if src == dst {
-		return nil
+		return buf
 	}
-	return []LinkID{LinkID(2 * int(src)), LinkID(2*int(dst) + 1)}
+	return append(buf, LinkID(2*int(src)), LinkID(2*int(dst)+1))
 }
 
 // Hops implements HopCounter.

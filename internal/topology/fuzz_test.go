@@ -1,6 +1,27 @@
 package topology
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
+
+// checkAppendRoute holds a topology's append form to its Route: into a
+// nil buffer, and onto a dirty buffer too small for the route, it must
+// add exactly the links Route returns and leave what was there alone.
+func checkAppendRoute(t *testing.T, topo Topology, src, dst NodeID) {
+	t.Helper()
+	route := topo.Route(src, dst)
+	if got := topo.AppendRoute(nil, src, dst); !slices.Equal(got, route) {
+		t.Fatalf("AppendRoute(nil) = %v, Route = %v", got, route)
+	}
+	dirty := make([]LinkID, 1, 2)
+	dirty[0] = -7
+	dirty[:2][1] = -9
+	got := topo.AppendRoute(dirty, src, dst)
+	if got[0] != -7 || !slices.Equal(got[1:], route) {
+		t.Fatalf("AppendRoute onto a dirty buffer = %v, want [-7] + %v", got, route)
+	}
+}
 
 // FuzzTorusRoute checks the torus routing invariants for arbitrary
 // shapes and endpoints: every route stays in bounds, walks the fabric
@@ -19,6 +40,7 @@ func FuzzTorusRoute(f *testing.F) {
 		src := NodeID(int(srcRaw) % n)
 		dst := NodeID(int(dstRaw) % n)
 		route := tor.Route(src, dst)
+		checkAppendRoute(t, tor, src, dst)
 		if src == dst && len(route) != 0 {
 			t.Fatalf("loopback route not empty: %v", route)
 		}
@@ -67,6 +89,7 @@ func FuzzFatTreeRoute(f *testing.F) {
 		src := NodeID(int(srcRaw) % n)
 		dst := NodeID(int(dstRaw) % n)
 		route := ft.Route(src, dst)
+		checkAppendRoute(t, ft, src, dst)
 		if got, want := len(route), ft.Hops(src, dst); got != want {
 			t.Fatalf("route length %d != hops %d", got, want)
 		}

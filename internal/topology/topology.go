@@ -25,6 +25,10 @@ type Topology interface {
 	// Route returns the sequence of links a packet takes from src to
 	// dst. An empty route means src == dst (loopback).
 	Route(src, dst NodeID) []LinkID
+	// AppendRoute is Route into a caller-owned buffer: it appends the
+	// links to buf and returns the extended slice, allocating only when
+	// buf is too small.
+	AppendRoute(buf []LinkID, src, dst NodeID) []LinkID
 	// Name returns a short diagnostic name, e.g. "torus3d-4x4x4".
 	Name() string
 }

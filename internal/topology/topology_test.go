@@ -218,6 +218,8 @@ func TestCrossbar(t *testing.T) {
 	if d := Diameter(cb); d != 2 {
 		t.Fatalf("crossbar diameter = %d", d)
 	}
+	checkAppendRoute(t, cb, 2, 5)
+	checkAppendRoute(t, cb, 3, 3)
 }
 
 func TestAvgHopsTorusVsCrossbar(t *testing.T) {

@@ -56,10 +56,9 @@ func (t *Torus3D) LinkDegree() int { return torusDegree }
 func (t *Torus3D) Coord(id NodeID) (x, y, z int) {
 	validateNode(id, t.Nodes(), t.Name())
 	n := int(id)
-	x = n % t.X
-	y = (n / t.X) % t.Y
-	z = n / (t.X * t.Y)
-	return
+	row := n / t.X
+	z = row / t.Y
+	return n - row*t.X, row - z*t.Y, z
 }
 
 // ID returns the node at coordinates (x, y, z), taken modulo each
@@ -80,15 +79,14 @@ func mod(a, m int) int {
 	return r
 }
 
-// linkFrom returns the link ID of node's outgoing link in direction d.
-func (t *Torus3D) linkFrom(node NodeID, d int) LinkID {
-	return LinkID(int(node)*torusDegree + d)
-}
-
-// step returns the shortest signed step count from a to b in a ring of
-// size m, preferring the positive direction on ties (deterministic).
+// step returns the shortest signed step count from a to b, both in
+// [0, m), in a ring of size m, preferring the positive direction on
+// ties (deterministic).
 func step(a, b, m int) int {
-	fwd := mod(b-a, m)
+	fwd := b - a
+	if fwd < 0 {
+		fwd += m
+	}
 	bwd := fwd - m // negative
 	if fwd <= -bwd {
 		return fwd
@@ -100,34 +98,45 @@ func step(a, b, m int) int {
 // routing: resolve X displacement first, then Y, then Z. Deterministic
 // and deadlock-free (the property EXTOLL's hardware routing relies on).
 func (t *Torus3D) Route(src, dst NodeID) []LinkID {
-	validateNode(src, t.Nodes(), t.Name())
-	validateNode(dst, t.Nodes(), t.Name())
-	if src == dst {
-		return nil
+	if h := t.Hops(src, dst); h > 0 {
+		// One allocation whatever the distance: the length is known.
+		return t.AppendRoute(make([]LinkID, 0, h), src, dst)
 	}
+	return nil
+}
+
+// AppendRoute implements Topology.
+func (t *Torus3D) AppendRoute(buf []LinkID, src, dst NodeID) []LinkID {
 	sx, sy, sz := t.Coord(src)
 	dx, dy, dz := t.Coord(dst)
-	// One allocation whatever the distance: the length is known.
-	route := make([]LinkID, 0, t.Hops(src, dst))
-	cx, cy, cz := sx, sy, sz
-	walk := func(cur *int, target, size, plus, minus int, coord func() NodeID) {
-		s := step(*cur, target, size)
-		for s != 0 {
-			dir := plus
-			inc := 1
-			if s < 0 {
-				dir = minus
-				inc = -1
-			}
-			route = append(route, t.linkFrom(coord(), dir))
-			*cur = mod(*cur+inc, size)
-			s -= inc
-		}
+	buf, node := t.walk(buf, int(src), sx, dx, t.X, 1, DirXPlus)
+	buf, node = t.walk(buf, node, sy, dy, t.Y, t.X, DirYPlus)
+	buf, _ = t.walk(buf, node, sz, dz, t.Z, t.X*t.Y, DirZPlus)
+	return buf
+}
+
+// walk appends the links that take node from coordinate cur to target
+// along one dimension — a ring of size nodes, stride apart in node
+// index, whose positive direction is plus — and returns the node
+// reached.
+func (t *Torus3D) walk(buf []LinkID, node, cur, target, size, stride, plus int) ([]LinkID, int) {
+	s, dir, inc := step(cur, target, size), plus, 1
+	if s < 0 {
+		s, dir, inc = -s, plus+1, -1
 	}
-	walk(&cx, dx, t.X, DirXPlus, DirXMinus, func() NodeID { return t.ID(cx, cy, cz) })
-	walk(&cy, dy, t.Y, DirYPlus, DirYMinus, func() NodeID { return t.ID(cx, cy, cz) })
-	walk(&cz, dz, t.Z, DirZPlus, DirZMinus, func() NodeID { return t.ID(cx, cy, cz) })
-	return route
+	for ; s > 0; s-- {
+		buf = append(buf, LinkID(node*torusDegree+dir))
+		next := cur + inc
+		switch {
+		case next == size:
+			next = 0
+		case next < 0:
+			next = size - 1
+		}
+		node += (next - cur) * stride
+		cur = next
+	}
+	return buf, node
 }
 
 // Hops implements HopCounter: the dimension-ordered route length is
