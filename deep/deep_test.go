@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/deep"
@@ -68,6 +69,71 @@ func TestWorkloadsVerifyOnDefaults(t *testing.T) {
 		if res.Workload != w.Name() {
 			t.Fatalf("result workload %q, want %q", res.Workload, w.Name())
 		}
+	}
+}
+
+// TestMPIWorkloadsDeterministicSideBySide is TestDeterminismMatrix's
+// contract for the Global-MPI workloads, whose ranks free-run as
+// goroutines: each runs in two concurrent series of ten, beside the
+// others, and every result must agree with the first byte for byte. NBody did not (its
+// Allgather folded arrivals into the root's clock in host order).
+func TestMPIWorkloadsDeterministicSideBySide(t *testing.T) {
+	m, err := deep.NewMachine(deep.WithBoosterNodes(16), deep.WithEnergyMetering())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]float64, 256)
+	for i := range data {
+		data[i] = float64(i)
+	}
+	for _, w := range []deep.Workload{
+		deep.SpMV{NX: 32, NY: 32, Iters: 30},
+		deep.Stencil{NX: 32, NY: 64, Iters: 100},
+		deep.NBody{N: 64, Steps: 10},
+		deep.Offload{Kernel: "double", Data: data, FlopsPerRank: 1e6,
+			Fn: func(rank, size int, in []float64) ([]float64, error) {
+				lo, hi := deep.ShardRange(len(in), rank, size)
+				out := make([]float64, hi-lo)
+				for i := range out {
+					out[i] = 2 * in[lo+i]
+				}
+				return out, nil
+			}},
+	} {
+		t.Run(w.Name(), func(t *testing.T) {
+			t.Parallel()
+			const reps = 10
+			var out [2][reps][]byte
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i := range out {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					env := m.NewEnv()
+					if w.Name() != "offload" {
+						env.Ranks, env.PlaceOnBooster = 16, true
+					}
+					for rep := 0; rep < reps && errs[i] == nil; rep++ {
+						var res *deep.Result
+						if res, errs[i] = deep.Run(context.Background(), env, w); errs[i] == nil {
+							out[i][rep], errs[i] = deep.CanonicalJSON(res)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+				for rep, got := range out[i] {
+					if !bytes.Equal(got, out[0][0]) {
+						t.Fatalf("series %d run %d differs from the first run:\n%s\n%s", i, rep, got, out[0][0])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,0 +1,67 @@
+package deep
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/mpi"
+)
+
+// TestRunVerifiedJoinsReference: the sequential reference runs beside
+// the ranks; whatever makes runVerified return early, it must not
+// return while the reference is still running, nor leave a goroutine
+// behind.
+func TestRunVerifiedJoinsReference(t *testing.T) {
+	rankFails := func(c *mpi.Comm) ([]float64, error) {
+		if c.Rank() == 1 {
+			return nil, errors.New("rank 1 gives up")
+		}
+		return []float64{0}, nil
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		domains int
+		started bool // the reference is expected to have been started
+	}{
+		{"rank error", context.Background(), 1, true},
+		{"rank error on the partitioned world", context.Background(), 2, true},
+		{"context already cancelled", cancelled, 1, false},
+	} {
+		m, err := NewMachine(WithClusterNodes(4), WithClusterRanks(4), WithDomains(tc.domains))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var started, finished atomic.Bool
+		reference := func() []float64 {
+			started.Store(true)
+			time.Sleep(30 * time.Millisecond) // long after the ranks have failed
+			finished.Store(true)
+			return make([]float64, 4)
+		}
+		before := runtime.NumGoroutine()
+		err = runVerified(tc.ctx, m.NewEnv(), &Result{Workload: "test"}, reference, 1e-9, rankFails)
+		if err == nil {
+			t.Fatalf("%s: no error", tc.name)
+		}
+		if started.Load() != tc.started || finished.Load() != tc.started {
+			t.Errorf("%s: reference started=%v finished=%v at return, want both %v",
+				tc.name, started.Load(), finished.Load(), tc.started)
+		}
+		// Rank goroutines have signalled their WaitGroup but may not
+		// have left the scheduler's count yet.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines before, %d after", tc.name, before, after)
+		}
+	}
+}

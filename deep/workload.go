@@ -53,10 +53,12 @@ func positive(v, def int) int {
 
 // runVerified executes fn on env.Ranks Global-MPI ranks over the
 // machine's transport, concatenates the per-rank outputs in rank
-// order, verifies them against want, and records model time plus
-// traffic metrics on res. This one helper replaces the four
-// copy-pasted transport/verify loops the pre-SDK cmd/deeprun carried.
-func runVerified(ctx context.Context, env *Env, res *Result, want []float64, tol float64,
+// order, verifies them against the sequential reference, and records
+// model time plus traffic metrics on res. The reference runs on its
+// own goroutine beside the ranks and is joined before any return that
+// follows its start. This one helper replaces the four copy-pasted
+// transport/verify loops the pre-SDK cmd/deeprun carried.
+func runVerified(ctx context.Context, env *Env, res *Result, reference func() []float64, tol float64,
 	fn func(c *mpi.Comm) ([]float64, error)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -84,24 +86,34 @@ func runVerified(ctx context.Context, env *Env, res *Result, want []float64, tol
 		traffic[c.Rank()] = c.Stats()
 		return nil
 	}
-	var makespan sim.Time
-	var err error
+	var run func(n int, fn func(*mpi.Comm) error) (sim.Time, error)
+	var pw *mpi.PartitionedWorld
 	if k := env.Machine.Domains(); k > 1 {
 		// Partitioned runtime: ranks pinned to k domain engines, message
 		// deliveries merged as conservative cross-domain events. The
 		// virtual-clock arithmetic is identical to the plain world, so
 		// the modelled makespan does not depend on k.
-		pw, perr := mpi.NewPartitionedWorld(tr, k, opts...)
-		if perr != nil {
-			return perr
+		var err error
+		if pw, err = mpi.NewPartitionedWorld(tr, k, opts...); err != nil {
+			return err
 		}
 		if mw := env.Machine.MaxWindow(); mw > 1 {
 			pw.SetMaxWindow(mw)
 		}
-		makespan, err = pw.Run(env.Ranks, body)
-		res.Kernel = clusterKernelStats(pw.KernelStats())
+		run = pw.Run
 	} else {
-		makespan, err = mpi.NewWorld(tr, opts...).Run(env.Ranks, body)
+		run = mpi.NewWorld(tr, opts...).Run
+	}
+	var want []float64
+	refDone := make(chan struct{})
+	go func() {
+		defer close(refDone)
+		want = reference()
+	}()
+	makespan, err := run(env.Ranks, body)
+	<-refDone
+	if pw != nil {
+		res.Kernel = clusterKernelStats(pw.KernelStats())
 	}
 	if err != nil {
 		return err
@@ -265,7 +277,7 @@ func (s SpMV) Run(ctx context.Context, env *Env) (*Result, error) {
 		Workload: "spmv",
 		Summary:  fmt.Sprintf("%dx%d iters=%d ranks=%d", app.NX, app.NY, app.Iters, env.Ranks),
 	}
-	if err := runVerified(ctx, env, res, app.RunSequential(), 1e-9, app.Run); err != nil {
+	if err := runVerified(ctx, env, res, app.RunSequential, 1e-9, app.Run); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -293,7 +305,7 @@ func (s Stencil) Run(ctx context.Context, env *Env) (*Result, error) {
 		Summary:  fmt.Sprintf("%dx%d iters=%d ranks=%d", app.NX, app.NY, app.Iters, env.Ranks),
 	}
 	res.addMetric("halo_bytes_per_iter_rank", float64(app.HaloBytesPerIter()), "B")
-	if err := runVerified(ctx, env, res, app.RunSequential(), 1e-9, app.Run); err != nil {
+	if err := runVerified(ctx, env, res, app.RunSequential, 1e-9, app.Run); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -335,7 +347,7 @@ func (w NBody) Run(ctx context.Context, env *Env) (*Result, error) {
 			requested, n, env.Ranks))
 	}
 	res.addMetric("allgather_bytes_per_step", float64(app.CommBytesPerStep()), "B")
-	if err := runVerified(ctx, env, res, app.RunSequential(), 1e-9, app.Run); err != nil {
+	if err := runVerified(ctx, env, res, app.RunSequential, 1e-9, app.Run); err != nil {
 		return nil, err
 	}
 	return res, nil

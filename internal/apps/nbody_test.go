@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cbp"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 )
 
 func TestNBodyDistributedMatchesSequential(t *testing.T) {
@@ -94,5 +96,29 @@ func TestNBodyCommVolumeIsAllToAll(t *testing.T) {
 	}
 	if s.CommBytesPerStep() != 16*32 {
 		t.Fatal("comm volume accounting wrong")
+	}
+}
+
+// TestNBodyModelTimeDeterministic guards the Gather fix where it was
+// seen: deep.NBody's ModelTime, which deepd caches under a content
+// hash, took 85 values in 300 runs while Gather received in host
+// arrival order.
+func TestNBodyModelTimeDeterministic(t *testing.T) {
+	tr := cbp.NewDeepTransport(16, 16)
+	place := mpi.WithPlacement(func(ep int) int { return tr.BoosterNode(ep % 16) })
+	nb := &NBody{N: 64, Steps: 10, DT: 0.01}
+	seen := map[sim.Time]int{}
+	for run := 0; run < 200; run++ {
+		makespan, err := mpi.NewWorld(tr, place).Run(16, func(c *mpi.Comm) error {
+			_, err := nb.Run(c)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[makespan]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("200 runs of one N-body gave %d distinct makespans: %v", len(seen), seen)
 	}
 }

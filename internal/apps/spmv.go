@@ -74,18 +74,16 @@ func (s *SpMV) Run(comm *mpi.Comm) ([]float64, error) {
 	for it := 0; it < s.Iters; it++ {
 		// Halo exchange with up/down neighbours.
 		if rank > 0 {
-			comm.Send(rank-1, tagHaloUp, x[lo*s.NX:(lo+1)*s.NX])
+			comm.SendFloat64s(rank-1, tagHaloUp, x[lo*s.NX:(lo+1)*s.NX])
 		}
 		if rank < size-1 {
-			comm.Send(rank+1, tagHaloDown, x[(hi-1)*s.NX:hi*s.NX])
+			comm.SendFloat64s(rank+1, tagHaloDown, x[(hi-1)*s.NX:hi*s.NX])
 		}
 		if rank < size-1 {
-			v, _ := comm.Recv(rank+1, tagHaloUp)
-			copy(x[hi*s.NX:(hi+1)*s.NX], v.([]float64))
+			comm.RecvFloat64s(rank+1, tagHaloUp, x[hi*s.NX:(hi+1)*s.NX])
 		}
 		if rank > 0 {
-			v, _ := comm.Recv(rank-1, tagHaloDown)
-			copy(x[(lo-1)*s.NX:lo*s.NX], v.([]float64))
+			comm.RecvFloat64s(rank-1, tagHaloDown, x[(lo-1)*s.NX:lo*s.NX])
 		}
 		local.MulVec(x, y)
 		for i := range y {

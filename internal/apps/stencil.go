@@ -49,18 +49,16 @@ func (s *Stencil2D) Run(comm *mpi.Comm) ([]float64, error) {
 
 	for it := 0; it < s.Iters; it++ {
 		if rank > 0 {
-			comm.Send(rank-1, tagStencilUp, cur[stride:2*stride])
+			comm.SendFloat64s(rank-1, tagStencilUp, cur[stride:2*stride])
 		}
 		if rank < size-1 {
-			comm.Send(rank+1, tagStencilDown, cur[rows*stride:(rows+1)*stride])
+			comm.SendFloat64s(rank+1, tagStencilDown, cur[rows*stride:(rows+1)*stride])
 		}
 		if rank < size-1 {
-			v, _ := comm.Recv(rank+1, tagStencilUp)
-			copy(cur[(rows+1)*stride:], v.([]float64))
+			comm.RecvFloat64s(rank+1, tagStencilUp, cur[(rows+1)*stride:])
 		}
 		if rank > 0 {
-			v, _ := comm.Recv(rank-1, tagStencilDown)
-			copy(cur[:stride], v.([]float64))
+			comm.RecvFloat64s(rank-1, tagStencilDown, cur[:stride])
 		}
 		for r := 1; r <= rows; r++ {
 			gy := lo + r - 1

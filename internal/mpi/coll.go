@@ -26,26 +26,6 @@ const (
 	tagMerge
 )
 
-// sendInternal bypasses the user-tag validation for runtime traffic.
-func (c *Comm) sendInternal(dst int, tag Tag, data any) {
-	bytes := PayloadBytes(data)
-	t := c.world.transport
-	epDst := c.world.endpoint(c.destEndpoint(dst))
-	cost := t.Cost(c.world.nodeOf(c.ep.id), c.world.nodeOf(epDst.id), bytes)
-	c.ep.vt += t.SendOverhead()
-	env := envelope{
-		ctx: c.ctx, srcRank: c.rank, tag: tag,
-		data: clonePayload(data), bytes: bytes, stamp: c.ep.vt + cost,
-	}
-	c.ep.sentMsgs++
-	c.ep.sentBytes += uint64(bytes)
-	if c.world.rt != nil {
-		c.world.rt.send(c, epDst, env)
-		return
-	}
-	epDst.deliver(env)
-}
-
 // Op combines src into dst elementwise; len(dst) == len(src).
 type Op func(dst, src []float64)
 
@@ -132,6 +112,16 @@ func (c *Comm) Bcast(root int, data any) any {
 // result lands on root (binomial tree). Other ranks receive nil. The
 // caller's slice is not modified.
 func (c *Comm) Reduce(root int, data []float64, op Op) []float64 {
+	acc := c.reduce(root, data, op)
+	if c.rank != root {
+		return nil
+	}
+	return acc
+}
+
+// reduce is Reduce returning every rank's accumulator: the result on
+// root, elsewhere the partial the rank sent up the tree.
+func (c *Comm) reduce(root int, data []float64, op Op) []float64 {
 	n := len(c.group)
 	c.checkRoot(root, n)
 	acc := append([]float64(nil), data...)
@@ -139,28 +129,35 @@ func (c *Comm) Reduce(root int, data []float64, op Op) []float64 {
 	// Receive from children (deepest first not required; FIFO is fine).
 	for _, child := range []int{2*vrank + 1, 2*vrank + 2} {
 		if child < n {
-			v, _ := c.Recv((child+root)%n, tagReduce)
-			contrib := AsFloat64s(v)
+			contrib := c.recv((child+root)%n, tagReduce).f64
 			if len(contrib) != len(acc) {
 				panic(fmt.Sprintf("mpi: Reduce length mismatch %d vs %d", len(contrib), len(acc)))
 			}
 			op(acc, contrib)
+			c.ep.recycle(contrib)
 		}
 	}
 	if vrank != 0 {
 		parent := (((vrank - 1) / 2) + root) % n
-		c.sendInternal(parent, tagReduce, acc)
-		return nil
+		c.post(parent, tagReduce, nil, acc, true)
 	}
 	return acc
 }
 
-// Allreduce is Reduce to rank 0 followed by Bcast; every rank gets the
-// combined result.
+// Allreduce is Reduce to rank 0 followed by a broadcast of the result
+// down the same tree Bcast walks, received into the accumulator each
+// rank already owns; every rank gets the combined result.
 func (c *Comm) Allreduce(data []float64, op Op) []float64 {
-	res := c.Reduce(0, data, op)
-	out := c.Bcast(0, res)
-	return AsFloat64s(out)
+	acc := c.reduce(0, data, op)
+	if c.rank != 0 {
+		c.RecvFloat64s((c.rank-1)/2, tagBcast, acc)
+	}
+	for _, child := range []int{2*c.rank + 1, 2*c.rank + 2} {
+		if child < len(c.group) {
+			c.post(child, tagBcast, nil, acc, true)
+		}
+	}
+	return acc
 }
 
 // Gather collects every rank's payload at root, returned as a slice
@@ -172,11 +169,14 @@ func (c *Comm) Gather(root int, data any) []any {
 		c.sendInternal(root, tagGather, data)
 		return nil
 	}
+	// Receive in rank order: the root's clock folds each arrival in, and
+	// with AnySource the order — so the modelled time — was the host's.
 	out := make([]any, n)
 	out[root] = data
-	for i := 0; i < n-1; i++ {
-		v, st := c.Recv(AnySource, tagGather)
-		out[st.Source] = v
+	for i := range out {
+		if i != root {
+			out[i], _ = c.Recv(i, tagGather)
+		}
 	}
 	return out
 }
@@ -287,7 +287,7 @@ func (c *Comm) CommSplit(color, key int) *Comm {
 	triple := []int{color, key, c.rank}
 	all := c.Gather(0, triple)
 	type member struct{ color, key, rank int }
-	var assignment []any // per old rank: []int{ctx, newRank, size, members...}
+	var assignment []any // per old rank: the new communicator, less its endpoint
 	if c.rank == 0 {
 		groups := map[int][]member{}
 		for _, v := range all {
@@ -308,26 +308,20 @@ func (c *Comm) CommSplit(color, key int) *Comm {
 				}
 				return ms[i].rank < ms[j].rank
 			})
-			ctx := c.world.newContext()
-			eps := make([]int, len(ms))
+			sub := Comm{world: c.world, ctx: c.world.newContext(), group: make([]*endpoint, len(ms))}
 			for i, m := range ms {
-				eps[i] = c.group[m.rank]
+				sub.group[i] = c.group[m.rank]
 			}
 			for i, m := range ms {
-				msg := append([]int{int(ctx), i}, eps...)
-				assignment[m.rank] = msg
+				sub.rank = i
+				// On the wire: context, new rank and the member list.
+				assignment[m.rank] = Sized{Data: sub, Bytes: 8 * (2 + len(ms))}
 			}
 		}
 	}
-	my := c.Scatter(0, assignment).([]int)
-	return &Comm{
-		world:  c.world,
-		ep:     c.ep,
-		ctx:    int32(my[0]),
-		group:  append([]int(nil), my[2:]...),
-		rank:   my[1],
-		parent: c.parent,
-	}
+	my := Unwrap(c.Scatter(0, assignment)).(Comm)
+	my.ep, my.parent = c.ep, c.parent
+	return &my
 }
 
 // CommDup returns a communicator with the same group but a fresh

@@ -334,3 +334,32 @@ func BenchmarkAllreduce8(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestGatherModelTimeIsNotTheHosts: the root of a Gather folds every
+// arrival into its clock; receiving in rank order makes the result a
+// function of the model, where AnySource made it the order in which the
+// host happened to run the senders (and Allgather, Gatherv and
+// CommSplit inherited it).
+func TestGatherModelTimeIsNotTheHosts(t *testing.T) {
+	tr := NewFabricTransport(topology.NewTorus3D(4, 2, 2), fabric.Extoll)
+	seen := map[sim.Time]int{}
+	for run := 0; run < 200; run++ {
+		makespan, err := NewWorld(tr).Run(16, func(c *Comm) error {
+			mine := make([]float64, 12)
+			for step := 0; step < 10; step++ {
+				c.Advance(sim.Time(c.Rank()%3) * 100 * sim.Nanosecond)
+				if all := c.Allgather(mine); len(all) != 16 {
+					return fmt.Errorf("allgather of %d parts", len(all))
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[makespan]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("200 runs of one Allgather loop gave %d distinct makespans: %v", len(seen), seen)
+	}
+}

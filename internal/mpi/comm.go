@@ -7,19 +7,19 @@ import (
 )
 
 // Comm is a communicator handle held by exactly one rank goroutine.
-// For an intra-communicator, group lists the endpoint ids of all
-// members and remote is nil. For an inter-communicator (the result of
+// For an intra-communicator, group lists the endpoints of all members
+// and remote is nil. For an inter-communicator (the result of
 // CommSpawn), group is the local group and remote is the remote group;
 // point-to-point operations address ranks of the remote group, as in
-// MPI.
+// MPI. Peers are held resolved, so a message takes no world lock.
 type Comm struct {
 	world  *World
 	ep     *endpoint
 	ctx    int32
-	group  []int // local group: endpoint ids, index = rank
-	remote []int // non-nil for inter-communicators
-	rank   int   // this process's rank in the local group
-	parent *Comm // inter-communicator to the spawning processes, if any
+	group  []*endpoint // local group, index = rank
+	remote []*endpoint // non-nil for inter-communicators
+	rank   int         // this process's rank in the local group
+	parent *Comm       // inter-communicator to the spawning processes, if any
 }
 
 // Rank returns the caller's rank in the local group.
@@ -58,95 +58,114 @@ func (c *Comm) Stats() Stats {
 	}
 }
 
-// destEndpoint resolves a destination rank to an endpoint id, using
-// the remote group on inter-communicators.
-func (c *Comm) destEndpoint(rank int) int {
+// Send transmits data to dst with the given tag. The send is buffered:
+// it does not wait for a matching receive (eager protocol), and slice
+// payloads are copied, so the sender may reuse its buffer as soon as
+// Send returns. The virtual clock advances by the sender overhead; the
+// message becomes available at the receiver at sender-time + overhead +
+// transport cost.
+func (c *Comm) Send(dst int, tag Tag, data any) {
+	checkUserTag(tag)
+	c.sendInternal(dst, tag, data)
+}
+
+// SendFloat64s is Send for the payload the applications exchange most:
+// the copy goes into a buffer owned by dst's mailbox, which
+// RecvFloat64s hands back, so a steady exchange allocates nothing.
+func (c *Comm) SendFloat64s(dst int, tag Tag, data []float64) {
+	checkUserTag(tag)
+	c.post(dst, tag, nil, data, true)
+}
+
+func checkUserTag(tag Tag) {
+	if tag < 0 {
+		panic(fmt.Sprintf("mpi: Send with reserved tag %d", tag))
+	}
+}
+
+// sendInternal is Send without the user-tag validation, for runtime
+// traffic.
+func (c *Comm) sendInternal(dst int, tag Tag, data any) {
+	if f, ok := data.([]float64); ok {
+		c.post(dst, tag, nil, f, true)
+		return
+	}
+	c.post(dst, tag, clonePayload(data), nil, false)
+}
+
+// post is the one send path: it stamps the message with the sender's
+// clock plus the transport cost between the two processes' nodes and
+// hands it to dst's mailbox (or, under the partitioned runtime, to the
+// kernel for delivery at the stamp). A typed payload is copied here,
+// before the sender can touch its buffer again.
+func (c *Comm) post(dst int, tag Tag, data any, f64 []float64, typed bool) {
 	g := c.group
 	if c.remote != nil {
 		g = c.remote
 	}
-	if rank < 0 || rank >= len(g) {
-		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", rank, len(g)))
+	if dst < 0 || dst >= len(g) {
+		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", dst, len(g)))
 	}
-	return g[rank]
-}
-
-// Send transmits data to dst with the given tag. The send is buffered:
-// it does not wait for a matching receive (eager protocol). The virtual
-// clock advances by the sender overhead; the message becomes available
-// at the receiver at sender-time + overhead + transport cost.
-func (c *Comm) Send(dst int, tag Tag, data any) {
-	if tag < 0 {
-		panic(fmt.Sprintf("mpi: Send with reserved tag %d", tag))
+	to, t := g[dst], c.world.transport
+	env := envelope{ctx: c.ctx, srcRank: c.rank, tag: tag, data: data, bytes: 8 * len(f64)}
+	if !typed {
+		env.bytes = PayloadBytes(data)
 	}
-	bytes := PayloadBytes(data)
-	t := c.world.transport
-	epDst := c.world.endpoint(c.destEndpoint(dst))
-	cost := t.Cost(c.world.nodeOf(c.ep.id), c.world.nodeOf(epDst.id), bytes)
+	cost := t.Cost(c.ep.node, to.node, env.bytes)
 	c.ep.vt += t.SendOverhead()
-	env := envelope{
-		ctx:     c.ctx,
-		srcRank: c.rank,
-		tag:     tag,
-		data:    clonePayload(data),
-		bytes:   bytes,
-		stamp:   c.ep.vt + cost,
-	}
+	env.stamp = c.ep.vt + cost
 	c.ep.sentMsgs++
-	c.ep.sentBytes += uint64(bytes)
+	c.ep.sentBytes += uint64(env.bytes)
+	to.mu.Lock()
+	if typed {
+		env.f64 = to.take(len(f64))
+		copy(env.f64, f64)
+	}
 	if c.world.rt != nil {
-		c.world.rt.send(c, epDst, env)
+		to.mu.Unlock()
+		c.world.rt.send(c, to, env)
 		return
 	}
-	epDst.deliver(env)
+	to.box = append(to.box, env)
+	to.mu.Unlock()
+	to.cond.Broadcast()
 }
 
-// match scans the mailbox for the first envelope matching (ctx, src,
-// tag) and removes it. Caller holds ep.mu.
-func (ep *endpoint) match(ctx int32, src int, tag Tag) (envelope, bool) {
-	for i, env := range ep.box {
-		if env.ctx != ctx {
-			continue
+// match returns the index of the first envelope in the mailbox matching
+// (ctx, src, tag), or -1. Caller holds ep.mu.
+func (ep *endpoint) match(ctx int32, src int, tag Tag) int {
+	for i := range ep.box {
+		env := &ep.box[i]
+		if env.ctx == ctx && (src == AnySource || env.srcRank == src) && (tag == AnyTag || env.tag == tag) {
+			return i
 		}
-		if src != AnySource && env.srcRank != src {
-			continue
-		}
-		if tag != AnyTag && env.tag != tag {
-			continue
-		}
-		ep.box = append(ep.box[:i], ep.box[i+1:]...)
-		return env, true
 	}
-	return envelope{}, false
+	return -1
 }
 
-// Recv blocks until a message matching src and tag arrives on c and
-// returns its payload. src may be AnySource and tag may be AnyTag.
-// On return the rank's clock is max(local + recv overhead, message
-// availability time).
-func (c *Comm) Recv(src int, tag Tag) (any, Status) {
+// recv is the one receive path: it blocks until a message matching src
+// and tag arrives on c, removes it from the mailbox and moves the
+// rank's clock to max(local + recv overhead, message availability time).
+func (c *Comm) recv(src int, tag Tag) envelope {
 	if src != AnySource && c.remote == nil {
 		// Validate early for intra-comms; inter-comm sources are remote
-		// ranks, validated by range below.
+		// ranks.
 		if src < 0 || src >= len(c.group) {
 			panic(fmt.Sprintf("mpi: Recv from rank %d of %d", src, len(c.group)))
 		}
 	}
 	ep := c.ep
 	ep.mu.Lock()
-	var env envelope
-	for {
-		var ok bool
-		env, ok = ep.match(c.ctx, src, tag)
-		if ok {
-			break
-		}
+	i := ep.match(c.ctx, src, tag)
+	for ; i < 0; i = ep.match(c.ctx, src, tag) {
 		if c.world.rt != nil {
 			c.world.rt.wait(c)
 		} else {
 			ep.cond.Wait()
 		}
 	}
+	env := ep.box[i]
+	ep.box = append(ep.box[:i], ep.box[i+1:]...)
 	ep.mu.Unlock()
 	arrived := env.stamp
 	local := ep.vt + c.world.transport.RecvOverhead()
@@ -157,7 +176,42 @@ func (c *Comm) Recv(src int, tag Tag) (any, Status) {
 	}
 	ep.recvMsgs++
 	ep.recvBytes += uint64(env.bytes)
-	return env.data, Status{Source: env.srcRank, Tag: env.tag, Bytes: env.bytes}
+	return env
+}
+
+func (env *envelope) status() Status {
+	return Status{Source: env.srcRank, Tag: env.tag, Bytes: env.bytes}
+}
+
+// Recv blocks until a message matching src and tag arrives on c and
+// returns its payload. src may be AnySource and tag may be AnyTag. A
+// []float64 payload is the caller's to keep: its buffer leaves the
+// mailbox for good.
+func (c *Comm) Recv(src int, tag Tag) (any, Status) {
+	env := c.recv(src, tag)
+	if env.f64 != nil {
+		return env.f64, env.status()
+	}
+	return env.data, env.status()
+}
+
+// RecvFloat64s is Recv for a []float64 message: the payload is copied
+// into into, its length returned, and the message's buffer goes back to
+// the mailbox for the next sender. It panics if the message is not a
+// []float64 or does not fit.
+func (c *Comm) RecvFloat64s(src int, tag Tag, into []float64) (int, Status) {
+	env := c.recv(src, tag)
+	if env.f64 == nil {
+		panic(fmt.Sprintf("mpi: rank %d RecvFloat64s from source %d tag %d: payload is %T, not []float64",
+			c.rank, env.srcRank, env.tag, env.data))
+	}
+	if len(env.f64) > len(into) {
+		panic(fmt.Sprintf("mpi: rank %d RecvFloat64s from source %d tag %d: %d floats do not fit a buffer of %d",
+			c.rank, env.srcRank, env.tag, len(env.f64), len(into)))
+	}
+	n := copy(into, env.f64)
+	c.ep.recycle(env.f64)
+	return n, env.status()
 }
 
 // Probe reports whether a matching message is available without
@@ -166,17 +220,8 @@ func (c *Comm) Probe(src int, tag Tag) (Status, bool) {
 	ep := c.ep
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	for _, env := range ep.box {
-		if env.ctx != c.ctx {
-			continue
-		}
-		if src != AnySource && env.srcRank != src {
-			continue
-		}
-		if tag != AnyTag && env.tag != tag {
-			continue
-		}
-		return Status{Source: env.srcRank, Tag: env.tag, Bytes: env.bytes}, true
+	if i := ep.match(c.ctx, src, tag); i >= 0 {
+		return ep.box[i].status(), true
 	}
 	return Status{}, false
 }

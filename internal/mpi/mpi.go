@@ -12,6 +12,29 @@
 // clock: a pluggable Transport charges LogGP-style costs on each
 // message, so a functional run simultaneously yields modelled execution
 // times on the simulated DEEP hardware without a global event loop.
+//
+// The message path takes no world-wide lock: a communicator holds its
+// peers resolved (a group is a slice of endpoints, and an endpoint
+// carries the transport node it was placed on), so a send touches the
+// sender's clock and the destination mailbox, nothing else.
+//
+// A []float64 payload — the halo rows and reduction operands the
+// applications exchange — travels unboxed. The send copies it, before
+// returning, into a buffer from a free list the destination mailbox
+// owns, under the mailbox mutex both sides take anyway (no sync.Pool,
+// no package state). RecvFloat64s copies it out and puts the buffer
+// back, and that is the only way back: Recv hands the buffer to its
+// caller for good. A steady SendFloat64s/RecvFloat64s exchange thus
+// allocates nothing, and a mailbox never owns more buffers than its
+// deepest queue so far.
+//
+// Determinism. A rank's clock folds in message stamps in the order the
+// rank receives them. A receive that names its source matches in
+// per-pair FIFO order whatever the host does, so a program of such
+// receives (every collective here, the four applications) reaches the
+// same clocks on every run of the free-running World and at every K of
+// the partitioned runtime. A wildcard receive on the World matches in
+// host arrival order, and the clock it leaves is the host's to decide.
 package mpi
 
 import (
@@ -36,9 +59,10 @@ const AnyTag Tag = -1
 // functional behaviour of the runtime is transport-independent; only
 // the virtual clocks differ.
 type Transport interface {
-	// Cost returns the network time from injection at endpoint src to
-	// delivery at endpoint dst, excluding the per-message software
-	// overheads below.
+	// Cost returns the network time from injection at transport node
+	// src to delivery at node dst, excluding the per-message software
+	// overheads below. It must be a pure function of its arguments:
+	// the determinism contract above rests on it.
 	Cost(src, dst int, bytes int) sim.Time
 	// SendOverhead is the sender-side software cost per message.
 	SendOverhead() sim.Time
@@ -59,11 +83,14 @@ func (ZeroTransport) SendOverhead() sim.Time { return 0 }
 // RecvOverhead implements Transport.
 func (ZeroTransport) RecvOverhead() sim.Time { return 0 }
 
-// envelope is one in-flight message.
+// envelope is one in-flight message. A []float64 payload travels
+// unboxed in f64, a copy held in a buffer of the destination mailbox;
+// every other payload travels in data.
 type envelope struct {
 	ctx     int32
 	srcRank int // rank in the sending communicator's (local) group
 	tag     Tag
+	f64     []float64 // non-nil exactly for []float64 payloads
 	data    any
 	bytes   int
 	// stamp is the virtual time at which the message is available at
@@ -75,10 +102,16 @@ type envelope struct {
 // clock. The owning goroutine is the only reader of vt; senders only
 // read it via the stamp they computed before handing off.
 type endpoint struct {
-	id   int
+	id int
+	// node is the transport node the process runs on: the world's
+	// placement of id, or Spawn's Place, fixed before the process starts.
+	node int
 	mu   sync.Mutex
 	cond *sync.Cond
 	box  []envelope
+	// free holds the []float64 buffers RecvFloat64s handed back, for the
+	// next senders to this mailbox. Guarded by mu.
+	free [][]float64
 
 	// vt is the endpoint's virtual clock, owned by the rank goroutine.
 	vt sim.Time
@@ -90,10 +123,26 @@ type endpoint struct {
 	recvBytes uint64
 }
 
-func newEndpoint(id int) *endpoint {
-	ep := &endpoint{id: id}
-	ep.cond = sync.NewCond(&ep.mu)
-	return ep
+// take returns a buffer of n floats for a message to this mailbox: the
+// most recently recycled one if it is large enough, else a new one (the
+// small one is dropped, so a mailbox never owns more buffers than its
+// peak depth). Caller holds ep.mu.
+func (ep *endpoint) take(n int) []float64 {
+	if last := len(ep.free) - 1; last >= 0 {
+		buf := ep.free[last]
+		ep.free = ep.free[:last]
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	}
+	return make([]float64, n)
+}
+
+// recycle returns a received message's buffer to the free list.
+func (ep *endpoint) recycle(buf []float64) {
+	ep.mu.Lock()
+	ep.free = append(ep.free, buf)
+	ep.mu.Unlock()
 }
 
 // deliver appends an envelope and wakes matchers.
@@ -111,10 +160,9 @@ type World struct {
 	transport Transport
 	placeFn   func(ep int) int // endpoint -> transport node (immutable)
 
-	mu         sync.RWMutex
-	endpoints  []*endpoint
-	placements map[int]int // per-endpoint overrides (spawn placement)
-	nextCtx    int32
+	mu        sync.Mutex
+	endpoints []*endpoint
+	nextCtx   int32
 
 	wg     sync.WaitGroup
 	errMu  sync.Mutex
@@ -129,33 +177,6 @@ type World struct {
 	rt router
 }
 
-// endpoint returns the endpoint with the given id; ids are never
-// removed, so the pointer stays valid after the lock is released.
-func (w *World) endpoint(id int) *endpoint {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.endpoints[id]
-}
-
-// nodeOf maps an endpoint to its transport node, honouring spawn-time
-// placement overrides.
-func (w *World) nodeOf(ep int) int {
-	w.mu.RLock()
-	if n, ok := w.placements[ep]; ok {
-		w.mu.RUnlock()
-		return n
-	}
-	w.mu.RUnlock()
-	return w.placeFn(ep)
-}
-
-// setPlacement pins endpoint ep to a transport node.
-func (w *World) setPlacement(ep, node int) {
-	w.mu.Lock()
-	w.placements[ep] = node
-	w.mu.Unlock()
-}
-
 // Option configures a World.
 type Option func(*World)
 
@@ -167,11 +188,7 @@ func WithPlacement(place func(ep int) int) Option {
 
 // NewWorld returns a world using the given transport.
 func NewWorld(t Transport, opts ...Option) *World {
-	w := &World{
-		transport:  t,
-		placeFn:    func(ep int) int { return ep },
-		placements: make(map[int]int),
-	}
+	w := &World{transport: t, placeFn: func(ep int) int { return ep }}
 	for _, o := range opts {
 		o(w)
 	}
@@ -181,12 +198,16 @@ func NewWorld(t Transport, opts ...Option) *World {
 func (w *World) newContext() int32 { return atomic.AddInt32(&w.nextCtx, 1) }
 
 func (w *World) addEndpoints(n int) []*endpoint {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	eps := make([]*endpoint, n)
+	w.mu.Lock()
 	for i := range eps {
-		eps[i] = newEndpoint(len(w.endpoints))
+		eps[i] = &endpoint{id: len(w.endpoints)}
+		eps[i].cond = sync.NewCond(&eps[i].mu)
 		w.endpoints = append(w.endpoints, eps[i])
+	}
+	w.mu.Unlock()
+	for _, ep := range eps {
+		ep.node = w.placeFn(ep.id) // nobody else holds ep yet
 	}
 	return eps
 }
@@ -213,13 +234,8 @@ func (w *World) Run(n int, fn func(*Comm) error) (sim.Time, error) {
 	}
 	eps := w.addEndpoints(n)
 	ctx := w.newContext()
-	group := make([]int, n)
-	for i, ep := range eps {
-		group[i] = ep.id
-	}
 	for i := range eps {
-		comm := &Comm{world: w, ep: eps[i], ctx: ctx, group: group, rank: i}
-		w.launch(comm, fn)
+		w.launch(&Comm{world: w, ep: eps[i], ctx: ctx, group: eps, rank: i}, fn)
 	}
 	w.wg.Wait()
 	w.mu.Lock()

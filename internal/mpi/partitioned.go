@@ -139,10 +139,6 @@ func (pw *PartitionedWorld) Run(n int, fn func(*Comm) error) (sim.Time, error) {
 	w := pw.w
 	eps := w.addEndpoints(n)
 	ctx := w.newContext()
-	group := make([]int, n)
-	for i, ep := range eps {
-		group[i] = ep.id
-	}
 	pw.abort = make(chan struct{})
 	pw.ranks = make([]*prank, n)
 	pw.byEp = make(map[int]*prank, n)
@@ -155,7 +151,7 @@ func (pw *PartitionedWorld) Run(n int, fn func(*Comm) error) (sim.Time, error) {
 		}
 		pw.ranks[i] = r
 		pw.byEp[eps[i].id] = r
-		comm := &Comm{world: w, ep: eps[i], ctx: ctx, group: group, rank: i}
+		comm := &Comm{world: w, ep: eps[i], ctx: ctx, group: eps, rank: i}
 		pw.wg.Add(1)
 		go pw.runRank(r, comm, fn)
 		pw.cl.Engine(r.dom).At(0, func() { pw.step(r) })

@@ -47,15 +47,14 @@ func PayloadBytes(v any) int {
 }
 
 // clonePayload deep-copies slice payloads so that, as in MPI, the
-// sender may reuse its buffer as soon as Send returns. Non-slice
-// payloads and Sized wrappers of unknown types are passed through;
-// Sized payloads must therefore not be mutated after sending.
+// sender may reuse its buffer as soon as Send returns ([]float64 never
+// gets here: post copies it into a mailbox buffer). Non-slice payloads
+// and Sized wrappers of unknown types are passed through; Sized
+// payloads must therefore not be mutated after sending.
 func clonePayload(v any) any {
 	switch d := v.(type) {
 	case []byte:
 		return append([]byte(nil), d...)
-	case []float64:
-		return append([]float64(nil), d...)
 	case []float32:
 		return append([]float32(nil), d...)
 	case []int:

@@ -54,65 +54,33 @@ func (c *Comm) Spawn(n int, cfg SpawnConfig, fn func(*Comm) error) *Comm {
 		panic(fmt.Sprintf("mpi: Spawn of %d processes", n))
 	}
 	w := c.world
-	parentGroup := c.group
-
-	var childGroup []int
-	var interCtx, childCtx int32
+	// inter is the parents' side of the inter-communicator, less the
+	// caller's endpoint and rank; the root fills it in and broadcasts it.
+	var inter Comm
 	if c.rank == 0 {
 		// Charge the resource-manager cost at the root.
 		c.ep.vt += cfg.Base + sim.Time(n)*cfg.PerProcess
-		eps := w.addEndpoints(n)
-		childGroup = make([]int, n)
-		for i, ep := range eps {
-			childGroup[i] = ep.id
-			if cfg.Place != nil {
-				w.setPlacement(ep.id, cfg.Place(i))
-			}
-		}
-		interCtx = w.newContext()
-		childCtx = w.newContext()
+		children := w.addEndpoints(n)
+		inter = Comm{world: w, ctx: w.newContext(), group: c.group, remote: children}
+		childCtx := w.newContext()
 		// Launch children. Their clocks start at the root's current
 		// time plus the transport cost of the start signal.
-		for i, ep := range eps {
-			start := c.ep.vt + w.transport.Cost(
-				w.nodeOf(c.ep.id), w.nodeOf(ep.id), 64)
-			childComm := &Comm{
-				world: w,
-				ep:    ep,
-				ctx:   childCtx,
-				group: childGroup,
-				rank:  i,
+		for i, ep := range children {
+			if cfg.Place != nil {
+				ep.node = cfg.Place(i)
 			}
-			childComm.parent = &Comm{
-				world:  w,
-				ep:     ep,
-				ctx:    interCtx,
-				group:  childGroup,
-				remote: parentGroup,
-				rank:   i,
-			}
-			ep.vt = start
+			ep.vt = c.ep.vt + w.transport.Cost(c.ep.node, ep.node, 64)
+			childComm := &Comm{world: w, ep: ep, ctx: childCtx, group: children, rank: i}
+			childComm.parent = &Comm{world: w, ep: ep, ctx: inter.ctx, group: children, remote: c.group, rank: i}
 			w.launch(childComm, fn)
 		}
 		atomic.AddUint64(&w.spawns, 1)
 	}
-	// Distribute the inter-communicator description to all parents.
-	info := make([]int, 0, 2+n)
-	if c.rank == 0 {
-		info = append(info, int(interCtx))
-		info = append(info, childGroup...)
-	}
-	got := c.Bcast(0, info).([]int)
-	interCtx = int32(got[0])
-	childGroup = got[1:]
-	return &Comm{
-		world:  w,
-		ep:     c.ep,
-		ctx:    interCtx,
-		group:  parentGroup,
-		remote: childGroup,
-		rank:   c.rank,
-	}
+	// Distribute the inter-communicator description to all parents: on
+	// the wire, its context and the child list.
+	inter = Unwrap(c.Bcast(0, Sized{Data: inter, Bytes: 8 * (1 + n)})).(Comm)
+	inter.ep, inter.rank = c.ep, c.rank
+	return &inter
 }
 
 // Merge is MPI_Intercomm_merge: it fuses the two sides of the
@@ -140,13 +108,13 @@ func (inter *Comm) Merge(local *Comm, high bool) *Comm {
 	}
 	v := local.Bcast(0, int64(ctx))
 	ctx = int32(v.(int64))
-	var group []int
+	var group []*endpoint
 	var rank int
 	if !high {
-		group = append(append([]int(nil), inter.group...), inter.remote...)
+		group = append(append([]*endpoint(nil), inter.group...), inter.remote...)
 		rank = local.rank
 	} else {
-		group = append(append([]int(nil), inter.remote...), inter.group...)
+		group = append(append([]*endpoint(nil), inter.remote...), inter.group...)
 		rank = len(inter.remote) + local.rank
 	}
 	return &Comm{
