@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"repro/deep"
@@ -80,6 +81,35 @@ func TestTorusTrafficStablePerK(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("identical K=5 runs diverged:\n%s\n%s", a, b)
 	}
+}
+
+// TestTorusTrafficAllocationBudget is the tier-1 budget on the packet
+// path: the bench's torus_packet op (20 000 messages on a 16^3 torus)
+// on a warm process. With every link a sim.Resource and a fresh message
+// and route per Send it took 138 640 mallocs and 12.6 MiB; what is left
+// is the op's own per-message closures and per-run set-up.
+func TestTorusTrafficAllocationBudget(t *testing.T) {
+	m, err := deep.NewMachine(deep.WithBoosterTorus(16, 16, 16), deep.WithFidelity(deep.Packet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := m.NewEnv()
+	run := func() (mallocs, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := deep.Run(context.Background(), env, deep.TorusTraffic{Messages: 20000, Bytes: 4096, WindowMS: 2})
+		runtime.ReadMemStats(&after)
+		if err != nil || !res.Verified {
+			t.Fatalf("torus traffic: %v, verified %v", err, res != nil && res.Verified)
+		}
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	run()
+	mallocs, bytes := run()
+	if mallocs > 45_000 || bytes > 8<<20 {
+		t.Fatalf("second torus run: %d mallocs, %.2f MiB; budget 45 000 mallocs, 8 MiB", mallocs, float64(bytes)/(1<<20))
+	}
+	t.Logf("second torus run: %d mallocs, %.2f MiB", mallocs, float64(bytes)/(1<<20))
 }
 
 // TestRunnerDomainsE15 drives the partitioned kernel through the

@@ -76,7 +76,7 @@ func ParseFidelity(s string) (Fidelity, error) {
 
 // SetFidelity selects the transfer model. Call it before injecting
 // traffic; switching mid-run would let the two occupancy ledgers (link
-// resources vs flow reservations) miss each other.
+// queues vs flow reservations) miss each other.
 func (n *Network) SetFidelity(f Fidelity) {
 	n.fidelity = f
 	if f == FidelityFlow || f == FidelityAuto {
@@ -229,10 +229,7 @@ func (n *Network) routeFaultFree(route []topology.LinkID) bool {
 func (n *Network) autoQuiescent(route []topology.LinkID, delivery sim.Time) bool {
 	now := n.Eng.Now()
 	for _, l := range route {
-		if n.flowFree[n.li(l)] > now {
-			return false
-		}
-		if r := n.links[n.li(l)]; r != nil && (r.Busy() || r.QueueLen() > 0) {
+		if n.flowFree[n.li(l)] > now || n.links != nil && n.links[n.li(l)].busy {
 			return false
 		}
 	}

@@ -29,14 +29,17 @@ type Stats struct {
 }
 
 // Network simulates one fabric: a topology whose links are serializing
-// resources with propagation delay, per-hop router delay, error
+// FIFO queues with propagation delay, per-hop router delay, error
 // injection and link-level retransmission.
 type Network struct {
 	Eng  *sim.Engine
 	Topo topology.Topology
 	P    Params
 
-	links []*sim.Resource
+	// links is the packet path's link table, one serialization queue per
+	// owned link, made on the first packet: flow-only fabrics never
+	// allocate it.
+	links []linkQ
 	down  []bool // per-link outage flag, driven by resil.Injector
 	src   *rng.Source
 	Stats Stats
@@ -86,9 +89,11 @@ type Network struct {
 	energy    EnergyModel
 	transferJ float64
 
-	// freePackets recycles the packet path's per-segment records (see
-	// packetSend); it grows to the most packets ever in flight at once.
-	freePackets []*packet
+	// freePackets and freeMessages recycle the packet path's records (see
+	// packetSend): stacks through their next pointers as deep as the most
+	// ever in flight at once. Message records keep their route buffers.
+	freePackets  *packet
+	freeMessages *message
 
 	// Obs, when non-nil, receives the fabric timeline as trace events:
 	// one message span per Send on the sender's node lane, flow-commit
@@ -123,7 +128,6 @@ func NewNetwork(eng *sim.Engine, topo topology.Topology, p Params, seed uint64) 
 		return nil, err
 	}
 	n := &Network{Eng: eng, Topo: topo, P: p, src: rng.New(seed)}
-	n.links = make([]*sim.Resource, topo.Links())
 	n.down = make([]bool, topo.Links())
 	return n, nil
 }
@@ -147,19 +151,6 @@ func (n *Network) gl(i int) topology.LinkID {
 	return topology.LinkID(i + n.linkBase)
 }
 
-// link returns the serialization resource of link l, created on first
-// use: a 100k-node torus has 600k links, and eagerly materialising a
-// named resource per link dominated network construction. Flow-path
-// traffic never touches them at all.
-func (n *Network) link(l topology.LinkID) *sim.Resource {
-	r := n.links[n.li(l)]
-	if r == nil {
-		r = sim.NewResource(n.Eng, "")
-		n.links[n.li(l)] = r
-	}
-	return r
-}
-
 // linkName renders a diagnostic name for link l on demand.
 func (n *Network) linkName(l topology.LinkID) string {
 	return fmt.Sprintf("%s/link%d", n.Topo.Name(), l)
@@ -179,8 +170,8 @@ func MustNetwork(eng *sim.Engine, topo topology.Topology, p Params, seed uint64)
 // both occupancy ledgers: packet-model grants and flow reservations.
 func (n *Network) linkBusyTime(l topology.LinkID) sim.Time {
 	var t sim.Time
-	if r := n.links[n.li(l)]; r != nil {
-		t += r.BusyTime
+	if n.links != nil {
+		t += n.links[n.li(l)].busyTime
 	}
 	if n.flowBusy != nil {
 		t += n.flowBusy[n.li(l)]
@@ -200,7 +191,7 @@ func (n *Network) LinkUtilisation(l topology.LinkID) float64 {
 // the fabric's hot-spot measure.
 func (n *Network) MaxLinkUtilisation() float64 {
 	max := 0.0
-	for l := range n.links {
+	for l := range n.down {
 		if u := n.LinkUtilisation(n.gl(l)); u > max {
 			max = u
 		}
@@ -214,8 +205,8 @@ func (n *Network) MaxLinkUtilisation() float64 {
 // the message exceeded the retransmission budget.
 //
 // The message is segmented into up to MaxPackets pipelined segments;
-// each segment traverses the route store-and-forward, contending for
-// every link's serialization resource. This captures both the
+// each segment traverses the route store-and-forward, queueing for
+// every link in turn. This captures both the
 // pipelining of large transfers and link contention between concurrent
 // messages.
 func (n *Network) Send(src, dst topology.NodeID, size int, done func(at sim.Time, err error)) {
@@ -284,7 +275,8 @@ func (n *Network) obsWrap(src, dst topology.NodeID, size int,
 
 // message is the completion record the segments of one packet-model
 // message share, and the typed delivery event that fires RecvOverhead
-// after the last of them arrives.
+// after the last of them arrives (or, failed, the last segment retires),
+// and then returns to the free list.
 type message struct {
 	net       *Network
 	route     []topology.LinkID
@@ -292,24 +284,35 @@ type message struct {
 	remaining int // segments still in flight
 	failed    bool
 	done      func(at sim.Time, err error)
+	next      *message // free-list link
 }
 
-// packet is one segment in flight: a state machine the link resources
-// and the engine step through typed events, so a hop costs no
-// allocation. Each hop serializes on the link resource, then pays
+// packet is one segment in flight: a state machine the links and the
+// engine step through typed events, so a hop costs no allocation. Each
+// hop waits its turn in the link's queue and serializes, then pays
 // router and propagation delay; a corrupted traversal is detected by
 // CRC at the far end and retransmitted by the link after
 // RetransmitDelay.
 type packet struct {
 	msg     *message
 	bytes   int
-	hop     int // index into msg.route of the link being crossed
-	attempt int // retransmissions of this hop so far
+	hop     int     // index into msg.route of the link being crossed
+	attempt int     // retransmissions of this hop so far
+	next    *packet // the next in the link's queue, or on the free list
+}
+
+// linkQ is one link: whether a segment is on the wire, the segments
+// queued behind it (FIFO through their next pointers; the tail is stale
+// when head is nil) and the time the link has spent serializing.
+type linkQ struct {
+	head, tail *packet
+	busy       bool
+	busyTime   sim.Time
 }
 
 // The packet phases, carried as the first event argument.
 const (
-	pktSerialized = iota // the link resource finished serializing the segment
+	pktSerialized = iota // the link finished serializing the segment
 	pktArrived           // router and wire delay elapsed: CRC check at the far end
 	pktRetry             // retransmit turnaround elapsed: contend for the link again
 )
@@ -319,12 +322,21 @@ const (
 // message keeps a copy of.
 func (n *Network) packetSend(route []topology.LinkID, sh segShape, size int,
 	done func(at sim.Time, err error)) {
-	m := &message{net: n, route: append([]topology.LinkID(nil), route...),
-		size: size, remaining: sh.packets, done: done}
+	if n.links == nil {
+		n.links = make([]linkQ, len(n.down))
+	}
+	m := n.freeMessages
+	if m != nil {
+		n.freeMessages, m.next = m.next, nil
+	} else {
+		m = &message{net: n}
+	}
+	m.route = append(m.route[:0], route...)
+	m.size, m.remaining, m.failed, m.done = size, sh.packets, false, done
 	for i := 0; i < sh.packets; i++ {
-		var p *packet
-		if k := len(n.freePackets); k > 0 {
-			p, n.freePackets = n.freePackets[k-1], n.freePackets[:k-1]
+		p := n.freePackets
+		if p != nil {
+			n.freePackets = p.next
 		} else {
 			p = new(packet)
 		}
@@ -333,10 +345,27 @@ func (n *Network) packetSend(route []topology.LinkID, sh segShape, size int,
 	}
 }
 
-// acquire queues the packet on the link of its current hop.
+// acquire puts the packet on the link of its current hop: on the wire
+// at once if the link is idle, at the tail of its queue otherwise.
 func (p *packet) acquire() {
 	n := p.msg.net
-	n.link(p.msg.route[p.hop]).AcquireHandler(n.P.serTime(p.bytes), p, pktSerialized)
+	q := &n.links[n.li(p.msg.route[p.hop])]
+	if !q.busy {
+		q.busy = true
+		n.serialize(q, p)
+	} else if q.head == nil {
+		q.head, q.tail = p, p
+	} else {
+		q.tail.next, q.tail = p, p
+	}
+}
+
+// serialize puts p on the wire of link q; the link is busy until p's
+// pktSerialized event.
+func (n *Network) serialize(q *linkQ, p *packet) {
+	ser := n.P.serTime(p.bytes)
+	q.busyTime += ser
+	n.Eng.ScheduleAfter(ser, p, pktSerialized, 0)
 }
 
 // OnEvent implements sim.Handler: it advances the packet one phase.
@@ -344,7 +373,16 @@ func (p *packet) OnEvent(_ sim.Time, phase, _ int64) {
 	n := p.msg.net
 	switch phase {
 	case pktSerialized:
+		// Arrival first, then the next segment: sim.Resource's order, so
+		// every event keeps its sequence number.
 		n.Eng.ScheduleAfter(n.P.RouterDelay+n.P.LinkLatency, p, pktArrived, 0)
+		q := &n.links[n.li(p.msg.route[p.hop])]
+		if next := q.head; next != nil {
+			q.head, next.next = next.next, nil
+			n.serialize(q, next)
+		} else {
+			q.busy = false
+		}
 	case pktArrived:
 		p.arrive()
 	case pktRetry:
@@ -403,27 +441,39 @@ func (p *packet) arrive() {
 // retire frees a packet that reached its destination (err == nil) or
 // was dropped, and settles its message: the first drop fails the
 // message at once, the last arrival of an intact one schedules its
-// delivery.
+// delivery, and the last segment of a failed one frees the record.
 func (n *Network) retire(p *packet, err error) {
 	m := p.msg
-	*p = packet{} // the free list must not pin the message
-	n.freePackets = append(n.freePackets, p)
+	*p = packet{next: n.freePackets} // the free list must not pin the message
+	n.freePackets = p
 	if err != nil && !m.failed {
 		m.failed = true
 		n.Stats.Drops++
 		m.done(n.Eng.Now(), err)
 	}
 	m.remaining--
-	if m.remaining == 0 && !m.failed {
+	if m.remaining == 0 && m.failed {
+		n.releaseMessage(m)
+	} else if m.remaining == 0 {
 		n.Eng.ScheduleAfter(n.P.RecvOverhead, m, 0, 0)
 	}
+}
+
+// releaseMessage returns a settled record to the free list, which must
+// not pin its completion callback, and hands that callback back.
+func (n *Network) releaseMessage(m *message) func(at sim.Time, err error) {
+	done := m.done
+	m.done, m.next = nil, n.freeMessages
+	n.freeMessages = m
+	return done
 }
 
 // OnEvent implements sim.Handler: the receive overhead has elapsed
 // and the message is delivered.
 func (m *message) OnEvent(now sim.Time, _, _ int64) {
-	m.net.Stats.BytesDelivered += uint64(m.size)
-	m.done(now, nil)
+	n := m.net
+	n.Stats.BytesDelivered += uint64(m.size)
+	n.releaseMessage(m)(now, nil)
 }
 
 // segShape is how a message is cut into segments: packets of them, the
@@ -506,7 +556,7 @@ func (n *Network) ObsLinkUtil() {
 		return
 	}
 	now := n.Eng.Now()
-	for i := range n.links {
+	for i := range n.down {
 		l := int(n.gl(i))
 		if u := n.LinkUtilisation(topology.LinkID(l)); u > 0 {
 			n.Obs.Instant(obs.LaneLinks+l, "fabric", "link-util", now,

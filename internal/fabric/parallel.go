@@ -93,8 +93,7 @@ func NewDomains(topo topology.Topology, p Params, seed uint64, bounds []int) (*D
 		deg := nm.LinkDegree()
 		for i, sh := range d.shards {
 			sh.linkBase = bounds[i] * deg
-			sh.links = make([]*sim.Resource, (bounds[i+1]-bounds[i])*deg)
-			sh.down = make([]bool, len(sh.links))
+			sh.down = make([]bool, (bounds[i+1]-bounds[i])*deg)
 		}
 		return d, nil
 	}
@@ -114,7 +113,6 @@ func NewDomains(topo topology.Topology, p Params, seed uint64, bounds []int) (*D
 		sh.owned = append(sh.owned, topology.LinkID(l))
 	}
 	for _, sh := range d.shards {
-		sh.links = make([]*sim.Resource, len(sh.owned))
 		sh.down = make([]bool, len(sh.owned))
 	}
 	return d, nil
@@ -217,7 +215,7 @@ func (d *Domains) MaxLinkUtilisation() float64 {
 	}
 	max := 0.0
 	for _, sh := range d.shards {
-		for i := range sh.links {
+		for i := range sh.down {
 			if u := float64(sh.linkBusyTime(sh.gl(i))) / float64(now); u > max {
 				max = u
 			}

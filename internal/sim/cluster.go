@@ -479,6 +479,8 @@ func (c *Cluster) Stats() ClusterStats {
 		cs.Agg.Reused += st.Reused
 		cs.Agg.Resizes += st.Resizes
 		cs.Agg.Buckets += st.Buckets
+		cs.Agg.LinkSteps += st.LinkSteps
+		cs.Agg.DaySteps += st.DaySteps
 		if st.MaxQueueDepth > cs.Agg.MaxQueueDepth {
 			cs.Agg.MaxQueueDepth = st.MaxQueueDepth
 		}

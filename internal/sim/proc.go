@@ -5,8 +5,8 @@ package sim
 // and a completion latch. They are what the fabric and node models are
 // written against.
 
-// Resource models a unit-capacity server with FIFO queueing (a link, a
-// DMA engine, a PCIe bus). Acquire requests are granted in request
+// Resource models a unit-capacity server with FIFO queueing (a PCIe
+// bus, a gateway buffer). Acquire requests are granted in request
 // order; each grant holds the resource for a caller-specified service
 // time, after which the next waiter is granted.
 type Resource struct {
@@ -21,8 +21,7 @@ type Resource struct {
 	// current grant, carried in fields rather than a closure so the
 	// completion event is a typed, allocation-free Handler event.
 	curStart Time
-	curH     Handler
-	curArg   int64
+	curFn    func(start, end Time)
 	// BusyTime accumulates total time the resource was occupied, for
 	// utilisation statistics.
 	BusyTime Time
@@ -30,25 +29,10 @@ type Resource struct {
 	Grants uint64
 }
 
-// waiter is one queued acquisition. A 16^3 torus keeps 24 576 link
-// queues of these, so it stays at 32 bytes: the closure form of a
-// grant callback rides in h through grantFunc rather than in a field
-// of its own.
+// waiter is one queued acquisition.
 type waiter struct {
 	service Time
-	h       Handler
-	arg     int64
-}
-
-// grantFunc adapts a grant closure (nil included) to Handler. A func
-// value is pointer-shaped, so the conversion allocates nothing.
-type grantFunc func(start, end Time)
-
-// OnEvent implements Handler with the arguments Resource passes.
-func (f grantFunc) OnEvent(end Time, _, start int64) {
-	if f != nil {
-		f(Time(start), end)
-	}
+	done    func(start, end Time)
 }
 
 // NewResource returns an idle resource bound to eng.
@@ -70,18 +54,10 @@ func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
 // with the service start and end times; a nil done just occupies the
 // resource. Acquire never blocks; it is event-driven.
 func (r *Resource) Acquire(service Time, done func(start, end Time)) {
-	r.AcquireHandler(service, grantFunc(done), 0)
-}
-
-// AcquireHandler is the typed, allocation-free form of Acquire: when
-// the grant's service time has elapsed, h.OnEvent(end, arg, start)
-// runs with the service end time as now and the service start time in
-// the second argument. Both forms share one FIFO queue.
-func (r *Resource) AcquireHandler(service Time, h Handler, arg int64) {
 	if service < 0 {
 		panic("sim: negative service time")
 	}
-	r.waiters = append(r.waiters, waiter{service: service, h: h, arg: arg})
+	r.waiters = append(r.waiters, waiter{service: service, done: done})
 	if !r.busy {
 		r.startNext()
 	}
@@ -107,7 +83,7 @@ func (r *Resource) startNext() {
 	end := start + w.service
 	r.BusyTime += w.service
 	r.Grants++
-	r.curStart, r.curH, r.curArg = start, w.h, w.arg
+	r.curStart, r.curFn = start, w.done
 	r.eng.Schedule(end, r, 0, 0)
 }
 
@@ -116,10 +92,10 @@ func (r *Resource) startNext() {
 // the next waiter is started — the same order the closure-based
 // implementation used, so event sequences are unchanged.
 func (r *Resource) OnEvent(end Time, _, _ int64) {
-	h := r.curH
-	r.curH = nil
-	if h != nil {
-		h.OnEvent(end, r.curArg, int64(r.curStart))
+	fn := r.curFn
+	r.curFn = nil
+	if fn != nil {
+		fn(r.curStart, end)
 	}
 	r.startNext()
 }

@@ -114,6 +114,9 @@ type Stats struct {
 	Buckets     int
 	BucketWidth Time
 	Resizes     uint64
+	// LinkSteps totals the list steps inserts walked, DaySteps the
+	// empty days pops walked past: the calendar's cost beyond O(1).
+	LinkSteps, DaySteps uint64
 }
 
 // Engine is a discrete-event scheduler. The zero value is ready to use.
@@ -170,6 +173,8 @@ func (e *Engine) Stats() Stats {
 		Buckets:       len(e.cal.buckets),
 		BucketWidth:   e.cal.width,
 		Resizes:       e.cal.resizes,
+		LinkSteps:     e.cal.linkSteps,
+		DaySteps:      e.cal.daySteps,
 	}
 }
 

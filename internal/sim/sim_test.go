@@ -299,28 +299,14 @@ func BenchmarkEngine(b *testing.B) {
 	e.Run()
 }
 
-// recordHandler is a typed grant callback that records the order and
-// service interval of its grants.
-type recordHandler struct {
-	order  *[]int64
-	starts *[]Time
-}
-
-func (h recordHandler) OnEvent(_ Time, arg, start int64) {
-	*h.order = append(*h.order, arg)
-	*h.starts = append(*h.starts, Time(start))
-}
-
-// TestResourceHandlerAndClosureShareFIFO pins that the closure form,
-// the typed form and a nil callback are one queue: grants happen in
-// request order whatever form each request took, and the typed form
-// sees the service start in its second argument.
-func TestResourceHandlerAndClosureShareFIFO(t *testing.T) {
+// TestResourceClosureAndNilShareFIFO pins that a closure grant and a
+// nil callback are one queue: grants happen in request order whatever
+// form each request took.
+func TestResourceClosureAndNilShareFIFO(t *testing.T) {
 	e := New()
 	r := NewResource(e, "link")
 	var order []int64
 	var starts []Time
-	h := recordHandler{&order, &starts}
 	closure := func(id int64) func(start, end Time) {
 		return func(start, end Time) {
 			if end-start != 10*Nanosecond {
@@ -331,12 +317,12 @@ func TestResourceHandlerAndClosureShareFIFO(t *testing.T) {
 		}
 	}
 	r.Acquire(10*Nanosecond, closure(0))
-	r.AcquireHandler(10*Nanosecond, h, 1)
+	r.Acquire(10*Nanosecond, closure(1))
 	r.Acquire(10*Nanosecond, nil) // occupies the resource, reports nothing
-	r.AcquireHandler(10*Nanosecond, h, 3)
+	r.Acquire(10*Nanosecond, closure(3))
 	r.Acquire(10*Nanosecond, closure(4))
-	r.AcquireHandler(10*Nanosecond, nil, 5)
-	r.AcquireHandler(10*Nanosecond, h, 6)
+	r.Acquire(10*Nanosecond, nil)
+	r.Acquire(10*Nanosecond, closure(6))
 	if got := e.Run(); got != 70*Nanosecond {
 		t.Fatalf("finished at %v, want 70ns", got)
 	}
