@@ -63,7 +63,7 @@ func main() {
 		deadline     = flag.Duration("deadline", 10*time.Minute, "default per-job wall-clock deadline")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 		storeDir     = flag.String("store", "", "persist results to an append-only store in this directory (empty: memory only)")
-		domains      = flag.Int("domains", 0, "default parallel-kernel domain count for specs that set none (0: sequential; part of the content address)")
+		domains      = flag.Int("domains", 0, "default parallel-kernel domain count for specs that set none (0: sequential); part of the content address of experiment and traffic jobs, ignored by MPI, cholesky and jobs workloads")
 	)
 	flag.Parse()
 

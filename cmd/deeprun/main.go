@@ -99,7 +99,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		sample   = fs.Float64("sample", 0.1, "metrics sampling interval in virtual seconds (with -metrics)")
 		storeDir = fs.String("store", "", "persist the run to an append-only store in this directory")
 		resume   = fs.Bool("resume", false, "replay a stored identical run from -store instead of simulating")
-		domains  = fs.Int("domains", 0, "simulation-kernel domain count (0 or 1: sequential kernel; <0: GOMAXPROCS)")
+		domains  = fs.Int("domains", 0, "traffic: simulation-kernel domain count (0 or 1: sequential kernel; <0: GOMAXPROCS); other apps ignore it")
 		maxWin   = fs.Int("maxwindow", 0, "adaptive window cap on the partitioned kernel: quiet windows widen up to N x lookahead (0 or 1: fixed windows)")
 		nz       = fs.Int("nz", 8, "traffic: booster torus Z dimension (with -nx/-ny)")
 		msgs     = fs.Int("msgs", 4096, "traffic: number of point-to-point messages")

@@ -151,7 +151,8 @@ type Runner struct {
 	// (byte-identical to the published tables), K > 1 runs K domain
 	// engines under conservative window synchronization (output is
 	// byte-stable per fixed K, not across K), negative resolves to
-	// GOMAXPROCS.
+	// GOMAXPROCS. Every other experiment ignores it: the Global-MPI ones
+	// (E05, E07) run their ranks on mpi.World at any K.
 	Domains int
 	// MaxWindow, when above 1, lets the partitioned kernel widen
 	// quiet windows geometrically up to MaxWindow times the fabric

@@ -27,14 +27,12 @@ func TestRunVerifiedJoinsReference(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		ctx     context.Context
-		domains int
 		started bool // the reference is expected to have been started
 	}{
-		{"rank error", context.Background(), 1, true},
-		{"rank error on the partitioned world", context.Background(), 2, true},
-		{"context already cancelled", cancelled, 1, false},
+		{"rank error", context.Background(), true},
+		{"context already cancelled", cancelled, false},
 	} {
-		m, err := NewMachine(WithClusterNodes(4), WithClusterRanks(4), WithDomains(tc.domains))
+		m, err := NewMachine(WithClusterNodes(4), WithClusterRanks(4))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ompss"
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 // Workload is anything that can execute on a DEEP machine and verify
@@ -56,8 +55,10 @@ func positive(v, def int) int {
 // order, verifies them against the sequential reference, and records
 // model time plus traffic metrics on res. The reference runs on its
 // own goroutine beside the ranks and is joined before any return that
-// follows its start. This one helper replaces the four copy-pasted
-// transport/verify loops the pre-SDK cmd/deeprun carried.
+// follows its start. The ranks run on mpi.World whatever the machine's
+// domain count: their clocks, not an event kernel, carry the model.
+// This one helper replaces the four copy-pasted transport/verify loops
+// the pre-SDK cmd/deeprun carried.
 func runVerified(ctx context.Context, env *Env, res *Result, reference func() []float64, tol float64,
 	fn func(c *mpi.Comm) ([]float64, error)) error {
 	if err := ctx.Err(); err != nil {
@@ -86,35 +87,14 @@ func runVerified(ctx context.Context, env *Env, res *Result, reference func() []
 		traffic[c.Rank()] = c.Stats()
 		return nil
 	}
-	var run func(n int, fn func(*mpi.Comm) error) (sim.Time, error)
-	var pw *mpi.PartitionedWorld
-	if k := env.Machine.Domains(); k > 1 {
-		// Partitioned runtime: ranks pinned to k domain engines, message
-		// deliveries merged as conservative cross-domain events. The
-		// virtual-clock arithmetic is identical to the plain world, so
-		// the modelled makespan does not depend on k.
-		var err error
-		if pw, err = mpi.NewPartitionedWorld(tr, k, opts...); err != nil {
-			return err
-		}
-		if mw := env.Machine.MaxWindow(); mw > 1 {
-			pw.SetMaxWindow(mw)
-		}
-		run = pw.Run
-	} else {
-		run = mpi.NewWorld(tr, opts...).Run
-	}
 	var want []float64
 	refDone := make(chan struct{})
 	go func() {
 		defer close(refDone)
 		want = reference()
 	}()
-	makespan, err := run(env.Ranks, body)
+	makespan, err := mpi.NewWorld(tr, opts...).Run(env.Ranks, body)
 	<-refDone
-	if pw != nil {
-		res.Kernel = clusterKernelStats(pw.KernelStats())
-	}
 	if err != nil {
 		return err
 	}

@@ -16,9 +16,8 @@ import (
 // The message-path pin: digests of everything the point-to-point path
 // of internal/mpi decides — the makespan and every rank's final clock,
 // traffic counters and output bits — captured from the tree before the
-// resolved-peer communicator and the typed payload lane went in, and
-// held on the plain World and on the partitioned runtime at K=1, 2, 4.
-// Every receive names its source, so the digests do not depend on how
+// resolved-peer communicator and the typed payload lane went in. Every
+// receive names its source, so the digests do not depend on how
 // the host interleaves the rank goroutines.
 
 // pinSlot is what one process (a rank, or a spawned child) contributes.
@@ -32,7 +31,7 @@ type pinScenario struct {
 	name  string
 	ranks int
 	slots int  // ranks plus spawned children
-	spawn bool // uses Spawn: plain World only
+	spawn bool // uses Spawn: parents keep the identity placement
 	body  func(c *mpi.Comm, place func(child int) int, slots []pinSlot) error
 }
 
@@ -212,26 +211,13 @@ func TestMessagePathPinned(t *testing.T) {
 			if sc.spawn {
 				opts = nil
 			}
-			run := func(where string, start func(n int, fn func(*mpi.Comm) error) (sim.Time, error)) {
-				slots := make([]pinSlot, sc.slots)
-				makespan, err := start(sc.ranks, func(c *mpi.Comm) error { return sc.body(c, tc.place, slots) })
-				if err != nil {
-					t.Fatalf("%s on %s: %v", key, where, err)
-				}
-				if got, want := pinDigest(makespan, slots), pinDigests[key]; got != want {
-					t.Errorf("%s on %s: digest %#x (makespan %v), pinned %#x", key, where, got, makespan, want)
-				}
+			slots := make([]pinSlot, sc.slots)
+			makespan, err := mpi.NewWorld(tc.tr, opts...).Run(sc.ranks, func(c *mpi.Comm) error { return sc.body(c, tc.place, slots) })
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
 			}
-			run("World", mpi.NewWorld(tc.tr, opts...).Run)
-			if sc.spawn {
-				continue
-			}
-			for _, k := range []int{1, 2, 4} {
-				pw, err := mpi.NewPartitionedWorld(tc.tr, k, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run(fmt.Sprintf("PartitionedWorld K=%d", k), pw.Run)
+			if got, want := pinDigest(makespan, slots), pinDigests[key]; got != want {
+				t.Errorf("%s: digest %#x (makespan %v), pinned %#x", key, got, makespan, want)
 			}
 		}
 	}

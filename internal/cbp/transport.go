@@ -121,13 +121,3 @@ func (t *DeepTransport) SendOverhead() sim.Time { return t.ClusterP.SendOverhead
 
 // RecvOverhead implements mpi.Transport.
 func (t *DeepTransport) RecvOverhead() sim.Time { return t.ClusterP.RecvOverhead }
-
-// MinCost implements mpi.MinCoster: the cheapest inter-node message
-// crosses one router and one wire of the faster fabric.
-func (t *DeepTransport) MinCost() sim.Time {
-	c := t.ClusterP.RouterDelay + t.ClusterP.LinkLatency
-	if b := t.BoosterP.RouterDelay + t.BoosterP.LinkLatency; b < c {
-		return b
-	}
-	return c
-}

@@ -15,7 +15,7 @@ func TestRegistryComplete(t *testing.T) {
 		"A01", "A02", "A03", "A04",
 		"E01", "E02", "E03", "E04", "E05", "E06",
 		"E07", "E08", "E09", "E10", "E11", "E12",
-		"E13", "E14", "E15", "E16", "E17",
+		"E13", "E14", "E15", "E16",
 	}
 	ids := IDs()
 	if len(ids) != len(want) {

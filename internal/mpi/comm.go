@@ -95,9 +95,8 @@ func (c *Comm) sendInternal(dst int, tag Tag, data any) {
 
 // post is the one send path: it stamps the message with the sender's
 // clock plus the transport cost between the two processes' nodes and
-// hands it to dst's mailbox (or, under the partitioned runtime, to the
-// kernel for delivery at the stamp). A typed payload is copied here,
-// before the sender can touch its buffer again.
+// hands it to dst's mailbox. A typed payload is copied here, before the
+// sender can touch its buffer again.
 func (c *Comm) post(dst int, tag Tag, data any, f64 []float64, typed bool) {
 	g := c.group
 	if c.remote != nil {
@@ -120,11 +119,6 @@ func (c *Comm) post(dst int, tag Tag, data any, f64 []float64, typed bool) {
 	if typed {
 		env.f64 = to.take(len(f64))
 		copy(env.f64, f64)
-	}
-	if c.world.rt != nil {
-		to.mu.Unlock()
-		c.world.rt.send(c, to, env)
-		return
 	}
 	to.box = append(to.box, env)
 	to.mu.Unlock()
@@ -158,11 +152,7 @@ func (c *Comm) recv(src int, tag Tag) envelope {
 	ep.mu.Lock()
 	i := ep.match(c.ctx, src, tag)
 	for ; i < 0; i = ep.match(c.ctx, src, tag) {
-		if c.world.rt != nil {
-			c.world.rt.wait(c)
-		} else {
-			ep.cond.Wait()
-		}
+		ep.cond.Wait()
 	}
 	env := ep.box[i]
 	ep.box = append(ep.box[:i], ep.box[i+1:]...)

@@ -4,26 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
-
-// onBothRuntimes runs fn on n ranks of the plain World and of the
-// partitioned runtime at K=2.
-func onBothRuntimes(t *testing.T, n int, fn func(*Comm) error) {
-	t.Helper()
-	tr := ConstTransport{Alpha: 2 * sim.Microsecond, BetaPerB: 1, OSend: 300, ORecv: 300}
-	if _, err := NewWorld(tr).Run(n, fn); err != nil {
-		t.Fatalf("World: %v", err)
-	}
-	pw, err := NewPartitionedWorld(tr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pw.Run(n, fn); err != nil {
-		t.Fatalf("PartitionedWorld K=2: %v", err)
-	}
-}
 
 func TestLaneAllocations(t *testing.T) {
 	const runs = 200
@@ -61,7 +42,7 @@ func TestLaneAllocations(t *testing.T) {
 }
 
 func TestSenderMayReuseBufferAtOnce(t *testing.T) {
-	onBothRuntimes(t, 2, func(c *Comm) error {
+	runN(t, 2, func(c *Comm) error {
 		const rounds = 20
 		if c.Rank() == 0 {
 			buf := make([]float64, 4)
@@ -91,7 +72,7 @@ func TestSenderMayReuseBufferAtOnce(t *testing.T) {
 // TestRecvAnyKeepsItsSlice: a []float64 received through Recv belongs
 // to the caller; no later message may land in it.
 func TestRecvAnyKeepsItsSlice(t *testing.T) {
-	onBothRuntimes(t, 2, func(c *Comm) error {
+	runN(t, 2, func(c *Comm) error {
 		const later = 10
 		if c.Rank() == 0 {
 			c.Send(1, 1, []float64{1, 1})

@@ -32,9 +32,9 @@
 // rank receives them. A receive that names its source matches in
 // per-pair FIFO order whatever the host does, so a program of such
 // receives (every collective here, the four applications) reaches the
-// same clocks on every run of the free-running World and at every K of
-// the partitioned runtime. A wildcard receive on the World matches in
-// host arrival order, and the clock it leaves is the host's to decide.
+// same clocks on every run, however the host interleaves the rank
+// goroutines. A wildcard receive matches in host arrival order, and the
+// clock it leaves is the host's to decide.
 package mpi
 
 import (
@@ -145,14 +145,6 @@ func (ep *endpoint) recycle(buf []float64) {
 	ep.mu.Unlock()
 }
 
-// deliver appends an envelope and wakes matchers.
-func (ep *endpoint) deliver(env envelope) {
-	ep.mu.Lock()
-	ep.box = append(ep.box, env)
-	ep.mu.Unlock()
-	ep.cond.Broadcast()
-}
-
 // World is one running MPI universe: the set of endpoints (including
 // any spawned after startup), the transport, and bookkeeping for
 // context-id allocation.
@@ -168,13 +160,6 @@ type World struct {
 	errMu  sync.Mutex
 	errs   []error
 	spawns uint64
-
-	// rt, when non-nil, diverts message delivery and receive blocking
-	// through the partitioned runtime (see PartitionedWorld): deliveries
-	// become simulation events on the destination rank's domain engine
-	// and a blocked Recv parks its rank instead of waiting on the
-	// mailbox condition.
-	rt router
 }
 
 // Option configures a World.
@@ -260,7 +245,12 @@ func (w *World) launch(comm *Comm, fn func(*Comm) error) {
 		defer w.wg.Done()
 		defer func() {
 			if r := recover(); r != nil {
-				w.recordErr(fmt.Errorf("mpi: rank %d panicked: %v", comm.rank, r))
+				// An error value stays matchable with errors.Is.
+				err, ok := r.(error)
+				if !ok {
+					err = fmt.Errorf("%v", r)
+				}
+				w.recordErr(fmt.Errorf("mpi: rank %d panicked: %w", comm.rank, err))
 			}
 		}()
 		w.recordErr(fn(comm))

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -184,6 +185,26 @@ func TestPanicBecomesError(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRunErrorsJoin: Run wraps a failed rank's error, returned or
+// panicked, so that errors.Is finds it.
+func TestRunErrorsJoin(t *testing.T) {
+	sentinel := errors.New("boom")
+	for name, fail := range map[string]func() error{
+		"returned": func() error { return sentinel },
+		"panicked": func() error { panic(sentinel) },
+	} {
+		_, err := Run(4, ZeroTransport{}, func(c *Comm) error {
+			if c.Rank() == 3 {
+				return fail()
+			}
+			return nil
+		})
+		if !errors.Is(err, sentinel) {
+			t.Errorf("%s: expected wrapped rank error, got %v", name, err)
+		}
 	}
 }
 

@@ -47,9 +47,6 @@ func (c *Comm) Spawn(n int, cfg SpawnConfig, fn func(*Comm) error) *Comm {
 	if c.remote != nil {
 		panic("mpi: Spawn on inter-communicator")
 	}
-	if c.world.rt != nil {
-		panic("mpi: Spawn is not supported under the partitioned runtime")
-	}
 	if n <= 0 {
 		panic(fmt.Sprintf("mpi: Spawn of %d processes", n))
 	}

@@ -49,10 +49,6 @@ func (t *FabricTransport) SendOverhead() sim.Time { return t.P.SendOverhead }
 // RecvOverhead implements Transport.
 func (t *FabricTransport) RecvOverhead() sim.Time { return t.P.RecvOverhead }
 
-// MinCost implements MinCoster: any message between distinct nodes
-// crosses at least one router and one wire.
-func (t *FabricTransport) MinCost() sim.Time { return t.P.RouterDelay + t.P.LinkLatency }
-
 // ConstTransport charges a fixed alpha plus beta per byte, the textbook
 // alpha-beta machine model; useful in tests and closed-form
 // experiments.
@@ -73,6 +69,3 @@ func (t ConstTransport) SendOverhead() sim.Time { return t.OSend }
 
 // RecvOverhead implements Transport.
 func (t ConstTransport) RecvOverhead() sim.Time { return t.ORecv }
-
-// MinCost implements MinCoster.
-func (t ConstTransport) MinCost() sim.Time { return t.Alpha }

@@ -33,9 +33,10 @@ type Options struct {
 	RetainJobs int
 	// DefaultDomains is the parallel-kernel domain count applied to
 	// specs that set none (0: keep the sequential default). Applied
-	// before normalization, so it is part of each job's content
-	// address — a server-wide simulation default, not a scheduling
-	// hint.
+	// before normalization, so it is part of the content address of
+	// experiment and traffic jobs — a server-wide simulation default,
+	// not a scheduling hint. Normalization drops it from every other
+	// workload job, whose result does not depend on it.
 	DefaultDomains int
 	// Store, when non-nil, persists finished results across restarts:
 	// the cache warm-starts from it on boot, LRU misses fall back to

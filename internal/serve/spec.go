@@ -29,13 +29,15 @@ type JobSpec struct {
 	Fidelity string  `json:"fidelity,omitempty"`
 	Energy   bool    `json:"energy,omitempty"`
 	// Domains is the parallel-kernel domain count (0 or 1: the exact
-	// sequential kernel; negative: the worker's GOMAXPROCS). MaxNodes
+	// sequential kernel; negative: the worker's GOMAXPROCS) for
+	// experiment and traffic jobs; the MPI workloads, cholesky and jobs
+	// ignore it, and normalize drops it from their specs. MaxNodes
 	// lifts or lowers experiment sweep ceilings (experiment jobs only).
 	// Both carry omitempty so pre-existing specs keep their content
 	// addresses.
 	Domains int `json:"domains,omitempty"`
 	// MaxWindow caps adaptive window widening on the partitioned
-	// kernel; 0 or 1 keeps fixed windows.
+	// kernel; 0 or 1 keeps fixed windows. It applies where Domains does.
 	MaxWindow int `json:"max_window,omitempty"`
 	MaxNodes  int `json:"max_nodes,omitempty"`
 	// Trace records a Chrome trace attachment; MetricsEveryS samples a
@@ -162,6 +164,12 @@ func (s *JobSpec) normalize() error {
 	canon := cfg.Spec()
 	s.Seed, s.Scale, s.Fidelity, s.Energy = canon.Seed, canon.Scale, canon.Fidelity, canon.Energy
 	s.Domains, s.MaxWindow, s.MaxNodes = canon.Domains, canon.MaxWindow, canon.MaxNodes
+	if s.Workload != nil && s.Workload.Kind != "traffic" {
+		// Only TorusTraffic reads Machine.Domains and MaxWindow; every
+		// other workload computes the same result at any K, so the
+		// knobs must not split its content key.
+		s.Domains, s.MaxWindow = 0, 0
+	}
 	if s.Workload != nil && s.MaxNodes != 0 {
 		return invalidf("max_nodes lifts experiment sweep ceilings; workload jobs size their own machines")
 	}
