@@ -11,8 +11,9 @@
 // With -domains k > 1 the fabric is partitioned into k domain engines
 // under conservative window synchronization (the parallel kernel):
 // z-plane slabs on the torus, leaf-aligned ranges on the fat tree
-// (via its link-ownership map). Requires -error 0; results are
-// deterministic per fixed k. -maxwindow lets quiet windows widen
+// (via its link-ownership map). k > 1 requires -error 0; results are
+// deterministic per fixed k. At k = 1 the one domain is the sequential
+// fabric, for any topology and error rate. -maxwindow lets quiet windows widen
 // geometrically up to that multiple of the fabric lookahead without
 // changing any delivery time.
 package main
@@ -98,37 +99,25 @@ func main() {
 		os.Exit(1)
 	}
 
-	var (
-		delivered int
-		finish    sim.Time
-		fst       fabric.Stats
-		util      float64
-		st        sim.Stats
-		cluster   *sim.ClusterStats
-	)
-	if *domains > 1 {
-		// Partitioned kernel: one domain engine per z-plane slab of the
-		// torus, or per leaf-aligned node range of the fat tree (whose
-		// link-ownership map anchors switch links to the leaf's first
-		// node). Deliveries are counted per domain — each callback runs
-		// on its source node's engine goroutine — and summed after the
-		// run.
-		k := *domains
-		var bounds []int
+	// One domain engine per z-plane slab of the torus, or per
+	// leaf-aligned node range of the fat tree (whose link-ownership map
+	// anchors switch links to the leaf's first node); one unpartitioned
+	// fabric at K=1, for any topology. Each message records its own
+	// delivery: a cross-domain completion runs on the destination's
+	// engine goroutine, so a shared per-domain counter would race.
+	k := max(*domains, 1)
+	bounds := []int{0, topo.Nodes()}
+	if k > 1 {
 		switch {
 		case tor != nil:
-			if k > *z {
-				k = *z
-			}
+			k = min(k, *z)
 			bounds = make([]int, k+1)
 			for d := 0; d <= k; d++ {
 				bounds[d] = (d * *z / k) * *x * *y
 			}
 		case *topoName == "fattree":
 			ft := topo.(*topology.FatTree)
-			if k > ft.Leaves {
-				k = ft.Leaves
-			}
+			k = min(k, ft.Leaves)
 			bounds = make([]int, k+1)
 			for d := 0; d <= k; d++ {
 				bounds[d] = (d * ft.Leaves / k) * ft.NodesPerLeaf
@@ -137,53 +126,32 @@ func main() {
 			fmt.Fprintln(os.Stderr, "deepsim: -domains needs -topo torus or fattree")
 			os.Exit(1)
 		}
-		doms, err := fabric.NewDomains(topo, params, *seed, bounds)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "deepsim: %v\n", err)
-			os.Exit(1)
-		}
-		doms.SetFidelity(fid)
-		if *maxWin > 1 {
-			doms.SetMaxWindow(*maxWin)
-		}
-		perDomain := make([]int, k)
-		for _, m := range msgs {
-			d := doms.Owner(m.Src)
-			doms.Shard(d).Send(m.Src, m.Dst, m.Bytes, func(_ sim.Time, err error) {
-				if err == nil {
-					perDomain[d]++
-				}
-			})
-		}
-		finish = doms.Run()
-		for _, n := range perDomain {
-			delivered += n
-		}
-		fst = doms.Stats()
-		util = doms.MaxLinkUtilisation()
-		cs := doms.KernelStats()
-		st = cs.Agg
-		cluster = &cs
-	} else {
-		eng := sim.New()
-		net, err := fabric.NewNetwork(eng, topo, params, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "deepsim: %v\n", err)
-			os.Exit(1)
-		}
-		net.SetFidelity(fid)
-		for _, m := range msgs {
-			net.Send(m.Src, m.Dst, m.Bytes, func(_ sim.Time, err error) {
-				if err == nil {
-					delivered++
-				}
-			})
-		}
-		finish = eng.Run()
-		fst = net.Stats
-		util = net.MaxLinkUtilisation()
-		st = eng.Stats()
 	}
+	doms, err := fabric.NewDomains(topo, params, *seed, bounds)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "deepsim: %v\n", err)
+		os.Exit(1)
+	}
+	doms.SetFidelity(fid)
+	if *maxWin > 1 {
+		doms.SetMaxWindow(*maxWin)
+	}
+	ok := make([]bool, len(msgs))
+	for i, m := range msgs {
+		doms.ShardOf(m.Src).Send(m.Src, m.Dst, m.Bytes, func(_ sim.Time, err error) {
+			ok[i] = err == nil
+		})
+	}
+	finish := doms.Run()
+	delivered := 0
+	for _, d := range ok {
+		if d {
+			delivered++
+		}
+	}
+	fst := doms.Stats()
+	cluster := doms.KernelStats()
+	st := cluster.Agg
 
 	tab := stats.NewTable(fmt.Sprintf("deepsim %s / %s", topo.Name(), *pattern),
 		"metric", "value")
@@ -196,7 +164,7 @@ func main() {
 	}
 	tab.AddRow("retransmits", int(fst.Retransmits))
 	tab.AddRow("drops", int(fst.Drops))
-	tab.AddRow("max_link_util", util)
+	tab.AddRow("max_link_util", doms.MaxLinkUtilisation())
 	// Scheduler diagnostics: how hard the event kernel worked, and how
 	// much the flow fast path saved (see README "The event kernel").
 	tab.AddRow("flow_msgs", int(fst.FlowMessages))
@@ -205,7 +173,7 @@ func main() {
 	if st.Allocs+st.Reused > 0 {
 		tab.AddRow("event_pool_hit", float64(st.Reused)/float64(st.Allocs+st.Reused))
 	}
-	if cluster != nil {
+	if cluster.Domains > 1 {
 		// Partitioned-kernel diagnostics: how the conservative windows
 		// behaved and how much traffic crossed slab boundaries.
 		tab.AddRow("domains", cluster.Domains)

@@ -242,7 +242,7 @@ func WithMetrics(sampleSeconds float64) Option {
 
 // WithDomains selects the simulation kernel for workloads that can
 // partition the booster torus spatially (TorusTraffic): 0 or 1 (the
-// default) runs the exact sequential kernel; k > 1 runs k domain
+// default) runs one domain, the sequential kernel; k > 1 runs k domain
 // engines — one goroutine each — under conservative window
 // synchronization, with cross-domain messages merged deterministically
 // at window boundaries. Output is byte-stable per fixed k, not across

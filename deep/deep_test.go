@@ -268,6 +268,12 @@ func TestScheduledJobsContiguousNeedsTorus(t *testing.T) {
 	if err == nil {
 		t.Fatal("contiguous allocation accepted without a torus machine")
 	}
+	// Local-only checkpoints without Buddy: an error, not a scheduler panic.
+	_, err = deep.Run(context.Background(), m.NewEnv(), deep.ScheduledJobs{Jobs: []deep.Job{{Duration: 1, Boosters: 1}},
+		Ckpt: &deep.Checkpointing{Interval: 2, Write: 0.5}})
+	if err == nil {
+		t.Fatal("checkpoint model without Buddy or a global tier accepted")
+	}
 }
 
 // TestRunnerParallelMatchesSerial: the parallel runner must produce
@@ -350,6 +356,24 @@ func TestJSONSinkFullRegistry(t *testing.T) {
 	for _, d := range decoded {
 		if d.Error != "" || d.Table == nil || len(d.Table.Rows) == 0 {
 			t.Fatalf("%s: incomplete JSON result (err=%q)", d.ID, d.Error)
+		}
+	}
+}
+
+// TestE15JSONSummaryOnlyAtKAboveOne: the kernel counters are a K>1
+// summary; at K=1 E15's JSON result carries no summary object.
+func TestE15JSONSummaryOnlyAtKAboveOne(t *testing.T) {
+	for k, want := range map[int]bool{1: false, 2: true} {
+		rep, err := (&deep.Runner{Domains: k, MaxNodes: 1000}).Run(context.Background(), "E15")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := (deep.JSONSink{}).Write(&buf, rep); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(buf.String(), `"summary"`); got != want {
+			t.Fatalf("K=%d: summary in JSON = %v, want %v:\n%s", k, got, want, buf.String())
 		}
 	}
 }

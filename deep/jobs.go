@@ -41,6 +41,32 @@ type Checkpointing struct {
 	IOWatts float64
 }
 
+// model returns the checkpoint model a run builds from c: nil when c
+// is nil or its Interval disables checkpointing.
+func (c *Checkpointing) model() *resil.Checkpoint {
+	if c == nil || c.Interval <= 0 {
+		return nil
+	}
+	return &resil.Checkpoint{
+		Interval:     sim.FromSeconds(c.Interval),
+		LocalWrite:   sim.FromSeconds(c.Write),
+		LocalRestore: sim.FromSeconds(c.Restore),
+		Buddy:        c.Buddy,
+		IOWatts:      c.IOWatts,
+	}
+}
+
+// Validate reports why the checkpoint model a run would build from c
+// is unusable (an interval that rounds to zero, a negative cost, local
+// checkpoints without Buddy that cannot survive a node failure), or
+// nil when it is sound or checkpointing is disabled.
+func (c *Checkpointing) Validate() error {
+	if r := c.model(); r != nil {
+		return r.Validate()
+	}
+	return nil
+}
+
 // DalyInterval returns Daly's higher-order optimum checkpoint
 // interval in seconds for the given effective write cost and MTBF.
 func DalyInterval(writeSeconds, mtbfSeconds float64) float64 {
@@ -88,6 +114,9 @@ func (s ScheduledJobs) Run(ctx context.Context, env *Env) (*Result, error) {
 	if len(s.Jobs) == 0 {
 		return nil, fmt.Errorf("deep: scheduled-jobs workload has no jobs")
 	}
+	if err := s.Ckpt.Validate(); err != nil {
+		return nil, fmt.Errorf("deep: %w", err)
+	}
 	m := env.Machine
 	eng := sim.New()
 	var pool *resource.Pool
@@ -119,15 +148,7 @@ func (s ScheduledJobs) Run(ctx context.Context, env *Env) (*Result, error) {
 	if s.Contiguous {
 		sched.Policy = resource.Contiguous
 	}
-	if c := s.Ckpt; c != nil && c.Interval > 0 {
-		sched.Ckpt = &resil.Checkpoint{
-			Interval:     sim.FromSeconds(c.Interval),
-			LocalWrite:   sim.FromSeconds(c.Write),
-			LocalRestore: sim.FromSeconds(c.Restore),
-			Buddy:        c.Buddy,
-			IOWatts:      c.IOWatts,
-		}
-	}
+	sched.Ckpt = s.Ckpt.model()
 	o := m.observer()
 	run := o.Observe("scheduled-jobs", eng)
 	sched.Obs = run.Scope()

@@ -74,12 +74,16 @@ func kernelStats(st sim.Stats) *KernelStats {
 	return k
 }
 
-// clusterKernelStats converts a partitioned-kernel snapshot: the
-// aggregate counters are summed coherently across the domain engines
-// (max-depth as a maximum, pool hits over the pooled totals), with
-// the per-domain breakdown attached.
+// clusterKernelStats converts a kernel snapshot: the aggregate
+// counters are summed coherently across the domain engines (max-depth
+// as a maximum, pool hits over the pooled totals), with the per-domain
+// breakdown attached when there is more than one domain. A one-domain
+// run reports exactly what its single engine counted.
 func clusterKernelStats(cs sim.ClusterStats) *KernelStats {
 	k := kernelStats(cs.Agg)
+	if cs.Domains == 1 {
+		return k
+	}
 	k.Domains = cs.Domains
 	k.Windows = cs.Windows
 	k.CrossEvents = cs.CrossEvents

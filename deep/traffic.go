@@ -19,8 +19,9 @@ import (
 // simulated by its own domain engine under conservative window
 // synchronization, and Result.Kernel reports the per-domain scheduler
 // counters (executed events, blocked windows) next to the coherent
-// machine-wide aggregate. On the default machine the exact sequential
-// kernel runs, byte-identical to previous releases.
+// machine-wide aggregate. The default machine (K=1) is the one-shard
+// case of the same path: one engine, one unpartitioned torus,
+// byte-identical to previous releases.
 //
 // Results are deterministic per (seed, domain count): the partitioned
 // kernel's output is byte-stable for a fixed k, not across k —
@@ -81,10 +82,6 @@ func (w TorusTraffic) Run(ctx context.Context, env *Env) (*Result, error) {
 		}
 	}
 
-	k := m.Domains()
-	if k > z {
-		k = z
-	}
 	res := &Result{Workload: w.Name()}
 	if nodes != m.boosterNodes {
 		res.Notes = append(res.Notes,
@@ -92,63 +89,27 @@ func (w TorusTraffic) Run(ctx context.Context, env *Env) (*Result, error) {
 	}
 	delivered := make([]sim.Time, count)
 
-	var (
-		finish  sim.Time
-		st      fabric.Stats
-		util    float64
-		joules  float64
-		metered bool
-	)
-	if k > 1 {
-		doms, _ := machine.BoosterFabricPar(x, y, z, k, fid, m.seed)
-		k = doms.Domains()
-		if mw := m.MaxWindow(); mw > 1 {
-			doms.SetMaxWindow(mw)
-		}
-		if m.energy {
-			doms.SetEnergyModel(fabric.ExtollEnergy)
-			metered = true
-		}
-		for i, it := range items {
-			i, it := i, it
-			sh := doms.ShardOf(it.src)
-			sh.Eng.At(it.start, func() {
-				sh.Send(it.src, it.dst, size, func(at sim.Time, err error) {
-					if err == nil {
-						delivered[i] = at
-					}
-				})
-			})
-		}
-		finish = doms.Run()
-		st = doms.Stats()
-		util = doms.MaxLinkUtilisation()
-		joules = doms.EnergyJoules(finish)
-		res.Kernel = clusterKernelStats(doms.KernelStats())
-	} else {
-		eng := sim.New()
-		net, _ := machine.BoosterFabric(eng, x, y, z, fid, m.seed)
-		if m.energy {
-			net.SetEnergyModel(fabric.ExtollEnergy)
-			metered = true
-		}
-		for i, it := range items {
-			i, it := i, it
-			eng.At(it.start, func() {
-				net.Send(it.src, it.dst, size, func(at sim.Time, err error) {
-					if err == nil {
-						delivered[i] = at
-					}
-				})
-			})
-		}
-		eng.Run()
-		finish = eng.Now()
-		st = net.Stats
-		util = net.MaxLinkUtilisation()
-		joules = net.EnergyJoules()
-		res.Kernel = kernelStats(eng.Stats())
+	doms, _ := machine.BoosterFabricPar(x, y, z, m.Domains(), fid, m.seed)
+	if mw := m.MaxWindow(); mw > 1 {
+		doms.SetMaxWindow(mw)
 	}
+	if m.energy {
+		doms.SetEnergyModel(fabric.ExtollEnergy)
+	}
+	for i, it := range items {
+		i, it := i, it
+		sh := doms.ShardOf(it.src)
+		sh.Eng.At(it.start, func() {
+			sh.Send(it.src, it.dst, size, func(at sim.Time, err error) {
+				if err == nil {
+					delivered[i] = at
+				}
+			})
+		})
+	}
+	finish := doms.Run()
+	st := doms.Stats()
+	res.Kernel = clusterKernelStats(doms.KernelStats())
 
 	done := 0
 	for _, at := range delivered {
@@ -157,13 +118,14 @@ func (w TorusTraffic) Run(ctx context.Context, env *Env) (*Result, error) {
 		}
 	}
 	res.Summary = fmt.Sprintf("msgs=%d bytes=%d torus=%dx%dx%d fidelity=%v domains=%d",
-		count, size, x, y, z, fid, k)
+		count, size, x, y, z, fid, doms.Domains())
 	res.ModelTime = ModelTime(finish.Seconds())
 	res.addMetric("messages", float64(st.Messages), "")
 	res.addMetric("delivered_bytes", float64(st.BytesDelivered), "B")
 	res.addMetric("cross_messages", float64(st.CrossMessages), "")
-	res.addMetric("max_link_util", util, "")
-	if metered {
+	res.addMetric("max_link_util", doms.MaxLinkUtilisation(), "")
+	if m.energy {
+		joules := doms.EnergyJoules(finish)
 		res.Energy = &EnergyReport{
 			Joules:  joules,
 			Charges: []Metric{{Name: "fabric", Value: joules, Unit: "J"}},

@@ -3,6 +3,7 @@ package expt
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -30,42 +31,6 @@ func TestE15SweepSelection(t *testing.T) {
 	big, err := e15Sweep(&Config{Scale: 1, MaxNodes: 1_000_000, Domains: 4})
 	if err != nil || !reflect.DeepEqual(big, []int{10, 16, 25, 40, 47, 100}) {
 		t.Fatalf("million-node sweep = %v, %v", big, err)
-	}
-}
-
-// TestParallelE15MatchesSequential is the sequential-twin property at
-// the experiment level: the same E15 sweep rendered under the
-// sequential kernel (K=1) and the partitioned kernel (K>1) must be
-// byte-identical — the conservative windows, the cross-slab phase
-// barriers and the shard-local fast paths may not move a single
-// virtual timestamp.
-func TestParallelE15MatchesSequential(t *testing.T) {
-	e, ok := Get("E15")
-	if !ok {
-		t.Fatal("E15 not registered")
-	}
-	limit := 5000
-	if !testing.Short() {
-		limit = 20000 // adds the 25^3 point
-	}
-	cfg := func(k, mw int, fid fabric.Fidelity) *Config {
-		return &Config{Scale: 1, MaxNodes: limit, Domains: k, MaxWindow: mw, Fidelity: fid}
-	}
-	for _, fid := range []fabric.Fidelity{fabric.FidelityFlow, fabric.FidelityPacket} {
-		seq := renderWith(t, e, cfg(1, 0, fid))
-		for _, k := range []int{2, 4, 6} {
-			par := renderWith(t, e, cfg(k, 0, fid))
-			if !bytes.Equal(par, seq) {
-				t.Fatalf("fidelity %v: K=%d table diverges from sequential:\n--- K=1 ---\n%s\n--- K=%d ---\n%s",
-					fid, k, seq, k, par)
-			}
-			// Adaptive windows move barriers, never virtual timestamps.
-			adaptive := renderWith(t, e, cfg(k, 8, fid))
-			if !bytes.Equal(adaptive, seq) {
-				t.Fatalf("fidelity %v: K=%d MaxWindow=8 table diverges from sequential:\n--- K=1 ---\n%s\n--- adaptive ---\n%s",
-					fid, k, seq, adaptive)
-			}
-		}
 	}
 }
 
@@ -99,31 +64,84 @@ func TestE15AdaptiveReducesWindows(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentDomainsStable runs every registered experiment
-// twice at a fixed K>1 and requires byte-identical tables: the
-// determinism contract of the parallel kernel is per fixed K.
-// Experiments without a spatial partition ignore Domains and must
-// still render exactly their sequential table.
+// TestEveryExperimentDomainsStable is the K-invariance table: each
+// input renders byte-identical tables when run twice at a fixed K and
+// at every K against its K=1 table. Every registered experiment is an
+// input at K=3 (those without a spatial partition ignore Domains); E15
+// is one more per fidelity and window policy at K=2, 4 and 6 —
+// conservative windows, cross-slab phase barriers and adaptive
+// widening may not move a single virtual timestamp.
 func TestEveryExperimentDomainsStable(t *testing.T) {
+	type input struct {
+		name string
+		e    Experiment
+		cfg  Config // Domains is set per run
+		ks   []int
+	}
+	var inputs []input
 	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
+		inputs = append(inputs, input{e.ID, e, Config{Scale: 1, MaxNodes: 5000}, []int{3}})
+	}
+	e15, _ := Get("E15")
+	limit := 5000
+	if !testing.Short() {
+		limit = 20000 // adds the 25^3 point
+	}
+	for _, fid := range []fabric.Fidelity{fabric.FidelityFlow, fabric.FidelityPacket} {
+		for _, mw := range []int{0, 8} {
+			inputs = append(inputs, input{fmt.Sprintf("E15-%v-maxwindow%d", fid, mw), e15,
+				Config{Scale: 1, MaxNodes: limit, Fidelity: fid, MaxWindow: mw}, []int{2, 4, 6}})
+		}
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := func(k int) *Config {
-				return &Config{Scale: 1, Domains: k, MaxNodes: 5000}
+			at := func(k int) []byte {
+				cfg := in.cfg
+				cfg.Domains = k
+				return renderWith(t, in.e, &cfg)
 			}
-			a := renderWith(t, e, cfg(3))
-			b := renderWith(t, e, cfg(3))
-			if !bytes.Equal(a, b) {
-				t.Fatalf("%s not deterministic at fixed K=3", e.ID)
-			}
-			seq := renderWith(t, e, cfg(1))
-			if !bytes.Equal(a, seq) {
-				t.Fatalf("%s diverges from its sequential table at K=3:\n--- K=1 ---\n%s\n--- K=3 ---\n%s",
-					e.ID, seq, a)
+			seq := at(1)
+			for _, k := range in.ks {
+				a := at(k)
+				if !bytes.Equal(a, at(k)) {
+					t.Fatalf("not deterministic at fixed K=%d", k)
+				}
+				if !bytes.Equal(a, seq) {
+					t.Fatalf("K=%d diverges from K=1:\n--- K=1 ---\n%s\n--- K=%d ---\n%s", k, seq, k, a)
+				}
 			}
 		})
 	}
+	// Energy totals are summed shard by shard, so the joules column is
+	// exact per fixed K and equal across K to floating-point noise.
+	t.Run("E15-energy", func(t *testing.T) {
+		t.Parallel()
+		run := func(k int) *stats.Table {
+			tab, err := e15.Run(context.Background(), &Config{Scale: 1, Domains: k, MaxNodes: 5000, Energy: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tab
+		}
+		seq := run(1)
+		for _, k := range []int{2, 4} {
+			par := run(k)
+			if !reflect.DeepEqual(par.Rows, run(k).Rows) {
+				t.Fatalf("K=%d energy rows not deterministic", k)
+			}
+			for i, row := range seq.Rows {
+				if !reflect.DeepEqual(row[:7], par.Rows[i][:7]) {
+					t.Fatalf("K=%d row %d timing cells diverge:\nK=1 %v\nK=%d %v", k, i, row, k, par.Rows[i])
+				}
+				sj, err1 := strconv.ParseFloat(row[7], 64)
+				pj, err2 := strconv.ParseFloat(par.Rows[i][7], 64)
+				if err1 != nil || err2 != nil || math.Abs(sj-pj) > 1e-6*math.Max(sj, 1) {
+					t.Fatalf("K=%d row %d joules %q vs K=1 %q beyond float noise", k, i, par.Rows[i][7], row[7])
+				}
+			}
+		}
+	})
 }
 
 // TestE15ParallelKernelCounters checks the partitioned run exposes
@@ -139,38 +157,5 @@ func TestE15ParallelKernelCounters(t *testing.T) {
 	}
 	if tab.Summary["kernel_windows"] <= 0 || tab.Summary["kernel_executed"] <= 0 {
 		t.Fatalf("kernel counters missing from summary: %v", tab.Summary)
-	}
-}
-
-// TestE15ParallelEnergyClose: energy totals are summed shard by shard
-// under the partitioned kernel, so they are only guaranteed
-// byte-stable per fixed K — but they must agree with the sequential
-// recorder to floating-point noise.
-func TestE15ParallelEnergyClose(t *testing.T) {
-	e, _ := Get("E15")
-	run := func(k int) *stats.Table {
-		tab, err := e.Run(context.Background(), &Config{Scale: 1, Domains: k, MaxNodes: 5000, Energy: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab
-	}
-	seqTab, parTab := run(1), run(2)
-	if len(seqTab.Rows) != len(parTab.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(seqTab.Rows), len(parTab.Rows))
-	}
-	for i := range seqTab.Rows {
-		if !reflect.DeepEqual(seqTab.Rows[i][:7], parTab.Rows[i][:7]) {
-			t.Fatalf("row %d timing cells diverge with energy on:\nseq %v\npar %v",
-				i, seqTab.Rows[i], parTab.Rows[i])
-		}
-		sj, err1 := strconv.ParseFloat(seqTab.Rows[i][7], 64)
-		pj, err2 := strconv.ParseFloat(parTab.Rows[i][7], 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("row %d joules cells unparsable: %q %q", i, seqTab.Rows[i][7], parTab.Rows[i][7])
-		}
-		if diff := math.Abs(sj - pj); diff > 1e-6*math.Max(sj, 1) {
-			t.Fatalf("row %d joules diverge beyond float noise: seq %v par %v", i, sj, pj)
-		}
 	}
 }

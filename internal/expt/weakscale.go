@@ -73,14 +73,6 @@ var e15Kernel = machine.Kernel{
 	VectorEfficiency: 0.8,
 }
 
-// e15Halo injects the six-neighbour halo exchange of every node and
-// calls done when the last halo has been delivered.
-func e15Halo(net *fabric.Network, tor *topology.Torus3D, done func()) {
-	n := tor.Nodes()
-	latch := sim.NewLatch(6*n, done)
-	e15HaloSlab(net, tor, 0, n, func(sim.Time, error) { latch.Done() })
-}
-
 // e15HaloSlab injects the halo exchange of the nodes in [lo, hi). On a
 // partitioned fabric the slab range must match the shard: a halo is a
 // single hop over the source's own link, so every send stays
@@ -100,12 +92,11 @@ func e15HaloSlab(net *fabric.Network, tor *topology.Torus3D, lo, hi int, cb func
 }
 
 // e15Chain passes a partial sum down ring[i] -> ring[i-1] -> ... ->
-// ring[0], one message at a time, then calls done. It is the chain
-// primitive of both the sequential and the partitioned sweep: on a
-// shard, every sender ring[1:] must be owned by net; ring[0] may live
-// on the slab below (a send's link belongs to its source, so the
-// boundary hop is still shard-local). One completion callback serves
-// every hop of the chain.
+// ring[0], one message at a time, then calls done. Every sender
+// ring[1:] must be owned by net's shard; ring[0] may live on the slab
+// below (a send's link belongs to its source, so the boundary hop is
+// still shard-local). One completion callback serves every hop of the
+// chain.
 func e15Chain(net *fabric.Network, ring []topology.NodeID, done func()) {
 	i := len(ring) - 1
 	var hop func(sim.Time, error)
@@ -121,122 +112,7 @@ func e15Chain(net *fabric.Network, ring []topology.NodeID, done func()) {
 	hop(0, nil)
 }
 
-// e15Reduce runs the dimension-ordered global reduction to node
-// (0,0,0): every X ring chains to its x=0 node, the x=0 plane chains
-// along Y, the (0,0,*) line chains along Z. The critical path is
-// 3*(k-1) sequential neighbour messages — the diameter cost that
-// global synchronisation pays on a torus.
-func e15Reduce(net *fabric.Network, tor *topology.Torus3D, done func()) {
-	k := tor.X
-	ring := func(coord func(i int) topology.NodeID) []topology.NodeID {
-		r := make([]topology.NodeID, k)
-		for i := range r {
-			r[i] = coord(i)
-		}
-		return r
-	}
-	phaseZ := func() {
-		e15Chain(net, ring(func(i int) topology.NodeID { return tor.ID(0, 0, i) }), done)
-	}
-	phaseY := func() {
-		arrive := sim.NewLatch(k, phaseZ).Done
-		for z := 0; z < k; z++ {
-			z := z
-			e15Chain(net, ring(func(i int) topology.NodeID { return tor.ID(0, i, z) }), arrive)
-		}
-	}
-	arrive := sim.NewLatch(k*k, phaseY).Done
-	for y := 0; y < k; y++ {
-		for z := 0; z < k; z++ {
-			y, z := y, z
-			e15Chain(net, ring(func(i int) topology.NodeID { return tor.ID(i, y, z) }), arrive)
-		}
-	}
-}
-
-func runE15(ctx context.Context, cfg *Config) (*stats.Table, error) {
-	edges, err := e15Sweep(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.domains() > 1 {
-		return runE15Par(ctx, cfg, edges)
-	}
-	fid := cfg.fidelity(fabric.FidelityFlow)
-	rounds := cfg.scale(1)
-	compute := machine.KNC.Time(e15Kernel, machine.KNC.Cores)
-	// The fidelity is deliberately absent from the table: Packet, Flow
-	// and Auto all produce these exact numbers (the traffic never
-	// queues two messages on one link, where the flow model is exact),
-	// and the determinism regression test holds them to it.
-	tab := stats.NewTable(
-		"E15 Weak scaling on the booster torus, 1k -> 100k nodes",
-		cfg.energyHeaders("torus", "nodes", "peak_TF", "round_ms", "halo_us", "reduce_us", "weak_eff")...)
-	var base sim.Time
-	for _, k := range edges {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		eng := sim.New()
-		net, tor := machine.BoosterFabric(eng, k, k, k, fid, 2013)
-		n := tor.Nodes()
-		sys := machine.BoosterSystem(n)
-		var rec *energy.Recorder
-		var grp *energy.NodeGroup
-		if cfg.energyOn() {
-			rec = energy.NewRecorder(eng)
-			grp = rec.MustAddGroup("booster", machine.KNC, n)
-			net.SetEnergyModel(fabric.ExtollEnergy)
-		}
-
-		var haloT, reduceT, finish sim.Time
-		var round func(r int)
-		round = func(r int) {
-			if r == rounds {
-				finish = eng.Now()
-				return
-			}
-			start := eng.Now()
-			e15Halo(net, tor, func() {
-				haloT += eng.Now() - start
-				rstart := eng.Now()
-				e15Reduce(net, tor, func() {
-					reduceT += eng.Now() - rstart
-					// Compute phase: every node busy on the stencil
-					// kernel; the exchange phases left them idle
-					// (the NIC works, the cores wait).
-					grp.Transition(n, machine.PowerIdle, machine.PowerBusy)
-					grp.AddFlops(float64(n) * e15Kernel.Flops)
-					eng.After(compute, func() {
-						grp.Transition(n, machine.PowerBusy, machine.PowerIdle)
-						round(r + 1)
-					})
-				})
-			})
-		}
-		round(0)
-		eng.Run()
-		rec.Charge("fabric", net.EnergyJoules())
-
-		perRound := finish / sim.Time(rounds)
-		if base == 0 {
-			base = perRound
-		}
-		tab.AddRow(cfg.energyRow(
-			[]any{tor.Name(), n, sys.PeakGFlops() / 1000,
-				float64(perRound) / float64(sim.Millisecond),
-				(haloT / sim.Time(rounds)).Micros(),
-				(reduceT / sim.Time(rounds)).Micros(),
-				float64(base) / float64(perRound)},
-			rec.Joules(), rec.GFlopsPerWatt())...)
-	}
-	e15Notes(tab, cfg)
-	return tab, nil
-}
-
-// e15Notes appends the interpretation notes shared by the sequential
-// and partitioned sweeps — the two paths must render byte-identical
-// tables for any edge both can reach.
+// e15Notes appends the table's interpretation notes.
 func e15Notes(tab *stats.Table, cfg *Config) {
 	tab.AddNote("halo exchange is one message per link and stays flat at any scale (the booster's design point)")
 	tab.AddNote("the global reduction's 3(k-1)-hop critical path grows as n^(1/3): global sync, not halos, erodes weak scaling")
@@ -246,24 +122,26 @@ func e15Notes(tab *stats.Table, cfg *Config) {
 	}
 }
 
-// runE15Par is the partitioned-kernel twin of runE15: the same sweep,
-// phases and table, executed over K domain engines under conservative
-// window synchronization. The coordinator replaces runE15's latches
-// with run-to-quiescence phase barriers: every E15 phase ends at the
-// virtual time of its last delivery, which is exactly when the
-// sequential latch would have fired, so for edges both kernels can
-// reach the tables agree row for row. (Fabric energy totals are summed
-// shard by shard, so with Energy on the floating-point tail of the
-// joules column is byte-stable per fixed K, not across K.)
+// runE15 runs the sweep over K domain engines (K=1 included) under
+// conservative window synchronization. The coordinator drives the
+// phases as run-to-quiescence barriers: every E15 phase ends at the
+// virtual time of its last delivery, so the table is the same at every
+// K. (Fabric energy totals are summed shard by shard, so with Energy
+// on the floating-point tail of the joules column is byte-stable per
+// fixed K, not across K.)
 //
 // Phase decomposition: halos and the X/Y reduction chains are
 // slab-local under dimension-ordered routing (a send's link belongs to
 // its source node), so each domain advances them independently within
 // the conservative windows. Only the final Z line walks across slabs;
 // the coordinator runs its per-slab segments top-down, each starting
-// at the quiescence time of the previous — the same critical path the
-// sequential kernel serializes through its latch chain.
-func runE15Par(ctx context.Context, cfg *Config, edges []int) (*stats.Table, error) {
+// at the quiescence time of the previous: the reduction's 3(k-1)-hop
+// critical path.
+func runE15(ctx context.Context, cfg *Config) (*stats.Table, error) {
+	edges, err := e15Sweep(cfg)
+	if err != nil {
+		return nil, err
+	}
 	fid := cfg.fidelity(fabric.FidelityFlow)
 	rounds := cfg.scale(1)
 	compute := machine.KNC.Time(e15Kernel, machine.KNC.Cores)
@@ -287,7 +165,7 @@ func runE15Par(ctx context.Context, cfg *Config, edges []int) (*stats.Table, err
 		sys := machine.BoosterSystem(n)
 		// The coordinator's clock engine carries the energy recorder; it
 		// advances to each phase boundary so power-state transitions
-		// integrate at the same virtual times as runE15's.
+		// integrate at the phase times.
 		clock := sim.New()
 		var rec *energy.Recorder
 		var grp *energy.NodeGroup
@@ -413,9 +291,11 @@ func runE15Par(ctx context.Context, cfg *Config, edges []int) (*stats.Table, err
 			rec.Joules(), rec.GFlopsPerWatt())...)
 	}
 	e15Notes(tab, cfg)
+	if cfg.domains() == 1 {
+		return tab, nil // the kernel counters below describe K>1 runs only
+	}
 	// Machine-readable kernel counters for the bench harness; absent
-	// from the rendered table so the text output stays comparable to
-	// the sequential kernel's.
+	// from the rendered table so the text output is the same at every K.
 	tab.SetSummary("domains", float64(cfg.domains()))
 	tab.SetSummary("kernel_windows", float64(kwin))
 	tab.SetSummary("kernel_executed", float64(kexec))

@@ -66,7 +66,7 @@ func contendedTraffic(tor *topology.Torus3D, burst, tail int, seed uint64, windo
 }
 
 // runFlowScenario plays items through an 8^3 EXTOLL torus at fidelity
-// fid: on one Network when k == 1, on a k-domain Domains otherwise.
+// fid: on one Network when k == 0, on a k-domain Domains otherwise.
 func runFlowScenario(t *testing.T, fid Fidelity, k int, tor *topology.Torus3D, items []trafficItem) flowOutcome {
 	t.Helper()
 	at := make([]sim.Time, len(items))
@@ -82,7 +82,7 @@ func runFlowScenario(t *testing.T, fid Fidelity, k int, tor *topology.Torus3D, i
 			})
 		})
 	}
-	if k == 1 {
+	if k == 0 {
 		eng := sim.New()
 		net := MustNetwork(eng, tor, Extoll, 5)
 		net.SetFidelity(fid)
@@ -121,7 +121,7 @@ func runFlowScenario(t *testing.T, fid Fidelity, k int, tor *topology.Torus3D, i
 // (an injection closure plus an index into a pending-flow table per
 // message): the record must schedule exactly the same events in the
 // same order, so every delivery time, counter and joule matches — on
-// one engine and on two domains.
+// one engine, on one domain (the plain Network) and on two domains.
 func TestFlowPathPinned(t *testing.T) {
 	tor := topology.NewTorus3D(8, 8, 8)
 	halo := haloTraffic(tor)
@@ -133,7 +133,7 @@ func TestFlowPathPinned(t *testing.T) {
 		items []trafficItem
 		want  flowOutcome
 	}{
-		{name: "halo-flow", fid: FidelityFlow, k: 1, items: halo,
+		{name: "halo-flow", fid: FidelityFlow, items: halo,
 			want: flowOutcome{digest: 0x2895533f9a603425, last: 925217,
 				stats:     Stats{Messages: 3072, BytesDelivered: 6291456, Packets: 3072, FlowMessages: 3072},
 				scheduled: 9216, executed: 9216, energyJ: 0.004039865548800022}},
@@ -141,7 +141,7 @@ func TestFlowPathPinned(t *testing.T) {
 			want: flowOutcome{digest: 0x2895533f9a603425, last: 925217,
 				stats:     Stats{Messages: 3072, BytesDelivered: 6291456, Packets: 3072, FlowMessages: 3072},
 				scheduled: 9216, executed: 9216, energyJ: 0.004039865548799998}},
-		{name: "contended-flow", fid: FidelityFlow, k: 1, items: random,
+		{name: "contended-flow", fid: FidelityFlow, items: random,
 			want: flowOutcome{digest: 0x3408ec1f5f63af27, last: 20357887821,
 				stats:     Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, FlowMessages: 2393},
 				scheduled: 7193, executed: 7193, energyJ: 75.06520659773439}},
@@ -149,7 +149,7 @@ func TestFlowPathPinned(t *testing.T) {
 			want: flowOutcome{digest: 0x45188628ef522858, last: 20357887821,
 				stats:     Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, FlowMessages: 1711, CrossMessages: 682},
 				scheduled: 6511, executed: 6511, energyJ: 75.06520659773439}},
-		{name: "contended-auto", fid: FidelityAuto, k: 1, items: random,
+		{name: "contended-auto", fid: FidelityAuto, items: random,
 			want: flowOutcome{digest: 0x92946de430ea551d, last: 20357887821,
 				stats:     Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, FlowMessages: 398},
 				scheduled: 98977, executed: 98977, energyJ: 75.06520659773437}},
@@ -157,6 +157,12 @@ func TestFlowPathPinned(t *testing.T) {
 			want: flowOutcome{digest: 0x6c19a09fcb864244, last: 20357887821,
 				stats:     Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, CrossMessages: 682},
 				scheduled: 84361, executed: 84361, energyJ: 75.06520659773439}},
+	}
+	for _, c := range cases {
+		if c.k == 0 {
+			c.name, c.k = c.name+"-domains-k1", 1
+			cases = append(cases, c)
+		}
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

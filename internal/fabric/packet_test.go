@@ -31,7 +31,7 @@ type packetOutcome struct {
 
 // packetCase is one seeded scenario: messages (start, src, dst, size)
 // tuples inside window on topo (an 8^3 EXTOLL torus when nil), carried
-// by one Network or, when k > 1, by a k-domain Domains at fidelity fid
+// by one Network or, when k > 0, by a k-domain Domains at fidelity fid
 // (the packet model when zero). prepare may adjust a single Network
 // and schedule fault events before traffic starts.
 type packetCase struct {
@@ -56,7 +56,7 @@ func runPacketScenario(t *testing.T, c packetCase) packetOutcome {
 	}
 	var doms *Domains
 	var shards []*Network
-	if c.k > 1 {
+	if c.k > 0 {
 		doms = MustDomains(topo, c.p, c.seed, evenBounds(topo.Nodes(), c.k))
 		doms.SetFidelity(c.fid)
 		doms.SetEnergyModel(ExtollEnergy)
@@ -136,7 +136,8 @@ func runPacketScenario(t *testing.T, c packetCase) packetOutcome {
 // schedule exactly the same events in the same order, so every
 // delivery time, link busy time, counter, calendar walk and joule
 // matches, on one engine, on two z-slab domains and on two fat-tree
-// domains (the owner-mapped link layout).
+// domains (the owner-mapped link layout). A one-domain Domains is the
+// plain Network, so it reproduces the one-engine pins, faults included.
 func TestPacketPathPinned(t *testing.T) {
 	for _, c := range packetPins() {
 		t.Run(c.name, func(t *testing.T) {
@@ -152,7 +153,7 @@ func packetPins() []packetCase {
 	lossy := Extoll
 	lossy.PacketErrorRate = 1e-3
 	lossy.MaxRetries = 2
-	return []packetCase{
+	pins := []packetCase{
 		{name: "clean-contended", p: Extoll, seed: 11, messages: 3000, window: 40 * sim.Microsecond,
 			want: packetOutcome{digest: 0x74d8593acd420717, last: 107997502,
 				stats:     Stats{Messages: 3000, BytesDelivered: 39100224, Packets: 12270},
@@ -194,6 +195,11 @@ func packetPins() []packetCase {
 				scheduled: 154931, executed: 154931, energyJ: 44.2204412199424,
 				links: 0xb9b25076906277e0, maxUtil: 0.0075419612680066835, linkSteps: 583878, daySteps: 1441}},
 	}
+	for _, c := range pins[:2] {
+		c.name, c.k = c.name+"-domains-k1", 1
+		pins = append(pins, c)
+	}
+	return pins
 }
 
 // TestDroppedMessageReusedAfterLastSegment replays the lossy pin

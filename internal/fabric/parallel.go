@@ -31,9 +31,10 @@ var ErrPartitionUnsupported = errors.New("not supported under the partitioned ke
 // wire traversal before it can touch the far side, so the conservative
 // window bound holds by construction.
 //
-// Fault modelling is incompatible with the cross-path shortcut, so
-// NewDomains rejects a non-zero PacketErrorRate and the shards refuse
-// link outages.
+// Fault modelling is incompatible with the cross-path shortcut, so at
+// K>1 NewDomains rejects a non-zero PacketErrorRate and the shards
+// refuse link outages. K=1 is the sequential fabric itself: its one
+// shard is an unpartitioned Network and takes both.
 type Domains struct {
 	cl     *sim.Cluster
 	topo   topology.Topology
@@ -44,21 +45,16 @@ type Domains struct {
 
 // NewDomains partitions topo's nodes at the given bounds (a strictly
 // increasing sequence from 0 to Nodes(), one shard per interval) and
-// builds the K-domain fabric. Node-major topologies (the torus) give
-// each shard a contiguous link range; topologies that instead anchor
-// links to nodes via topology.LinkOwner (the fat tree) get a dense
-// owner map per shard. Either layout must be present.
+// builds the K-domain fabric. At K=1 the one shard is a plain
+// unpartitioned Network on the cluster's only engine — the sequential
+// fabric, for any topology and any PacketErrorRate. At K>1 node-major
+// topologies (the torus) give each shard a contiguous link range;
+// topologies that instead anchor links to nodes via
+// topology.LinkOwner (the fat tree) get a dense owner map per shard.
+// Either layout must be present, and fault injection is refused.
 func NewDomains(topo topology.Topology, p Params, seed uint64, bounds []int) (*Domains, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if p.PacketErrorRate > 0 {
-		return nil, fmt.Errorf("fabric: packet error injection is %w", ErrPartitionUnsupported)
-	}
-	nm, nodeMajor := topo.(topology.NodeMajorLinks)
-	lo, hasOwner := topo.(topology.LinkOwner)
-	if !nodeMajor && !hasOwner {
-		return nil, fmt.Errorf("fabric: %s has neither node-major links nor a link-ownership map; cannot partition", topo.Name())
 	}
 	k := len(bounds) - 1
 	if k < 1 {
@@ -78,6 +74,18 @@ func NewDomains(topo topology.Topology, p Params, seed uint64, bounds []int) (*D
 		p:      p,
 		shards: make([]*Network, k),
 		bounds: append([]int(nil), bounds...),
+	}
+	if k == 1 {
+		d.shards[0] = MustNetwork(d.cl.Engine(0), topo, p, seed) // p is valid
+		return d, nil
+	}
+	if p.PacketErrorRate > 0 {
+		return nil, fmt.Errorf("fabric: packet error injection is %w", ErrPartitionUnsupported)
+	}
+	nm, nodeMajor := topo.(topology.NodeMajorLinks)
+	lo, hasOwner := topo.(topology.LinkOwner)
+	if !nodeMajor && !hasOwner {
+		return nil, fmt.Errorf("fabric: %s has neither node-major links nor a link-ownership map; cannot partition", topo.Name())
 	}
 	for i := 0; i < k; i++ {
 		d.shards[i] = &Network{

@@ -239,10 +239,14 @@ func TestNewDomainsValidation(t *testing.T) {
 	if _, err := NewDomains(ft, InfiniBandFDR, 1, []int{0, 8, 16}); err != nil {
 		t.Fatalf("fat tree (owner-mapped links) rejected: %v", err)
 	}
-	// A crossbar has neither layout and stays unpartitionable.
+	// A crossbar has neither layout and stays unpartitionable at K>1;
+	// at K=1 the one shard is the plain network, faults included.
 	xb := topology.NewCrossbar(16)
 	if _, err := NewDomains(xb, InfiniBandFDR, 1, []int{0, 8, 16}); err == nil {
 		t.Fatal("crossbar (no link ownership) accepted")
+	}
+	if _, err := NewDomains(xb, bad, 1, []int{0, 16}); err != nil {
+		t.Fatalf("K=1 crossbar with error injection rejected: %v", err)
 	}
 	// The error-rate rejection is a typed error callers can match.
 	bad2 := Extoll

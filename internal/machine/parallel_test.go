@@ -1,91 +1,14 @@
 package machine
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
-// TestClusterFabricParMatchesSequential: the leaf-aligned fat-tree
-// partition must reproduce the unpartitioned cluster fabric's delivery
-// times exactly on uncontended traffic, at every leaf-dividing K.
-func TestClusterFabricParMatchesSequential(t *testing.T) {
-	const nodesPerLeaf, leaves, spines = 4, 8, 2
-	nodes := nodesPerLeaf * leaves
-	type send struct {
-		start    sim.Time
-		src, dst topology.NodeID
-		size     int
-	}
-	sends := make([]send, nodes)
-	for i := range sends {
-		sends[i] = send{
-			start: sim.Time(i+1) * 50 * sim.Microsecond,
-			src:   topology.NodeID(i),
-			dst:   topology.NodeID((i + 3*nodesPerLeaf) % nodes),
-			size:  256 + 64*i,
-		}
-	}
-
-	eng := sim.New()
-	ft := topology.NewFatTree(nodesPerLeaf, leaves, spines)
-	net := fabric.MustNetwork(eng, ft, fabric.InfiniBandFDR, 1)
-	net.SetFidelity(fabric.FidelityPacket)
-	want := make([]sim.Time, len(sends))
-	for i, s := range sends {
-		i, s := i, s
-		eng.At(s.start, func() {
-			net.Send(s.src, s.dst, s.size, func(at sim.Time, err error) {
-				if err != nil {
-					t.Error(err)
-				}
-				want[i] = at
-			})
-		})
-	}
-	eng.Run()
-
-	for _, k := range []int{2, 4, 8} {
-		doms, _ := ClusterFabricPar(nodesPerLeaf, leaves, spines, k, fabric.FidelityPacket, 1)
-		if doms.Domains() != k {
-			t.Fatalf("ClusterFabricPar k=%d built %d domains", k, doms.Domains())
-		}
-		got := make([]sim.Time, len(sends))
-		for i, s := range sends {
-			i, s := i, s
-			sh := doms.ShardOf(s.src)
-			sh.Eng.At(s.start, func() {
-				sh.Send(s.src, s.dst, s.size, func(at sim.Time, err error) {
-					if err != nil {
-						t.Error(err)
-					}
-					got[i] = at
-				})
-			})
-		}
-		doms.Run()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("K=%d cluster fat-tree deliveries diverge from sequential", k)
-		}
-		if doms.Stats().CrossMessages == 0 {
-			t.Fatalf("K=%d: cross-leaf pattern produced no cross-domain messages", k)
-		}
-	}
-}
-
-// TestFabricParClamping: domain counts clamp to the partitionable unit
-// (z planes for the torus slabs, leaves for the fat tree) and never
-// drop below one.
+// TestFabricParClamping: torus domain counts clamp to the z planes and
+// never drop below one.
 func TestFabricParClamping(t *testing.T) {
-	if doms, _ := ClusterFabricPar(4, 8, 2, 64, fabric.FidelityFlow, 1); doms.Domains() != 8 {
-		t.Fatalf("fat-tree domains not clamped to leaves: %d", doms.Domains())
-	}
-	if doms, _ := ClusterFabricPar(4, 8, 2, 0, fabric.FidelityFlow, 1); doms.Domains() != 1 {
-		t.Fatalf("fat-tree k=0 not clamped to 1: %d", doms.Domains())
-	}
 	if doms, _ := BoosterFabricPar(4, 4, 3, 64, fabric.FidelityFlow, 1); doms.Domains() != 3 {
 		t.Fatalf("torus domains not clamped to z planes: %d", doms.Domains())
 	}

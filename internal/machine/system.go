@@ -192,8 +192,10 @@ func BoosterSystem(n int) System {
 }
 
 // BoosterFabric builds the event-driven EXTOLL torus of a booster
-// machine at the requested simulation fidelity: the packet model for
-// exact small-scale studies, the flow fast path for 100k-node sweeps.
+// machine at the requested simulation fidelity on a caller's engine.
+// The model code builds its torus with BoosterFabricPar at every K;
+// this form is kept for the bench/ harness, which calls it, until
+// ROADMAP item 11 moves the benchmark.
 func BoosterFabric(eng *sim.Engine, x, y, z int, fid fabric.Fidelity, seed uint64) (*fabric.Network, *topology.Torus3D) {
 	tor := topology.NewTorus3D(x, y, z)
 	net := fabric.MustNetwork(eng, tor, fabric.Extoll, seed)
@@ -201,13 +203,16 @@ func BoosterFabric(eng *sim.Engine, x, y, z int, fid fabric.Fidelity, seed uint6
 	return net, tor
 }
 
-// BoosterFabricPar builds the EXTOLL torus of a booster machine as a
-// spatially partitioned fabric for the parallel kernel: the node space
+// BoosterFabricPar builds the EXTOLL torus of a booster machine at the
+// requested simulation fidelity — the packet model for exact
+// small-scale studies, the flow fast path for 100k-node sweeps — on k
+// domain engines. K=1 is the sequential fabric: one unpartitioned
+// Network on the cluster's only engine. For k > 1 the node space
 // splits into at most k z-plane-aligned slabs (dimension-ordered
 // routing resolves X and Y inside a slab, so intra-slab traffic stays
 // domain-local), each simulated by its own engine under conservative
-// window synchronization. k is clamped to the number of z planes; the
-// effective domain count is Domains() on the result.
+// window synchronization. k is clamped to [1, z]; the effective domain
+// count is Domains() on the result.
 func BoosterFabricPar(x, y, z, k int, fid fabric.Fidelity, seed uint64) (*fabric.Domains, *topology.Torus3D) {
 	tor := topology.NewTorus3D(x, y, z)
 	if k > z {
@@ -223,31 +228,6 @@ func BoosterFabricPar(x, y, z, k int, fid fabric.Fidelity, seed uint64) (*fabric
 	doms := fabric.MustDomains(tor, fabric.Extoll, seed, bounds)
 	doms.SetFidelity(fid)
 	return doms, tor
-}
-
-// ClusterFabricPar builds the InfiniBand fat tree of a cluster machine
-// as a spatially partitioned fabric for the parallel kernel: the node
-// space splits into at most k leaf-aligned ranges (the fat tree's
-// link-ownership map anchors each leaf's switch links to the leaf's
-// first node, so a route's links always belong to the two endpoint
-// domains), each simulated by its own engine under conservative window
-// synchronization. k is clamped to the number of leaves; the effective
-// domain count is Domains() on the result.
-func ClusterFabricPar(nodesPerLeaf, leaves, spines, k int, fid fabric.Fidelity, seed uint64) (*fabric.Domains, *topology.FatTree) {
-	ft := topology.NewFatTree(nodesPerLeaf, leaves, spines)
-	if k > leaves {
-		k = leaves
-	}
-	if k < 1 {
-		k = 1
-	}
-	bounds := make([]int, k+1)
-	for d := 0; d <= k; d++ {
-		bounds[d] = (d * leaves / k) * nodesPerLeaf
-	}
-	doms := fabric.MustDomains(ft, fabric.InfiniBandFDR, seed, bounds)
-	doms.SetFidelity(fid)
-	return doms, ft
 }
 
 // KernelTime is a convenience that evaluates k on the system's booster

@@ -96,6 +96,17 @@ type CkptSpec struct {
 	IOWatts   float64 `json:"io_watts,omitempty"`
 }
 
+// model returns the deep form of c, nil when c is.
+func (c *CkptSpec) model() *deep.Checkpointing {
+	if c == nil {
+		return nil
+	}
+	return &deep.Checkpointing{
+		Interval: c.IntervalS, Write: c.WriteS, Restore: c.RestoreS,
+		Buddy: c.Buddy, IOWatts: c.IOWatts,
+	}
+}
+
 // WorkloadSpec names and parameterises one workload, mirroring the
 // deeprun CLI surface: cholesky | spmv | stencil | nbody | jobs |
 // traffic.
@@ -240,6 +251,11 @@ func (w *WorkloadSpec) normalize() error {
 		if c := w.Ckpt; c != nil && (c.IntervalS < 0 || c.WriteS < 0 || c.RestoreS < 0 || c.IOWatts < 0) {
 			return invalidf("checkpoint spec has negative parameters")
 		}
+		// The run's own rules, on the model it would build: a spec that
+		// fails them would otherwise panic inside the scheduler.
+		if err := w.Ckpt.model().Validate(); err != nil {
+			return invalidf("checkpoint spec: %v", err)
+		}
 	case "traffic":
 		def(&w.Messages, 4096)
 		def(&w.MsgBytes, 2048)
@@ -382,12 +398,7 @@ func (s *JobSpec) buildEnv() (*deep.Env, deep.Workload, error) {
 			Jobs: w.Jobs, Dynamic: w.Dynamic, Contiguous: w.Contiguous,
 			BoostersPerOwner: w.BoostersPerOwner,
 		}
-		if c := w.Ckpt; c != nil {
-			sj.Ckpt = &deep.Checkpointing{
-				Interval: c.IntervalS, Write: c.WriteS, Restore: c.RestoreS,
-				Buddy: c.Buddy, IOWatts: c.IOWatts,
-			}
-		}
+		sj.Ckpt = w.Ckpt.model()
 		wl = sj
 	case "traffic":
 		wl = deep.TorusTraffic{Messages: w.Messages, Bytes: w.MsgBytes, WindowMS: w.WindowMS}

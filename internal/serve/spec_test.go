@@ -145,6 +145,11 @@ func TestNormalizeRejects(t *testing.T) {
 		"empty jobs": {&JobSpec{Workload: &WorkloadSpec{Kind: "jobs"}}, ErrInvalidRequest},
 		"bad job": {&JobSpec{Workload: &WorkloadSpec{Kind: "jobs",
 			Jobs: []deep.Job{{Arrival: -1, Duration: 1, Boosters: 1}}}}, ErrInvalidRequest},
+		// The checkpoint model's own rules, which the scheduler panics on.
+		"ckpt no buddy": {&JobSpec{Workload: &WorkloadSpec{Kind: "jobs", Jobs: []deep.Job{{Duration: 5, Boosters: 2}},
+			Ckpt: &CkptSpec{IntervalS: 2, WriteS: 0.5}}}, ErrInvalidRequest},
+		"ckpt zero ps interval": {&JobSpec{Workload: &WorkloadSpec{Kind: "jobs", Jobs: []deep.Job{{Duration: 5, Boosters: 2}},
+			Ckpt: &CkptSpec{IntervalS: 1e-13, Buddy: true}}}, ErrInvalidRequest},
 		"bad torus": {&JobSpec{Workload: &WorkloadSpec{Kind: "spmv"},
 			Machine: &MachineSpec{BoosterTorus: []int{2, 2}}}, ErrInvalidRequest},
 		"torus contradiction": {&JobSpec{Workload: &WorkloadSpec{Kind: "spmv"},
