@@ -13,12 +13,13 @@ import (
 // TestGoldenOutputs protects the "no output drift" guarantee: the
 // tables a default-configuration Runner produces for a fast subset of
 // experiments must stay byte-identical to the checked-in golden files
-// (captured from cmd/deepbench on the pre-SDK main branch). Refresh a
-// golden intentionally with:
+// (captured from cmd/deepbench on the pre-SDK main branch; E09 and E10
+// since packet links book by reservation, which grants same-instant
+// requests in booking order). Refresh a golden intentionally with:
 //
 //	go run ./cmd/deepbench -run E01 > deep/testdata/E01.golden
 func TestGoldenOutputs(t *testing.T) {
-	for _, id := range []string{"E01", "E04", "E12", "E13", "E14", "E15", "E16"} {
+	for _, id := range []string{"E01", "E04", "E09", "E10", "E12", "E13", "E14", "E15", "E16"} {
 		t.Run(id, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
 			if err != nil {

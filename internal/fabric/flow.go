@@ -75,8 +75,8 @@ func ParseFidelity(s string) (Fidelity, error) {
 }
 
 // SetFidelity selects the transfer model. Call it before injecting
-// traffic; switching mid-run would let the two occupancy ledgers (link
-// queues vs flow reservations) miss each other.
+// traffic; switching mid-run would let the two occupancy ledgers (packet
+// bookings vs flow reservations) miss each other.
 func (n *Network) SetFidelity(f Fidelity) {
 	n.fidelity = f
 	if f == FidelityFlow || f == FidelityAuto {
@@ -221,15 +221,17 @@ func (n *Network) routeFaultFree(route []topology.LinkID) bool {
 }
 
 // autoQuiescent is the Auto-fidelity non-interference proof for a
-// planned flow: the route must be completely idle (no packet-model
-// occupancy, no live flow reservation) and the engine's next pending
-// event must lie beyond the delivery time — nothing is left that
-// could interact with the transfer before it completes, so the flow
-// result is provably identical to the packet model's.
+// planned flow: the route must be completely idle (no packet booking
+// or flow reservation beyond now) and the engine's next pending event
+// must lie beyond the delivery time — nothing is left that could
+// interact with the transfer before it completes, so the flow result
+// is provably identical to the packet model's. A segment whose booking
+// ends exactly at now still has its arrival pending, which the second
+// half rejects.
 func (n *Network) autoQuiescent(route []topology.LinkID, delivery sim.Time) bool {
 	now := n.Eng.Now()
 	for _, l := range route {
-		if n.flowFree[n.li(l)] > now || n.links != nil && n.links[n.li(l)].busy {
+		if n.flowFree[n.li(l)] > now || n.links != nil && n.links[n.li(l)].freeAt > now {
 			return false
 		}
 	}

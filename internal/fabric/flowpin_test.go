@@ -10,17 +10,15 @@ import (
 	"repro/internal/topology"
 )
 
-// flowOutcome is everything the flow path must reproduce for one
-// seeded scenario: a digest over every message's (index, delivery
-// time) pair, the final clock, the fabric counters, the kernel's event
-// counts and the accumulated energy.
+// flowOutcome is the model outcome the flow path must reproduce for
+// one seeded scenario: a digest over every message's (index, delivery
+// time) pair, the final clock, the fabric counters and the accumulated
+// energy.
 type flowOutcome struct {
-	digest    uint64
-	last      sim.Time
-	stats     Stats
-	scheduled uint64
-	executed  uint64
-	energyJ   float64
+	digest  uint64
+	last    sim.Time
+	stats   Stats
+	energyJ float64
 }
 
 // haloTraffic is the six-neighbour exchange of every node of tor, all
@@ -67,10 +65,12 @@ func contendedTraffic(tor *topology.Torus3D, burst, tail int, seed uint64, windo
 
 // runFlowScenario plays items through an 8^3 EXTOLL torus at fidelity
 // fid: on one Network when k == 0, on a k-domain Domains otherwise.
-func runFlowScenario(t *testing.T, fid Fidelity, k int, tor *topology.Torus3D, items []trafficItem) flowOutcome {
+// The kernel walk it returns holds the event counts only.
+func runFlowScenario(t *testing.T, fid Fidelity, k int, tor *topology.Torus3D, items []trafficItem) (flowOutcome, kernelWalk) {
 	t.Helper()
 	at := make([]sim.Time, len(items))
 	var out flowOutcome
+	var st sim.Stats
 	inject := func(eng *sim.Engine, net *Network, i int) {
 		it := items[i]
 		eng.At(it.start, func() {
@@ -91,9 +91,8 @@ func runFlowScenario(t *testing.T, fid Fidelity, k int, tor *topology.Torus3D, i
 			inject(eng, net, i)
 		}
 		eng.Run()
-		st := eng.Stats()
-		out = flowOutcome{last: eng.Now(), stats: net.Stats,
-			scheduled: st.Scheduled, executed: st.Executed, energyJ: net.EnergyJoules()}
+		st = eng.Stats()
+		out = flowOutcome{last: eng.Now(), stats: net.Stats, energyJ: net.EnergyJoules()}
 	} else {
 		doms := MustDomains(tor, Extoll, 5, evenBounds(tor.Nodes(), k))
 		doms.SetFidelity(fid)
@@ -103,9 +102,8 @@ func runFlowScenario(t *testing.T, fid Fidelity, k int, tor *topology.Torus3D, i
 			inject(sh.Eng, sh, i)
 		}
 		last := doms.Run()
-		st := doms.KernelStats().Agg
-		out = flowOutcome{last: last, stats: doms.Stats(),
-			scheduled: st.Scheduled, executed: st.Executed, energyJ: doms.EnergyJoules(last)}
+		st = doms.KernelStats().Agg
+		out = flowOutcome{last: last, stats: doms.Stats(), energyJ: doms.EnergyJoules(last)}
 	}
 	h := fnv.New64a()
 	for i := range at {
@@ -113,15 +111,16 @@ func runFlowScenario(t *testing.T, fid Fidelity, k int, tor *topology.Torus3D, i
 		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(at[i])))
 	}
 	out.digest = h.Sum64()
-	return out
+	return out, kernelWalk{scheduled: st.Scheduled, executed: st.Executed}
 }
 
 // TestFlowPathPinned holds the flow and auto fidelities to outcomes
 // captured from the implementation the pooled flow record replaced
 // (an injection closure plus an index into a pending-flow table per
-// message): the record must schedule exactly the same events in the
-// same order, so every delivery time, counter and joule matches — on
-// one engine, on one domain (the plain Network) and on two domains.
+// message). Every change must reproduce the model outcome — every
+// delivery time, counter and joule — on one engine, on one domain (the
+// plain Network) and on two domains. The event counts move only with
+// the events a packet hop costs, each re-pin with its reason.
 func TestFlowPathPinned(t *testing.T) {
 	tor := topology.NewTorus3D(8, 8, 8)
 	halo := haloTraffic(tor)
@@ -132,31 +131,40 @@ func TestFlowPathPinned(t *testing.T) {
 		k     int
 		items []trafficItem
 		want  flowOutcome
+		walk  kernelWalk
 	}{
 		{name: "halo-flow", fid: FidelityFlow, items: halo,
 			want: flowOutcome{digest: 0x2895533f9a603425, last: 925217,
-				stats:     Stats{Messages: 3072, BytesDelivered: 6291456, Packets: 3072, FlowMessages: 3072},
-				scheduled: 9216, executed: 9216, energyJ: 0.004039865548800022}},
+				stats:   Stats{Messages: 3072, BytesDelivered: 6291456, Packets: 3072, FlowMessages: 3072},
+				energyJ: 0.004039865548800022},
+			walk: kernelWalk{scheduled: 9216, executed: 9216}},
 		{name: "halo-flow-k2", fid: FidelityFlow, k: 2, items: halo,
 			want: flowOutcome{digest: 0x2895533f9a603425, last: 925217,
-				stats:     Stats{Messages: 3072, BytesDelivered: 6291456, Packets: 3072, FlowMessages: 3072},
-				scheduled: 9216, executed: 9216, energyJ: 0.004039865548799998}},
+				stats:   Stats{Messages: 3072, BytesDelivered: 6291456, Packets: 3072, FlowMessages: 3072},
+				energyJ: 0.004039865548799998},
+			walk: kernelWalk{scheduled: 9216, executed: 9216}},
 		{name: "contended-flow", fid: FidelityFlow, items: random,
 			want: flowOutcome{digest: 0x3408ec1f5f63af27, last: 20357887821,
-				stats:     Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, FlowMessages: 2393},
-				scheduled: 7193, executed: 7193, energyJ: 75.06520659773439}},
+				stats:   Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, FlowMessages: 2393},
+				energyJ: 75.06520659773439},
+			walk: kernelWalk{scheduled: 7193, executed: 7193}},
 		{name: "contended-flow-k2", fid: FidelityFlow, k: 2, items: random,
 			want: flowOutcome{digest: 0x45188628ef522858, last: 20357887821,
-				stats:     Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, FlowMessages: 1711, CrossMessages: 682},
-				scheduled: 6511, executed: 6511, energyJ: 75.06520659773439}},
+				stats:   Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, FlowMessages: 1711, CrossMessages: 682},
+				energyJ: 75.06520659773439},
+			walk: kernelWalk{scheduled: 6511, executed: 6511}},
 		{name: "contended-auto", fid: FidelityAuto, items: random,
 			want: flowOutcome{digest: 0x92946de430ea551d, last: 20357887821,
-				stats:     Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, FlowMessages: 398},
-				scheduled: 98977, executed: 98977, energyJ: 75.06520659773437}},
+				stats:   Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, FlowMessages: 398},
+				energyJ: 75.06520659773437},
+			// One event per packet hop, not two: 98 977 events before.
+			walk: kernelWalk{scheduled: 53085, executed: 53085}},
 		{name: "contended-auto-k2", fid: FidelityAuto, k: 2, items: random,
 			want: flowOutcome{digest: 0x6c19a09fcb864244, last: 20357887821,
-				stats:     Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, CrossMessages: 682},
-				scheduled: 84361, executed: 84361, energyJ: 75.06520659773439}},
+				stats:   Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, CrossMessages: 682},
+				energyJ: 75.06520659773439},
+			// One event per packet hop, not two: 84 361 events before.
+			walk: kernelWalk{scheduled: 45436, executed: 45436}},
 	}
 	for _, c := range cases {
 		if c.k == 0 {
@@ -166,9 +174,12 @@ func TestFlowPathPinned(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := runFlowScenario(t, c.fid, c.k, tor, c.items)
+			got, walk := runFlowScenario(t, c.fid, c.k, tor, c.items)
 			if got != c.want {
-				t.Errorf("outcome diverged from the pinned run:\n got %#v\nwant %#v", got, c.want)
+				t.Errorf("model outcome diverged from the pinned run:\n got %#v\nwant %#v", got, c.want)
+			}
+			if walk != c.walk {
+				t.Errorf("event counts diverged from the pinned run:\n got %#v\nwant %#v", walk, c.walk)
 			}
 		})
 	}

@@ -28,18 +28,18 @@ type Stats struct {
 	CrossMessages uint64
 }
 
-// Network simulates one fabric: a topology whose links are serializing
-// FIFO queues with propagation delay, per-hop router delay, error
+// Network simulates one fabric: a topology whose links serialize in
+// FIFO order, with propagation delay, per-hop router delay, error
 // injection and link-level retransmission.
 type Network struct {
 	Eng  *sim.Engine
 	Topo topology.Topology
 	P    Params
 
-	// links is the packet path's link table, one serialization queue per
-	// owned link, made on the first packet: flow-only fabrics never
-	// allocate it.
-	links []linkQ
+	// links is the packet path's link table, one reservation per owned
+	// link, made on the first packet: flow-only fabrics never allocate
+	// it.
+	links []link
 	down  []bool // per-link outage flag, driven by resil.Injector
 	src   *rng.Source
 	Stats Stats
@@ -166,12 +166,16 @@ func MustNetwork(eng *sim.Engine, topo topology.Topology, p Params, seed uint64)
 	return n
 }
 
-// linkBusyTime returns the accumulated busy time of link l across
-// both occupancy ledgers: packet-model grants and flow reservations.
-func (n *Network) linkBusyTime(l topology.LinkID) sim.Time {
+// linkBusyTime returns the busy time of link l up to now across both
+// occupancy ledgers: packet-model bookings and flow reservations. A
+// packet booking starts at the latest of its request and the link's
+// previous booking, so a link booked past now is busy throughout
+// [now, freeAt): that time is booked but has not elapsed.
+func (n *Network) linkBusyTime(l topology.LinkID, now sim.Time) sim.Time {
 	var t sim.Time
 	if n.links != nil {
-		t += n.links[n.li(l)].busyTime
+		q := &n.links[n.li(l)]
+		t += q.busyTime - max(0, q.freeAt-now)
 	}
 	if n.flowBusy != nil {
 		t += n.flowBusy[n.li(l)]
@@ -181,10 +185,11 @@ func (n *Network) linkBusyTime(l topology.LinkID) sim.Time {
 
 // LinkUtilisation returns the busy fraction of link l.
 func (n *Network) LinkUtilisation(l topology.LinkID) float64 {
-	if n.Eng.Now() == 0 {
+	now := n.Eng.Now()
+	if now == 0 {
 		return 0
 	}
-	return float64(n.linkBusyTime(l)) / float64(n.Eng.Now())
+	return float64(n.linkBusyTime(l, now)) / float64(now)
 }
 
 // MaxLinkUtilisation returns the highest utilisation over all links,
@@ -287,34 +292,33 @@ type message struct {
 	next      *message // free-list link
 }
 
-// packet is one segment in flight: a state machine the links and the
-// engine step through typed events, so a hop costs no allocation. Each
-// hop waits its turn in the link's queue and serializes, then pays
-// router and propagation delay; a corrupted traversal is detected by
-// CRC at the far end and retransmitted by the link after
+// packet is one segment in flight: a state machine the engine steps
+// through typed events, one per hop, so a hop costs no allocation. Each
+// hop books the link behind every earlier booking, serializes, then
+// pays router and propagation delay; a corrupted traversal is detected
+// by CRC at the far end and retransmitted by the link after
 // RetransmitDelay.
 type packet struct {
 	msg     *message
 	bytes   int
 	hop     int     // index into msg.route of the link being crossed
 	attempt int     // retransmissions of this hop so far
-	next    *packet // the next in the link's queue, or on the free list
+	next    *packet // free-list link
 }
 
-// linkQ is one link: whether a segment is on the wire, the segments
-// queued behind it (FIFO through their next pointers; the tail is stale
-// when head is nil) and the time the link has spent serializing.
-type linkQ struct {
-	head, tail *packet
-	busy       bool
-	busyTime   sim.Time
+// link is one link's reservation: the time its last booked segment
+// leaves the wire and the serialization time booked on it so far. FIFO
+// service depends only on the order of requests, so a segment books
+// its slot when it asks and never waits in a queue.
+type link struct {
+	freeAt   sim.Time
+	busyTime sim.Time
 }
 
 // The packet phases, carried as the first event argument.
 const (
-	pktSerialized = iota // the link finished serializing the segment
-	pktArrived           // router and wire delay elapsed: CRC check at the far end
-	pktRetry             // retransmit turnaround elapsed: contend for the link again
+	pktArrived = iota // serialization, router and wire delay elapsed: CRC check at the far end
+	pktRetry          // retransmit turnaround elapsed: book the link again
 )
 
 // packetSend injects one message into the exact per-packet model:
@@ -323,7 +327,7 @@ const (
 func (n *Network) packetSend(route []topology.LinkID, sh segShape, size int,
 	done func(at sim.Time, err error)) {
 	if n.links == nil {
-		n.links = make([]linkQ, len(n.down))
+		n.links = make([]link, len(n.down))
 	}
 	m := n.freeMessages
 	if m != nil {
@@ -345,50 +349,26 @@ func (n *Network) packetSend(route []topology.LinkID, sh segShape, size int,
 	}
 }
 
-// acquire puts the packet on the link of its current hop: on the wire
-// at once if the link is idle, at the tail of its queue otherwise.
+// acquire is one whole hop: it books the link of the packet's current
+// hop after every earlier booking — on the wire at once if the link is
+// free — and schedules the arrival at the far end.
 func (p *packet) acquire() {
 	n := p.msg.net
 	q := &n.links[n.li(p.msg.route[p.hop])]
-	if !q.busy {
-		q.busy = true
-		n.serialize(q, p)
-	} else if q.head == nil {
-		q.head, q.tail = p, p
-	} else {
-		q.tail.next, q.tail = p, p
-	}
-}
-
-// serialize puts p on the wire of link q; the link is busy until p's
-// pktSerialized event.
-func (n *Network) serialize(q *linkQ, p *packet) {
 	ser := n.P.serTime(p.bytes)
+	q.freeAt = max(n.Eng.Now(), q.freeAt) + ser
 	q.busyTime += ser
-	n.Eng.ScheduleAfter(ser, p, pktSerialized, 0)
+	n.Eng.Schedule(q.freeAt+n.P.RouterDelay+n.P.LinkLatency, p, pktArrived, 0)
 }
 
 // OnEvent implements sim.Handler: it advances the packet one phase.
 func (p *packet) OnEvent(_ sim.Time, phase, _ int64) {
-	n := p.msg.net
-	switch phase {
-	case pktSerialized:
-		// Arrival first, then the next segment: sim.Resource's order, so
-		// every event keeps its sequence number.
-		n.Eng.ScheduleAfter(n.P.RouterDelay+n.P.LinkLatency, p, pktArrived, 0)
-		q := &n.links[n.li(p.msg.route[p.hop])]
-		if next := q.head; next != nil {
-			q.head, next.next = next.next, nil
-			n.serialize(q, next)
-		} else {
-			q.busy = false
-		}
-	case pktArrived:
+	if phase == pktArrived {
 		p.arrive()
-	case pktRetry:
-		p.attempt++
-		p.acquire()
+		return
 	}
+	p.attempt++
+	p.acquire()
 }
 
 // arrive settles one link traversal at its far end.

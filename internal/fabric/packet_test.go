@@ -3,6 +3,9 @@ package fabric
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -10,23 +13,36 @@ import (
 	"repro/internal/topology"
 )
 
-// packetOutcome is everything the packet model must reproduce for one
-// seeded scenario: a digest over every message's (index, delivery
-// time, failed) triple, the kernel's event counts and calendar walks,
-// the fabric counters, a digest over every owned link's busy time, the
-// hot-spot utilisation and the accumulated energy.
-type packetOutcome struct {
-	digest    uint64
-	last      sim.Time
-	failed    int
-	stats     Stats
-	scheduled uint64
-	executed  uint64
-	energyJ   float64
-	links     uint64
-	maxUtil   float64
-	// An unchanged event sequence walks the calendar identically.
+// packetModel is what the packet model must reproduce for one seeded
+// scenario: a digest over every message's (index, delivery time,
+// failed) triple, the fabric counters, a digest over every owned link's
+// busy time, the hot-spot utilisation and the accumulated energy.
+type packetModel struct {
+	digest  uint64
+	last    sim.Time
+	failed  int
+	stats   Stats
+	energyJ float64
+	links   uint64
+	maxUtil float64
+}
+
+// kernelWalk is how the kernel reached a model outcome: its event
+// counts and calendar walks. An unchanged event sequence walks the
+// calendar identically; a change to the events a hop costs moves the
+// walk and must hold the model.
+type kernelWalk struct {
+	scheduled, executed uint64
 	linkSteps, daySteps uint64
+}
+
+// packetOutcome is one run of a packetCase: the model outcome and the
+// kernel walk, pinned and compared separately, and the error of every
+// message that was dropped.
+type packetOutcome struct {
+	model packetModel
+	walk  kernelWalk
+	errs  []error
 }
 
 // packetCase is one seeded scenario: messages (start, src, dst, size)
@@ -44,16 +60,35 @@ type packetCase struct {
 	messages int
 	window   sim.Time
 	prepare  func(eng *sim.Engine, net *Network)
-	want     packetOutcome
+	model    packetModel
+	walk     kernelWalk
+}
+
+// topology returns the case's topology, the 8^3 torus by default.
+func (c packetCase) topology() topology.Topology {
+	if c.topo == nil {
+		return topology.NewTorus3D(8, 8, 8)
+	}
+	return c.topo
+}
+
+// traffic draws the case's messages.
+func (c packetCase) traffic(topo topology.Topology) []trafficItem {
+	r := rng.New(c.seed)
+	items := make([]trafficItem, c.messages)
+	for i := range items {
+		start := sim.Time(r.Intn(int(c.window)))
+		src, dst := topology.NodeID(r.Intn(topo.Nodes())), topology.NodeID(r.Intn(topo.Nodes()))
+		size := []int{0, 64, 2048, 4096, 8192, 65536}[r.Intn(6)]
+		items[i] = trafficItem{start: start, src: src, dst: dst, size: size}
+	}
+	return items
 }
 
 // runPacketScenario plays c and returns its outcome.
 func runPacketScenario(t *testing.T, c packetCase) packetOutcome {
 	t.Helper()
-	topo := c.topo
-	if topo == nil {
-		topo = topology.NewTorus3D(8, 8, 8)
-	}
+	topo := c.topology()
 	var doms *Domains
 	var shards []*Network
 	if c.k > 0 {
@@ -72,39 +107,37 @@ func runPacketScenario(t *testing.T, c packetCase) packetOutcome {
 		}
 		shards = []*Network{net}
 	}
-	r := rng.New(c.seed)
-	at := make([]sim.Time, c.messages)
-	bad := make([]bool, c.messages)
-	completed := make([]bool, c.messages) // per index: domains complete concurrently
-	for i := 0; i < c.messages; i++ {
-		start := sim.Time(r.Intn(int(c.window)))
-		src, dst := topology.NodeID(r.Intn(topo.Nodes())), topology.NodeID(r.Intn(topo.Nodes()))
-		size := []int{0, 64, 2048, 4096, 8192, 65536}[r.Intn(6)]
+	items := c.traffic(topo)
+	at := make([]sim.Time, len(items))
+	errs := make([]error, len(items))
+	completed := make([]bool, len(items)) // per index: domains complete concurrently
+	for i, it := range items {
 		net := shards[0]
 		if doms != nil {
-			net = doms.ShardOf(src)
+			net = doms.ShardOf(it.src)
 		}
-		net.Eng.At(start, func() {
-			net.Send(src, dst, size, func(when sim.Time, err error) {
+		net.Eng.At(it.start, func() {
+			net.Send(it.src, it.dst, it.size, func(when sim.Time, err error) {
 				completed[i] = true
-				at[i], bad[i] = when, err != nil
+				at[i], errs[i] = when, err
 			})
 		})
 	}
 	var out packetOutcome
+	m := &out.model
 	var kernel sim.Stats
 	if doms != nil {
-		out.last = doms.Run()
-		out.stats, kernel = doms.Stats(), doms.KernelStats().Agg
-		out.energyJ, out.maxUtil = doms.EnergyJoules(out.last), doms.MaxLinkUtilisation()
+		m.last = doms.Run()
+		m.stats, kernel = doms.Stats(), doms.KernelStats().Agg
+		m.energyJ, m.maxUtil = doms.EnergyJoules(m.last), doms.MaxLinkUtilisation()
 	} else {
 		net := shards[0]
-		out.last = net.Eng.Run()
-		out.stats, kernel = net.Stats, net.Eng.Stats()
-		out.energyJ, out.maxUtil = net.EnergyJoules(), net.MaxLinkUtilisation()
+		m.last = net.Eng.Run()
+		m.stats, kernel = net.Stats, net.Eng.Stats()
+		m.energyJ, m.maxUtil = net.EnergyJoules(), net.MaxLinkUtilisation()
 	}
-	out.scheduled, out.executed = kernel.Scheduled, kernel.Executed
-	out.linkSteps, out.daySteps = kernel.LinkSteps, kernel.DaySteps
+	out.walk = kernelWalk{scheduled: kernel.Scheduled, executed: kernel.Executed,
+		linkSteps: kernel.LinkSteps, daySteps: kernel.DaySteps}
 	h := fnv.New64a()
 	mix := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
 	for i := range at {
@@ -113,57 +146,73 @@ func runPacketScenario(t *testing.T, c packetCase) packetOutcome {
 		}
 		mix(uint64(i))
 		mix(uint64(at[i]))
-		if bad[i] {
-			out.failed++
+		if errs[i] != nil {
+			m.failed++
 			mix(1)
 		}
 	}
-	out.digest = h.Sum64()
+	m.digest = h.Sum64()
 	h.Reset()
 	for _, sh := range shards {
 		for i := range sh.down {
-			mix(uint64(sh.linkBusyTime(sh.gl(i))))
+			mix(uint64(sh.linkBusyTime(sh.gl(i), m.last)))
 		}
 	}
-	out.links = h.Sum64()
+	m.links = h.Sum64()
+	out.errs = errs
 	return out
+}
+
+// checkPinned reports where got diverges from c's pins: the model
+// outcome, the kernel walk, or both.
+func checkPinned(t *testing.T, c packetCase, got packetOutcome) {
+	t.Helper()
+	if got.model != c.model {
+		t.Errorf("model outcome diverged from the pinned run:\n got %#v\nwant %#v", got.model, c.model)
+	}
+	if got.walk != c.walk {
+		t.Errorf("kernel walk diverged from the pinned run:\n got %#v\nwant %#v", got.walk, c.walk)
+	}
 }
 
 // TestPacketPathPinned holds the packet model to outcomes captured
 // from the implementations it replaced — the closure chain
 // (forward/traverse) for the first three cases, link booking on
-// sim.Resource for every field and case since: each change must
-// schedule exactly the same events in the same order, so every
-// delivery time, link busy time, counter, calendar walk and joule
-// matches, on one engine, on two z-slab domains and on two fat-tree
-// domains (the owner-mapped link layout). A one-domain Domains is the
-// plain Network, so it reproduces the one-engine pins, faults included.
+// sim.Resource and then per-link queues for every case since. Every
+// change must reproduce the model outcome: every delivery time, link
+// busy time, counter and joule, on one engine, on two z-slab domains
+// and on two fat-tree domains (the owner-mapped link layout). The
+// kernel walk moves only with the events a hop costs, each re-pin with
+// its reason. A one-domain Domains is the plain Network, so it
+// reproduces the one-engine pins, faults included.
 func TestPacketPathPinned(t *testing.T) {
 	for _, c := range packetPins() {
 		t.Run(c.name, func(t *testing.T) {
-			if got := runPacketScenario(t, c); got != c.want {
-				t.Errorf("outcome diverged from the pinned run:\n got %#v\nwant %#v", got, c.want)
-			}
+			checkPinned(t, c, runPacketScenario(t, c))
 		})
 	}
 }
 
-// packetPins returns TestPacketPathPinned's scenarios.
+// packetPins returns TestPacketPathPinned's scenarios. Every kernel
+// walk was re-pinned when a hop became one booking and one arrival
+// event instead of a serialization event and an arrival.
 func packetPins() []packetCase {
 	lossy := Extoll
 	lossy.PacketErrorRate = 1e-3
 	lossy.MaxRetries = 2
 	pins := []packetCase{
 		{name: "clean-contended", p: Extoll, seed: 11, messages: 3000, window: 40 * sim.Microsecond,
-			want: packetOutcome{digest: 0x74d8593acd420717, last: 107997502,
-				stats:     Stats{Messages: 3000, BytesDelivered: 39100224, Packets: 12270},
-				scheduled: 157166, executed: 157166, energyJ: 0.42176509537280654,
-				links: 0xb35c11035dd859f7, maxUtil: 0.7670387413219983, linkSteps: 108267, daySteps: 52127}},
+			model: packetModel{digest: 0x74d8593acd420717, last: 107997502,
+				stats:   Stats{Messages: 3000, BytesDelivered: 39100224, Packets: 12270},
+				energyJ: 0.42176509537280654, links: 0xb35c11035dd859f7, maxUtil: 0.7670387413219983},
+			// One event per hop, not two: 157 166 events before.
+			walk: kernelWalk{scheduled: 83079, executed: 83079, linkSteps: 40532, daySteps: 32172}},
 		{name: "lossy-retransmit-drop", p: lossy, seed: 30, messages: 3000, window: 200 * sim.Microsecond,
-			want: packetOutcome{digest: 0xcc09269fc1e23bcb, last: 231693708, failed: 1,
-				stats:     Stats{Messages: 3000, BytesDelivered: 39370752, Packets: 12357, Retransmits: 83, Drops: 1},
-				scheduled: 159217, executed: 159217, energyJ: 0.8779902579712069,
-				links: 0x5d02b9629cc09b24, maxUtil: 0.376689305693187, linkSteps: 102639, daySteps: 45703}},
+			model: packetModel{digest: 0xcc09269fc1e23bcb, last: 231693708, failed: 1,
+				stats:   Stats{Messages: 3000, BytesDelivered: 39370752, Packets: 12357, Retransmits: 83, Drops: 1},
+				energyJ: 0.8779902579712069, links: 0x5d02b9629cc09b24, maxUtil: 0.376689305693187},
+			// One event per hop, not two: 159 217 events before.
+			walk: kernelWalk{scheduled: 84145, executed: 84145, linkSteps: 91556, daySteps: 13207}},
 		{name: "link-outage", p: Extoll, seed: 13, messages: 2000, window: 200 * sim.Microsecond,
 			prepare: func(eng *sim.Engine, net *Network) {
 				// Six links around node 100 fail mid-run and come back.
@@ -172,28 +221,34 @@ func packetPins() []packetCase {
 					eng.At(140*sim.Microsecond, func() { net.LinkRepaired(l) })
 				}
 			},
-			want: packetOutcome{digest: 0xc604550cabbd2a52, last: 232080296,
-				stats:     Stats{Messages: 2000, BytesDelivered: 26202432, Packets: 8220, Retransmits: 150, LinkOutageHits: 150},
-				scheduled: 104930, executed: 104930, energyJ: 0.8712533087743886,
-				links: 0x55d9469fc27bf11b, maxUtil: 0.3683283823457378, linkSteps: 65727, daySteps: 27490}},
+			model: packetModel{digest: 0xc604550cabbd2a52, last: 232080296,
+				stats:   Stats{Messages: 2000, BytesDelivered: 26202432, Packets: 8220, Retransmits: 150, LinkOutageHits: 150},
+				energyJ: 0.8712533087743886, links: 0x55d9469fc27bf11b, maxUtil: 0.3683283823457378},
+			// One event per hop, not two: 104 930 events before.
+			walk: kernelWalk{scheduled: 55544, executed: 55544, linkSteps: 28310, daySteps: 18064}},
 		{name: "zslab-k2", p: Extoll, k: 2, seed: 11, messages: 3000, window: 40 * sim.Microsecond,
-			want: packetOutcome{digest: 0x389b149ff93ce040, last: 88394022,
-				stats:     Stats{Messages: 3000, BytesDelivered: 39100224, Packets: 12270, CrossMessages: 855},
-				scheduled: 106283, executed: 106283, energyJ: 0.3494988267007898,
-				links: 0x89e839efa92bff61, maxUtil: 0.7405577268562347, linkSteps: 92724, daySteps: 25046}},
+			model: packetModel{digest: 0x389b149ff93ce040, last: 88394022,
+				stats:   Stats{Messages: 3000, BytesDelivered: 39100224, Packets: 12270, CrossMessages: 855},
+				energyJ: 0.3494988267007898, links: 0x89e839efa92bff61, maxUtil: 0.7405577268562347},
+			// One event per hop, not two: 106 283 events before.
+			walk: kernelWalk{scheduled: 57210, executed: 57210, linkSteps: 39439, daySteps: 16729}},
 		{name: "fattree-k2", p: InfiniBandFDR, topo: topology.NewFatTree(8, 8, 4), k: 2, seed: 12,
 			messages: 3000, window: 100 * sim.Microsecond,
-			want: packetOutcome{digest: 0x576699d98cd8be5b, last: 181189270,
-				stats:     Stats{Messages: 3000, BytesDelivered: 40216384, Packets: 10783, CrossMessages: 1515},
-				scheduled: 45554, executed: 45554, energyJ: 0.05643576140800026,
-				links: 0x33e628ed8a2a1576, maxUtil: 0.9088528421136638, linkSteps: 37021, daySteps: 11111}},
-		// Auto falls back to packets, which queue behind busy links, for
-		// all but 263 of the messages.
+			model: packetModel{digest: 0x576699d98cd8be5b, last: 181189270,
+				stats:   Stats{Messages: 3000, BytesDelivered: 40216384, Packets: 10783, CrossMessages: 1515},
+				energyJ: 0.05643576140800026, links: 0x33e628ed8a2a1576, maxUtil: 0.9088528421136638},
+			// One event per hop, not two: 45 554 events before.
+			walk: kernelWalk{scheduled: 26490, executed: 26490, linkSteps: 33888, daySteps: 6432}},
+		// Auto falls back to packets, which queue behind booked links,
+		// for all but 264 of the messages. It was 263 while a separate
+		// event freed each link: one flow's proof saw that event pending
+		// before its delivery and fell back, with the same delivery times.
 		{name: "auto-queued", p: Extoll, fid: FidelityAuto, seed: 14, messages: 3000, window: 12 * sim.Millisecond,
-			want: packetOutcome{digest: 0x44c060436aa11e3c, last: 11989041416,
-				stats:     Stats{Messages: 3000, BytesDelivered: 40152832, Packets: 12523, FlowMessages: 263},
-				scheduled: 154931, executed: 154931, energyJ: 44.2204412199424,
-				links: 0xb9b25076906277e0, maxUtil: 0.0075419612680066835, linkSteps: 583878, daySteps: 1441}},
+			model: packetModel{digest: 0x44c060436aa11e3c, last: 11989041416,
+				stats:   Stats{Messages: 3000, BytesDelivered: 40152832, Packets: 12523, FlowMessages: 264},
+				energyJ: 44.2204412199424, links: 0xb9b25076906277e0, maxUtil: 0.0075419612680066835},
+			// One event per hop, not two: 154 931 events before.
+			walk: kernelWalk{scheduled: 81959, executed: 81959, linkSteps: 381255, daySteps: 5906}},
 	}
 	for _, c := range pins[:2] {
 		c.name, c.k = c.name+"-domains-k1", 1
@@ -231,23 +286,129 @@ func TestDroppedMessageReusedAfterLastSegment(t *testing.T) {
 			}
 		})
 	}
-	if got := runPacketScenario(t, c); got != c.want {
-		t.Fatalf("outcome diverged from the pinned run:\n got %#v\nwant %#v", got, c.want)
-	}
+	checkPinned(t, c, runPacketScenario(t, c))
 	if dropped == 0 || released <= dropped {
 		t.Fatalf("drop seen before event %d, its record freed before event %d: want a record that outlives its drop",
 			dropped, released)
 	}
 }
 
-// TestLinkQueueMatchesResource holds the link queue to the sim.Resource
-// it replaced: single-segment messages queued on one link, one in three
-// traversals corrupted, every retry re-joining the queue at its tail,
-// against a reference run of the same requests on a Resource with the
-// same error draws. The grants must come in the same order at the same
-// times: every delivery, the retransmit count and the link's busy time
-// agree.
-func TestLinkQueueMatchesResource(t *testing.T) {
+// TestPacketEventBudget holds the packet path to one event per segment
+// per hop on the clean and lossy pins. Every executed event is one of:
+//   - the harness's At that calls Send, one per message;
+//   - the injection, one per message (a loopback's is its delivery);
+//   - an arrival, one per segment per hop crossed, plus one per
+//     corrupted traversal, minus the hops a dropped segment never
+//     reaches;
+//   - a retransmit turnaround, one per corrupted traversal that is not
+//     the drop;
+//   - a delivery, one per message that crossed a link and was not
+//     dropped.
+func TestPacketEventBudget(t *testing.T) {
+	for _, c := range packetPins()[:2] {
+		t.Run(c.name, func(t *testing.T) {
+			topo := c.topology()
+			items := c.traffic(topo)
+			got := runPacketScenario(t, c)
+			st := got.model.stats
+			var hops, unreached, delivered uint64
+			for i, it := range items {
+				if it.src == it.dst {
+					continue
+				}
+				route := topo.Route(it.src, it.dst)
+				hops += uint64(len(route) * c.p.shape(it.size).packets)
+				if got.errs[i] == nil {
+					delivered++
+					continue
+				}
+				// The drop names its link: the segment crossed the hops
+				// before it and reaches none from it on.
+				msg := got.errs[i].Error()
+				l, err := strconv.Atoi(msg[strings.LastIndex(msg, "/link")+len("/link"):])
+				if err != nil {
+					t.Fatalf("no link in drop %q", msg)
+				}
+				unreached += uint64(len(route) - slices.Index(route, topology.LinkID(l)))
+			}
+			msgs := uint64(len(items))
+			arrivals := hops + st.Retransmits - unreached
+			turnarounds := st.Retransmits - st.Drops
+			if want := msgs + msgs + arrivals + turnarounds + delivered; got.walk.executed != want {
+				t.Errorf("%d events executed, want %d: %d At + %d injections + %d arrivals (%d segment hops) + %d turnarounds + %d deliveries",
+					got.walk.executed, want, msgs, msgs, arrivals, hops, turnarounds, delivered)
+			}
+		})
+	}
+}
+
+// TestLinkTieServesEarlierBooking pins the rule for two segments that
+// reach one link at the same picosecond: the one that booked its
+// previous hop first is served first, whichever started serializing
+// first. Node (0,1,0) sends P, then A behind it, one hop in +X to
+// (1,1,0); A books that link at once but serializes only after P. B is
+// injected later at (1,0,0), books its +Y hop to (1,1,0) on an idle
+// link and is sized to finish it together with A. A and B both go on
+// to (1,1,1) over the same +Z link, where A, the earlier booking, goes
+// first.
+func TestLinkTieServesEarlierBooking(t *testing.T) {
+	p := Extoll
+	tor := topology.NewTorus3D(4, 4, 4)
+	eng := sim.New()
+	net := MustNetwork(eng, tor, p, 1)
+	var atA, atB sim.Time
+	sizeP, sizeA, sizeB := 2048, 512, 1024
+	net.Send(tor.ID(0, 1, 0), tor.ID(1, 1, 0), sizeP, func(sim.Time, error) {})
+	net.Send(tor.ID(0, 1, 0), tor.ID(1, 1, 1), sizeA, func(at sim.Time, _ error) { atA = at })
+	endA := p.SendOverhead + p.serTime(sizeP) + p.serTime(sizeA) // A leaves its first link
+	startB := endA - p.serTime(sizeB)
+	if startB <= p.SendOverhead || startB >= p.SendOverhead+p.serTime(sizeP) {
+		t.Fatalf("B starts at %v: want it after A books and before A serializes", startB)
+	}
+	eng.At(startB-p.SendOverhead, func() {
+		net.Send(tor.ID(1, 0, 0), tor.ID(1, 1, 1), sizeB, func(at sim.Time, _ error) { atB = at })
+	})
+	eng.Run()
+	perHop := p.RouterDelay + p.LinkLatency
+	wantA := endA + perHop + p.serTime(sizeA) + perHop + p.RecvOverhead
+	if atA != wantA || atB != wantA+p.serTime(sizeB) {
+		t.Errorf("A delivered at %v, B at %v; want A first at %v, B behind it at %v",
+			atA, atB, wantA, wantA+p.serTime(sizeB))
+	}
+}
+
+// TestLinkUtilisationMidRun holds a booked link's utilisation to the
+// time that has elapsed: ten segments queue on one link, and sampled in
+// the middle of the fourth the link reads exactly its elapsed busy
+// fraction, not the six and a half segments still booked ahead.
+func TestLinkUtilisationMidRun(t *testing.T) {
+	p := Extoll
+	eng := sim.New()
+	net := MustNetwork(eng, topology.NewTorus3D(4, 4, 4), p, 1)
+	for range 10 {
+		net.Send(0, 1, p.MTU, func(sim.Time, error) {})
+	}
+	l := net.Topo.Route(0, 1)[0]
+	sample := p.SendOverhead + 7*p.serTime(p.MTU)/2
+	var u, max float64
+	eng.At(sample, func() { u, max = net.LinkUtilisation(l), net.MaxLinkUtilisation() })
+	eng.Run()
+	if want := float64(sample-p.SendOverhead) / float64(sample); u != want || max != want {
+		t.Errorf("utilisation %v, hot spot %v mid-queue; want the elapsed busy fraction %v", u, max, want)
+	}
+	if want := float64(10*p.serTime(p.MTU)) / float64(eng.Now()); net.LinkUtilisation(l) != want {
+		t.Errorf("utilisation %v after the run, want %v", net.LinkUtilisation(l), want)
+	}
+}
+
+// TestLinkReservationMatchesResource holds the link reservation to the
+// sim.Resource queue it replaced: single-segment messages queued on one
+// link, one in three traversals corrupted, every retry booking behind
+// all earlier requests (the tail of the queue), against a reference run
+// of the same requests on a Resource with the same error draws. The
+// grants must come in the same order at the same times: every delivery,
+// the retransmit count and the link's busy time agree.
+func TestLinkReservationMatchesResource(t *testing.T) {
 	p := Extoll
 	p.PacketErrorRate = 0.3
 	p.MaxRetries = 64
@@ -301,9 +462,9 @@ func TestLinkQueueMatchesResource(t *testing.T) {
 		}
 	}
 	l := net.Topo.Route(0, 1)[0]
-	if net.Stats.Retransmits != uint64(retries) || net.linkBusyTime(l) != link.BusyTime {
+	if busy := net.linkBusyTime(l, eng.Now()); net.Stats.Retransmits != uint64(retries) || busy != link.BusyTime {
 		t.Errorf("%d retransmits, link busy %v; the reference: %d, %v",
-			net.Stats.Retransmits, net.linkBusyTime(l), retries, link.BusyTime)
+			net.Stats.Retransmits, busy, retries, link.BusyTime)
 	}
 	if queuedRetries == 0 {
 		t.Fatalf("no retry found the queue occupied (%d retries): the scenario does not test the tail", retries)

@@ -224,7 +224,7 @@ func (d *Domains) MaxLinkUtilisation() float64 {
 	max := 0.0
 	for _, sh := range d.shards {
 		for i := range sh.down {
-			if u := float64(sh.linkBusyTime(sh.gl(i))) / float64(now); u > max {
+			if u := float64(sh.linkBusyTime(sh.gl(i), now)) / float64(now); u > max {
 				max = u
 			}
 		}
