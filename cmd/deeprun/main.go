@@ -1,8 +1,9 @@
 // Command deeprun executes one of the real application workloads on
 // the functional Global-MPI runtime over the modelled DEEP machine and
 // reports both numerical verification and the modelled execution time.
-// It is a thin shell over the public deep SDK: one Machine, one
-// Workload, one Run.
+// It is a thin shell over the public deep SDK: the flags fill one
+// deep.Spec, the same run description deepd accepts, which is
+// normalised, built and run.
 //
 //	deeprun -app cholesky -n 64 -ts 16 -workers 8
 //	deeprun -app spmv -nx 32 -ny 32 -iters 10 -ranks 4
@@ -40,7 +41,7 @@ import (
 // booster demands across four owners.
 func syntheticJobs(n int, seed uint64) []deep.Job {
 	r := rand.New(rand.NewSource(int64(seed)))
-	jobs := make([]deep.Job, n)
+	jobs := make([]deep.Job, max(n, 0))
 	for i := range jobs {
 		jobs[i] = deep.Job{
 			ID:       i,
@@ -114,62 +115,68 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "deeprun: %v\n", err)
 		return 1
 	}
-
-	fid, err := deep.ParseFidelity(*fidStr)
-	if err != nil {
-		return fail(err)
+	// In a spec, zero means "the default"; these flags have no default
+	// to fall back on, so zero is an error here, not a silent 42 or 32.
+	if *ranks < 1 || *seed == 0 || (*app == "jobs" && *boosters < 1) {
+		return fail(fmt.Errorf("-ranks, -seed and -boosters must be positive, got %d, %d and %d", *ranks, *seed, *boosters))
 	}
-
 	if *resume && *storeDir == "" {
 		return fail(fmt.Errorf("-resume needs -store"))
 	}
+	if *storeDir != "" && (*trace != "" || *metrics != "") {
+		return fail(fmt.Errorf("-store cannot be combined with -trace/-metrics (observability artifacts are not stored)"))
+	}
+
+	// The machine sizes each fabric to hold one rank per node, like
+	// the original hand-wired runs did; jobs schedule on their own
+	// booster pool and traffic on its own torus.
+	spec := &deep.Spec{
+		Workload: &deep.WorkloadSpec{Kind: *app, Tol: *tol},
+		Machine: &deep.MachineSpec{ClusterNodes: max(*ranks, 2), BoosterNodes: max(*ranks, 2),
+			ClusterRanks: *ranks},
+		Seed: *seed, Fidelity: *fidStr, Energy: *energy, Domains: *domains, MaxWindow: *maxWin,
+		Trace: *trace != "",
+	}
+	if *metrics != "" {
+		spec.MetricsEveryS = *sample
+	}
+	w, m := spec.Workload, spec.Machine
+	switch *app {
+	case "cholesky":
+		w.N, w.TileSize, w.Workers = *n, *ts, *workers
+	case "spmv", "stencil":
+		w.NX, w.NY, w.Iters = *nx, *ny, *iters
+	case "nbody":
+		w.N, w.Steps = *n, *iters
+	case "jobs":
+		w.Jobs, w.Dynamic = syntheticJobs(*jobCount, *seed), *dynamic
+		m.BoosterNodes = *boosters
+		if *mtbf > 0 {
+			m.Faults = &deep.FaultPlan{NodeMTBF: *mtbf, Repair: 5}
+		}
+	case "traffic":
+		w.Messages, w.MsgBytes, w.WindowMS = *msgs, *msgBytes, *windowMS
+		m.BoosterNodes, m.BoosterTorus = 0, []int{*nx, *ny, *nz}
+	}
+	if err := spec.Normalize(); err != nil {
+		return fail(err)
+	}
+
 	var st *store.Store
 	var storeKey string
 	if *storeDir != "" {
-		if *trace != "" || *metrics != "" {
-			return fail(fmt.Errorf("-store cannot be combined with -trace/-metrics (observability artifacts are not stored)"))
-		}
+		var err error
 		if st, err = store.Open(*storeDir, store.Options{}); err != nil {
 			return fail(err)
 		}
 		defer st.Close()
-		// The content address covers every knob that shapes the output:
-		// identical invocations hash identically, anything else is a
-		// different point. Knobs that only exist for one app are zeroed
-		// for every other app, and new knobs carry omitempty, so hashes
-		// of historical invocations are unchanged.
-		tMsgs, tBytes, tWindow, tNZ := 0, 0, 0.0, 0
-		if *app == "traffic" {
-			tMsgs, tBytes, tWindow, tNZ = *msgs, *msgBytes, *windowMS, *nz
-		}
+		// The content address is the normalised spec's, under deeprun's
+		// own envelope so a deeprun record never answers a deepd lookup.
 		storeKey, err = deep.ContentHash(struct {
-			V        int     `json:"v"`
-			Kind     string  `json:"kind"`
-			App      string  `json:"app"`
-			N        int     `json:"n"`
-			TS       int     `json:"ts"`
-			Workers  int     `json:"workers"`
-			NX       int     `json:"nx"`
-			NY       int     `json:"ny"`
-			Iters    int     `json:"iters"`
-			Ranks    int     `json:"ranks"`
-			Seed     uint64  `json:"seed"`
-			Fidelity string  `json:"fidelity"`
-			Energy   bool    `json:"energy"`
-			Tol      float64 `json:"tol"`
-			Jobs     int     `json:"jobs"`
-			Dynamic  bool    `json:"dynamic"`
-			MTBF     float64 `json:"mtbf"`
-			Boosters int     `json:"boosters"`
-			Domains  int     `json:"domains,omitempty"`
-			MaxWin   int     `json:"max_window,omitempty"`
-			NZ       int     `json:"nz,omitempty"`
-			Msgs     int     `json:"msgs,omitempty"`
-			MsgBytes int     `json:"msgbytes,omitempty"`
-			WindowMS float64 `json:"window_ms,omitempty"`
-		}{1, "deeprun", *app, *n, *ts, *workers, *nx, *ny, *iters, *ranks,
-			*seed, fid.String(), *energy, *tol, *jobCount, *dynamic, *mtbf, *boosters,
-			*domains, *maxWin, tNZ, tMsgs, tBytes, tWindow})
+			V    int        `json:"v"`
+			Kind string     `json:"kind"`
+			Spec *deep.Spec `json:"spec"`
+		}{1, "deeprun", spec})
 		if err != nil {
 			return fail(err)
 		}
@@ -187,65 +194,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var w deep.Workload
-	switch *app {
-	case "cholesky":
-		w = deep.Cholesky{N: *n, TileSize: *ts, Workers: *workers}
-	case "spmv":
-		w = deep.SpMV{NX: *nx, NY: *ny, Iters: *iters}
-	case "stencil":
-		w = deep.Stencil{NX: *nx, NY: *ny, Iters: *iters}
-	case "nbody":
-		w = deep.NBody{N: *n, Steps: *iters}
-	case "jobs":
-		w = deep.ScheduledJobs{Jobs: syntheticJobs(*jobCount, *seed), Dynamic: *dynamic}
-	case "traffic":
-		w = deep.TorusTraffic{Messages: *msgs, Bytes: *msgBytes, WindowMS: *windowMS}
-	default:
-		return fail(fmt.Errorf("unknown app %q", *app))
-	}
-
-	// The machine sizes each fabric to hold one rank per node, like
-	// the original hand-wired runs did.
-	opts := []deep.Option{
-		deep.WithClusterNodes(max(*ranks, 2)),
-		deep.WithBoosterNodes(max(*ranks, 2)),
-		deep.WithClusterRanks(*ranks),
-		deep.WithSeed(*seed),
-		deep.WithFidelity(fid),
-	}
-	if *app == "jobs" {
-		opts = append(opts, deep.WithBoosterNodes(*boosters))
-		if *mtbf > 0 {
-			opts = append(opts, deep.WithFaultInjector(deep.FaultPlan{NodeMTBF: *mtbf, Repair: 5}))
-		}
-	}
-	if *app == "traffic" {
-		opts = append(opts, deep.WithBoosterTorus(*nx, *ny, *nz))
-	}
-	if *domains != 0 {
-		opts = append(opts, deep.WithDomains(*domains))
-	}
-	if *maxWin > 1 {
-		opts = append(opts, deep.WithMaxWindow(*maxWin))
-	}
-	if *energy {
-		opts = append(opts, deep.WithEnergyMetering())
-	}
-	if *trace != "" {
-		opts = append(opts, deep.WithTracing())
-	}
-	if *metrics != "" {
-		opts = append(opts, deep.WithMetrics(*sample))
-	}
-	m, err := deep.NewMachine(opts...)
+	env, wl, err := spec.Build()
 	if err != nil {
 		return fail(err)
 	}
-
-	env := m.NewEnv()
-	env.Tol = *tol
-	res, err := deep.Run(ctx, env, w)
+	res, err := deep.Run(ctx, env, wl)
 	if err != nil {
 		return fail(err)
 	}

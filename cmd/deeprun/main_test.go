@@ -46,6 +46,9 @@ func TestRunBadFlagsExitNonZero(t *testing.T) {
 		{"-app", "fft"},
 		{"-fidelity", "exact"},
 		{"-ranks", "0"},
+		{"-seed", "0"},
+		{"-app", "jobs", "-boosters", "0"},
+		{"-app", "traffic", "-nx", "4611686018427387905", "-ny", "4", "-nz", "1"},
 		{"-nosuchflag"},
 	}
 	for _, args := range cases {
@@ -111,6 +114,30 @@ func TestRunStoreReplay(t *testing.T) {
 	}
 	if !strings.Contains(badReplayErr.String(), "replayed stored run") || badReplay.String() != bad.String() {
 		t.Fatal("failed-verification replay did not serve the stored bytes")
+	}
+}
+
+// TestRunAgreesWithDeepd: deeprun normalises its flags into the spec
+// deepd would normalise, so the two give one answer. A jobs run drops
+// -domains as a jobs spec does, so faults under -domains run, and
+// -domains never splits an spmv store key.
+func TestRunAgreesWithDeepd(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run(context.Background(), []string{"-app", "jobs", "-jobs", "8", "-mtbf", "120", "-domains", "2"}, &out, &errOut); code != 0 {
+		t.Fatalf("jobs with faults under -domains 2: exit %d, stderr:\n%s", code, errOut.String())
+	}
+
+	dir := filepath.Join(t.TempDir(), "results")
+	var fresh, freshErr strings.Builder
+	if code := run(context.Background(), []string{"-app", "spmv", "-store", dir}, &fresh, &freshErr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, freshErr.String())
+	}
+	var replay, replayErr strings.Builder
+	if code := run(context.Background(), []string{"-app", "spmv", "-domains", "4", "-store", dir, "-resume"}, &replay, &replayErr); code != 0 {
+		t.Fatalf("replay exit %d, stderr:\n%s", code, replayErr.String())
+	}
+	if !strings.Contains(replayErr.String(), "replayed stored run") || replay.String() != fresh.String() {
+		t.Fatalf("-domains 4 did not replay the stored spmv run; stderr:\n%s", replayErr.String())
 	}
 }
 

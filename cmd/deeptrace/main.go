@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -89,7 +90,7 @@ func processNames(events []obs.ChromeEvent) map[int]string {
 }
 
 // summarize prints the human-readable report.
-func summarize(events []obs.ChromeEvent, top int) {
+func summarize(w io.Writer, events []obs.ChromeEvent, top int) {
 	names := processNames(events)
 	byCat := map[string]int{}
 	catDur := map[string]float64{}
@@ -119,24 +120,24 @@ func summarize(events []obs.ChromeEvent, top int) {
 		}
 		seen = true
 	}
-	fmt.Printf("%d events across %d processes", len(events), len(names))
+	fmt.Fprintf(w, "%d events across %d processes", len(events), len(names))
 	if seen {
-		fmt.Printf(", spanning %.3f ms of virtual time", (maxTs-minTs)/1e3)
+		fmt.Fprintf(w, ", spanning %.3f ms of virtual time", (maxTs-minTs)/1e3)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	cats := make([]string, 0, len(byCat))
 	for c := range byCat {
 		cats = append(cats, c)
 	}
 	sort.Strings(cats)
-	fmt.Println("\nby category:")
+	fmt.Fprintln(w, "\nby category:")
 	for _, c := range cats {
-		fmt.Printf("  %-10s %6d events", c, byCat[c])
+		fmt.Fprintf(w, "  %-10s %6d events", c, byCat[c])
 		if d := catDur[c]; d > 0 {
-			fmt.Printf("  %12.3f ms total span time", d/1e3)
+			fmt.Fprintf(w, "  %12.3f ms total span time", d/1e3)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	if len(spans) > 0 {
@@ -144,13 +145,13 @@ func summarize(events []obs.ChromeEvent, top int) {
 		if top > len(spans) {
 			top = len(spans)
 		}
-		fmt.Printf("\ntop %d spans by duration:\n", top)
+		fmt.Fprintf(w, "\ntop %d spans by duration:\n", top)
 		for _, e := range spans[:top] {
 			proc := names[e.Pid]
 			if proc == "" {
 				proc = fmt.Sprintf("pid %d", e.Pid)
 			}
-			fmt.Printf("  %12.3f ms  %-14s %-22s %s\n", e.Dur/1e3, e.Cat, e.Name, proc)
+			fmt.Fprintf(w, "  %12.3f ms  %-14s %-22s %s\n", e.Dur/1e3, e.Cat, e.Name, proc)
 		}
 	}
 
@@ -176,9 +177,9 @@ func summarize(events []obs.ChromeEvent, top int) {
 		if n > 10 {
 			n = 10
 		}
-		fmt.Printf("\nhottest links (%d reported):\n", len(hots))
+		fmt.Fprintf(w, "\nhottest links (%d reported):\n", len(hots))
 		for _, h := range hots[:n] {
-			fmt.Printf("  link %4.0f  utilisation %.3f  %s\n", h.link, h.util, h.proc)
+			fmt.Fprintf(w, "  link %4.0f  utilisation %.3f  %s\n", h.link, h.util, h.proc)
 		}
 	}
 }
@@ -201,7 +202,7 @@ func threadNames(events []obs.ChromeEvent) map[[2]int]string {
 // (category "domains") record every window a domain sat out waiting
 // for its neighbours' clocks. It prints blocked time and span count
 // per domain lane, sorted by blocked time.
-func domainSummary(events []obs.ChromeEvent) {
+func domainSummary(w io.Writer, events []obs.ChromeEvent) {
 	procs := processNames(events)
 	threads := threadNames(events)
 	type lane struct {
@@ -224,7 +225,7 @@ func domainSummary(events []obs.ChromeEvent) {
 		l.spans++
 	}
 	if len(lanes) == 0 {
-		fmt.Println("no parallel-kernel domain lanes in this trace (record one with -domains > 1)")
+		fmt.Fprintln(w, "no parallel-kernel domain lanes in this trace (record one with -domains > 1)")
 		return
 	}
 	all := make([]*lane, 0, len(lanes))
@@ -237,7 +238,7 @@ func domainSummary(events []obs.ChromeEvent) {
 		}
 		return all[i].tid < all[j].tid
 	})
-	fmt.Printf("domain blocked-time (%d lanes):\n", len(all))
+	fmt.Fprintf(w, "domain blocked-time (%d lanes):\n", len(all))
 	for _, l := range all {
 		name := threads[[2]int{l.pid, l.tid}]
 		if name == "" {
@@ -247,38 +248,46 @@ func domainSummary(events []obs.ChromeEvent) {
 		if proc == "" {
 			proc = fmt.Sprintf("pid %d", l.pid)
 		}
-		fmt.Printf("  %-12s %12.3f ms blocked in %5d windows  %s\n", name, l.blocked/1e3, l.spans, proc)
+		fmt.Fprintf(w, "  %-12s %12.3f ms blocked in %5d windows  %s\n", name, l.blocked/1e3, l.spans, proc)
 	}
 }
 
-func main() {
+// run is the testable body of main: it parses args (without the
+// program name), reports on one trace file, and returns the exit code:
+// 0 on success, 1 on a load error, schema violations or missing kinds,
+// 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("deeptrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		top          = flag.Int("top", 10, "number of longest spans to list")
-		validateFlag = flag.Bool("validate", false, "check the trace against the event schema; exit 1 on violations")
-		require      = flag.String("require", "", "comma-separated event name/category substrings that must be present; exit 1 when missing")
-		domainsFlag  = flag.Bool("domains", false, "summarise per-domain blocked time from a parallel-kernel run")
+		top          = fs.Int("top", 10, "number of longest spans to list")
+		validateFlag = fs.Bool("validate", false, "check the trace against the event schema; exit 1 on violations")
+		require      = fs.String("require", "", "comma-separated event name/category substrings that must be present; exit 1 when missing")
+		domainsFlag  = fs.Bool("domains", false, "summarise per-domain blocked time from a parallel-kernel run")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: deeptrace [-top N] [-validate] [-require a,b] trace.json")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: deeptrace [-top N] [-validate] [-require a,b] trace.json")
+		return 2
 	}
 
-	events, err := load(flag.Arg(0))
+	events, err := load(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "deeptrace: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "deeptrace: %v\n", err)
+		return 1
 	}
 
 	ok := true
 	if *validateFlag {
 		if bad := validate(events); len(bad) > 0 {
 			for _, b := range bad {
-				fmt.Fprintf(os.Stderr, "deeptrace: invalid: %s\n", b)
+				fmt.Fprintf(stderr, "deeptrace: invalid: %s\n", b)
 			}
 			ok = false
 		} else {
-			fmt.Printf("valid: %d events conform to the trace-event schema\n", len(events))
+			fmt.Fprintf(stdout, "valid: %d events conform to the trace-event schema\n", len(events))
 		}
 	}
 	if *require != "" {
@@ -289,19 +298,22 @@ func main() {
 			}
 		}
 		if miss := missing(events, wants); len(miss) > 0 {
-			fmt.Fprintf(os.Stderr, "deeptrace: required event kinds missing: %s\n", strings.Join(miss, ", "))
+			fmt.Fprintf(stderr, "deeptrace: required event kinds missing: %s\n", strings.Join(miss, ", "))
 			ok = false
 		} else {
-			fmt.Printf("required event kinds present: %s\n", strings.Join(wants, ", "))
+			fmt.Fprintf(stdout, "required event kinds present: %s\n", strings.Join(wants, ", "))
 		}
 	}
 
 	if *domainsFlag {
-		domainSummary(events)
+		domainSummary(stdout, events)
 	} else {
-		summarize(events, *top)
+		summarize(stdout, events, *top)
 	}
 	if !ok {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -19,6 +19,10 @@
 //     producing a Report that pluggable sinks render as aligned
 //     tables, CSV, or JSON.
 //
+// Spec is the serialisable description of one run — an experiment id,
+// or a Workload on a Machine, plus the run knobs — that deepd decodes,
+// deeprun's flags fill, and Spec.Key content-addresses.
+//
 // A minimal session:
 //
 //	m, _ := deep.NewMachine(deep.WithBoosterNodes(27))
@@ -30,6 +34,7 @@ package deep
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/cbp"
@@ -107,15 +112,16 @@ var ErrPartitionUnsupported = fabric.ErrPartitionUnsupported
 // PowerModel overrides a node class's electrical parameters. Zero
 // fields keep the built-in period-plausible value of the underlying
 // node model (Xeon for the cluster side, KNC for the booster side).
+// The JSON tags are its form in a MachineSpec.
 type PowerModel struct {
 	// SleepWatts, IdleWatts and PeakWatts bound the node's draw in the
 	// three power states (sleep <= idle <= peak).
-	SleepWatts float64
-	IdleWatts  float64
-	PeakWatts  float64
+	SleepWatts float64 `json:"sleep_watts,omitempty"`
+	IdleWatts  float64 `json:"idle_watts,omitempty"`
+	PeakWatts  float64 `json:"peak_watts,omitempty"`
 	// WakeLatency is the sleep -> busy transition time in seconds —
 	// what a power-gated booster pays before it can compute.
-	WakeLatency float64
+	WakeLatency float64 `json:"wake_latency_s,omitempty"`
 }
 
 // apply overlays the non-zero fields onto a node model.
@@ -139,21 +145,22 @@ func (p *PowerModel) apply(m *machine.NodeModel) {
 
 // FaultPlan configures the machine's fault injector: booster nodes
 // fail and are repaired while workloads run. A nil plan (the default)
-// models a perfect machine.
+// models a perfect machine. The JSON tags are its form in a
+// MachineSpec.
 type FaultPlan struct {
 	// NodeMTBF is the per-node mean time between failures in seconds;
 	// zero disables injection.
-	NodeMTBF float64
+	NodeMTBF float64 `json:"node_mtbf_s,omitempty"`
 	// WeibullShape, when non-zero, draws times-to-failure from a
 	// Weibull distribution with this shape (shape < 1 models infant
 	// mortality); zero uses the exponential distribution.
-	WeibullShape float64
+	WeibullShape float64 `json:"weibull_shape,omitempty"`
 	// Repair is the fixed node repair time in seconds.
-	Repair float64
+	Repair float64 `json:"repair_s,omitempty"`
 	// Horizon bounds the injection window in seconds; zero means 600.
-	Horizon float64
+	Horizon float64 `json:"horizon_s,omitempty"`
 	// Seed seeds the failure trace; zero uses the machine seed.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // Option configures a Machine under construction.
@@ -281,6 +288,14 @@ func NewMachine(opts ...Option) (*Machine, error) {
 	for _, o := range opts {
 		o(m)
 	}
+	if x, y, z := m.torusX, m.torusY, m.torusZ; x != 0 || y != 0 || z != 0 {
+		// WithBoosterTorus took x*y*z as the node count; it only holds if
+		// every side is positive and the product fits an int.
+		if x < 1 || y < 1 || z < 1 || y > math.MaxInt/x || z > math.MaxInt/(x*y) {
+			return nil, fmt.Errorf("deep: invalid booster torus %dx%dx%d: sides must be positive and their product must fit an int",
+				x, y, z)
+		}
+	}
 	if m.boosterWorkers == 0 {
 		// Default worker group: 8, clamped to the booster size.
 		m.boosterWorkers = min(8, m.boosterNodes)
@@ -298,9 +313,6 @@ func NewMachine(opts ...Option) (*Machine, error) {
 	if m.boosterWorkers > m.boosterNodes {
 		return nil, fmt.Errorf("deep: %d booster workers exceed %d booster nodes",
 			m.boosterWorkers, m.boosterNodes)
-	}
-	if m.torusX < 0 || m.torusY < 0 || m.torusZ < 0 {
-		return nil, fmt.Errorf("deep: invalid booster torus %dx%dx%d", m.torusX, m.torusY, m.torusZ)
 	}
 	if f := m.faults; f != nil {
 		if f.NodeMTBF < 0 || f.Repair < 0 || f.Horizon < 0 || f.WeibullShape < 0 {

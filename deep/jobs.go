@@ -27,18 +27,20 @@ type Job struct {
 }
 
 // Checkpointing configures multi-level checkpoint/restart for
-// scheduled jobs. Times are in seconds.
+// scheduled jobs. Times are in seconds. The JSON tags are its form in
+// a WorkloadSpec.
 type Checkpointing struct {
 	// Interval between checkpoints; zero disables checkpointing.
-	Interval float64
+	Interval float64 `json:"interval_s,omitempty"`
 	// Write and Restore are the local-SSD costs.
-	Write, Restore float64
+	Write   float64 `json:"write_s,omitempty"`
+	Restore float64 `json:"restore_s,omitempty"`
 	// Buddy replicates each checkpoint to a partner node (doubling the
 	// effective write cost, surviving single-node loss).
-	Buddy bool
+	Buddy bool `json:"buddy,omitempty"`
 	// IOWatts is the extra per-node draw while checkpoint/restore I/O
 	// is in flight; it only matters on energy-metered machines.
-	IOWatts float64
+	IOWatts float64 `json:"io_watts,omitempty"`
 }
 
 // model returns the checkpoint model a run builds from c: nil when c

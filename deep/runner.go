@@ -190,6 +190,13 @@ type Runner struct {
 	Store RunStore
 }
 
+// settings returns the runner's knobs in the canonical form its store
+// keys hash: the "run" object of a deep.Spec content key.
+func (r *Runner) settings() runSettings {
+	return runSettings{Seed: r.Seed, Scale: r.Scale, Fidelity: r.Fidelity.String(), Energy: r.Energy,
+		Domains: r.Domains, MaxWindow: r.MaxWindow, MaxNodes: r.MaxNodes}.canonical()
+}
+
 // Run executes the named experiments (all of them, in registry order,
 // when ids is empty) and returns their results in the requested
 // order. Execution stops early when ctx is cancelled; individual
@@ -230,7 +237,7 @@ func (r *Runner) Run(ctx context.Context, ids ...string) (*Report, error) {
 	// canonical run knobs. Traced/sampled runs bypass it (their
 	// artifacts are not in the stored payload).
 	useStore := r.Store != nil && !r.Tracing && r.MetricsEvery <= 0
-	canon := cfg.Spec()
+	canon := r.settings()
 	var storeHits, storeErrors atomic.Int64
 
 	rep := &Report{Results: make([]RunResult, len(exps)), obs: o}

@@ -3,8 +3,6 @@ package deep
 import (
 	"bytes"
 	"encoding/json"
-
-	"repro/internal/expt"
 )
 
 // RunStore is the persistence seam for resumable sweeps: a Runner
@@ -40,12 +38,12 @@ type storedRun struct {
 // runKey returns the content address of one registry run: experiment
 // id plus the canonical run knobs, hashed the same way regardless of
 // which defaults were spelled out.
-func runKey(id string, run expt.Spec) (string, error) {
+func runKey(id string, run runSettings) (string, error) {
 	return ContentHash(struct {
-		V          int       `json:"v"`
-		Kind       string    `json:"kind"`
-		Experiment string    `json:"experiment"`
-		Run        expt.Spec `json:"run"`
+		V          int         `json:"v"`
+		Kind       string      `json:"kind"`
+		Experiment string      `json:"experiment"`
+		Run        runSettings `json:"run"`
 	}{1, "run", id, run})
 }
 

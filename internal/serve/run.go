@@ -49,6 +49,7 @@ func executeExperiment(ctx context.Context, key string, spec *JobSpec, progress 
 		Scale:        spec.Scale,
 		Energy:       spec.Energy,
 		Domains:      spec.Domains,
+		MaxWindow:    spec.MaxWindow,
 		MaxNodes:     spec.MaxNodes,
 		Tracing:      spec.Trace,
 		MetricsEvery: spec.MetricsEveryS,
@@ -101,7 +102,7 @@ func executeExperiment(ctx context.Context, key string, spec *JobSpec, progress 
 
 // executeWorkload builds the machine and runs the custom workload.
 func executeWorkload(ctx context.Context, key string, spec *JobSpec) (*Entry, error) {
-	env, wl, err := spec.buildEnv()
+	env, wl, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}

@@ -6,11 +6,11 @@
 //
 // The shape:
 //
-//   - JobSpec — the wire form of one simulation request: a registered
-//     experiment or a custom Machine/Workload configuration plus the
-//     cross-cutting run knobs (seed, scale, fidelity, energy, obs
-//     flags). Specs normalise to a canonical form and are
-//     content-addressed with deep.ContentHash.
+//   - JobSpec — deep.Spec, the wire form of one simulation request: a
+//     registered experiment or a custom Machine/Workload configuration
+//     plus the cross-cutting run knobs (seed, scale, fidelity, energy,
+//     obs flags). Specs normalise to a canonical form and are
+//     content-addressed by deep.Spec's Normalize and Key.
 //   - Cache — an LRU, byte-budgeted result cache keyed by spec hash.
 //     Because simulations are deterministic for a fixed spec, an
 //     identical resubmission is served from cache byte-identically,

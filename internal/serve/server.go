@@ -229,11 +229,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if spec.Domains == 0 {
 		spec.Domains = s.opts.DefaultDomains
 	}
-	if err := spec.normalize(); err != nil {
-		writeError(w, err)
-		return
-	}
-	key, err := spec.contentKey()
+	key, err := normalize(spec)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -261,6 +261,24 @@ func TestWorkloadJob(t *testing.T) {
 	}
 }
 
+// TestExperimentJobHonoursMaxWindow: an experiment job runs with every
+// run knob its content key names, the adaptive-window cap included.
+func TestExperimentJobHonoursMaxWindow(t *testing.T) {
+	h := newHarness(t, Options{Workers: 1})
+	st := h.wait(h.submit(`{"experiment": "E15", "domains": 2, "max_window": 8, "max_nodes": 1000}`).ID)
+	if st.State != StateDone {
+		t.Fatalf("E15 job: %+v", st)
+	}
+	_, body := h.get("/v1/jobs/" + st.ID + "/result")
+	var payload ResultPayload
+	if err := json.Unmarshal(body, &payload); err != nil {
+		t.Fatal(err)
+	}
+	if payload.Experiment == nil || payload.Experiment.Table.Summary["kernel_max_window"] != 8 {
+		t.Fatalf("E15 ran without its max_window: %s", body)
+	}
+}
+
 // TestArtifacts: trace and metrics attachments round-trip, and jobs
 // without them get typed no_artifact errors.
 func TestArtifacts(t *testing.T) {
