@@ -1,98 +1,69 @@
-package expt
+package expt_test
 
 import (
+	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"repro/deep"
+	"repro/internal/expt"
 	"repro/internal/fabric"
 )
 
-// TestSpecConfigRoundTrip: Spec -> Config -> Spec must be the
-// identity on canonical specs, and Config -> Spec -> Config must
-// preserve run semantics — the contract deepd's content-addressed
-// cache rests on.
+// TestSpecConfigRoundTrip: an experiment spec's run knobs survive the
+// trip through deep.Spec's wire form, normalisation and the Runner into
+// the Config the experiment sees — the Runner's table renders
+// byte-identically to a direct Run under the equivalent Config.
 func TestSpecConfigRoundTrip(t *testing.T) {
-	specs := []Spec{
-		{},
-		{Seed: 7},
-		{Scale: 2.5},
-		{Fidelity: "flow"},
-		{Fidelity: "auto", Energy: true},
-		{Seed: 99, Scale: 0.5, Fidelity: "packet", Energy: true},
-	}
-	for _, s := range specs {
-		cfg, err := s.Config()
-		if err != nil {
-			t.Fatalf("%+v: %v", s, err)
-		}
-		if got := cfg.Spec(); got != s {
-			t.Errorf("spec round trip: %+v -> %+v", s, got)
-		}
-	}
-}
-
-// TestSpecCanonicalises: non-canonical but semantically identical
-// specs (explicit defaults) normalise to the same wire form, so they
-// hash identically.
-func TestSpecCanonicalises(t *testing.T) {
-	for _, s := range []Spec{
-		{Fidelity: "default"},
-		{Scale: 1},
-		{Fidelity: "default", Scale: 1},
+	ctx := context.Background()
+	for _, c := range []struct {
+		body string
+		cfg  *expt.Config
+	}{
+		{`{"experiment":"E10","scale":0.5,"fidelity":"flow"}`, &expt.Config{Scale: 0.5, Fidelity: fabric.FidelityFlow}},
+		{`{"experiment":"E02","seed":12345,"energy":true,"scale":1}`, &expt.Config{Seed: 12345, Energy: true}},
+		{`{"experiment":"E15","domains":2,"max_window":8,"max_nodes":1000}`, &expt.Config{Domains: 2, MaxWindow: 8, MaxNodes: 1000}},
 	} {
-		cfg, err := s.Config()
+		spec := &deep.Spec{}
+		if err := json.Unmarshal([]byte(c.body), spec); err != nil {
+			t.Fatalf("%s: %v", c.body, err)
+		}
+		if err := spec.Normalize(); err != nil {
+			t.Fatalf("%s: normalize: %v", c.body, err)
+		}
+		wire, err := json.Marshal(spec)
 		if err != nil {
-			t.Fatalf("%+v: %v", s, err)
+			t.Fatal(err)
 		}
-		if got := cfg.Spec(); got != (Spec{}) {
-			t.Errorf("%+v did not canonicalise: %+v", s, got)
+		again := &deep.Spec{}
+		if err := json.Unmarshal(wire, again); err != nil {
+			t.Fatalf("canonical form %s: %v", wire, err)
 		}
-	}
-}
-
-// TestConfigSpecPreservesRun: converting the default config through
-// the wire form must keep the effective run parameters.
-func TestConfigSpecPreservesRun(t *testing.T) {
-	cfg := &Config{Seed: 3, Scale: 1, Fidelity: fabric.FidelityAuto, Energy: true}
-	back, err := cfg.Spec().Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Seed != cfg.Seed || back.Scale != cfg.Scale ||
-		back.Fidelity != cfg.Fidelity || back.Energy != cfg.Energy {
-		t.Fatalf("config drifted through wire form: %+v -> %+v", cfg, back)
-	}
-}
-
-func TestSpecRejectsInvalid(t *testing.T) {
-	if _, err := (Spec{Fidelity: "exact"}).Config(); err == nil {
-		t.Fatal("unknown fidelity accepted")
-	}
-	if _, err := (Spec{Scale: -1}).Config(); err == nil {
-		t.Fatal("negative scale accepted")
-	}
-}
-
-// TestSpecJSONStable: the wire encoding of a spec is stable under
-// marshal -> unmarshal -> re-marshal, and empty specs encode to {}.
-func TestSpecJSONStable(t *testing.T) {
-	s := Spec{Seed: 11, Scale: 2, Fidelity: "flow", Energy: true}
-	b1, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Spec
-	if err := json.Unmarshal(b1, &back); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := json.Marshal(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b1) != string(b2) {
-		t.Fatalf("re-marshal drifted: %s -> %s", b1, b2)
-	}
-	if b, _ := json.Marshal(Spec{}); string(b) != "{}" {
-		t.Fatalf("empty spec encodes as %s", b)
+		fid, err := deep.ParseFidelity(again.Fidelity)
+		if err != nil {
+			t.Fatalf("canonical form %s: %v", wire, err)
+		}
+		r := &deep.Runner{Seed: again.Seed, Scale: again.Scale, Fidelity: fid, Energy: again.Energy,
+			Domains: again.Domains, MaxWindow: again.MaxWindow, MaxNodes: again.MaxNodes}
+		rep, err := r.Run(ctx, again.Experiment)
+		if err != nil {
+			t.Fatalf("%s: runner: %v", wire, err)
+		}
+		e, _ := expt.Get(again.Experiment)
+		direct, err := e.Run(ctx, c.cfg)
+		if err != nil {
+			t.Fatalf("%s %+v: %v", again.Experiment, c.cfg, err)
+		}
+		var viaSpec, viaConfig strings.Builder
+		if err := rep.Results[0].Table.Render(&viaSpec); err != nil {
+			t.Fatal(err)
+		}
+		if err := direct.Render(&viaConfig); err != nil {
+			t.Fatal(err)
+		}
+		if viaSpec.String() != viaConfig.String() {
+			t.Errorf("%s through the Runner:\n%s\ndirect under %+v:\n%s", wire, viaSpec.String(), c.cfg, viaConfig.String())
+		}
 	}
 }

@@ -39,6 +39,36 @@ func TestNormalizeRejects(t *testing.T) {
 	}
 }
 
+// TestContentKeyCanonical: submissions that spell out defaults share
+// the bare submission's content address — the cache hits for
+// equivalent requests from different clients — and the server's
+// default domain count hashes as if the client had spelled it out.
+func TestContentKeyCanonical(t *testing.T) {
+	h := newHarness(t, Options{Workers: 1, DefaultDomains: 2})
+	defer h.blockingExec()()
+	for _, group := range [][]string{
+		{`{"experiment":"E01"}`,
+			`{"experiment":"E01","scale":1,"fidelity":"default","max_window":1,"deadline_s":5}`,
+			`{"experiment":"E01","domains":2}`},
+		{`{"workload":{"kind":"spmv"}}`,
+			`{"workload":{"kind":"spmv","nx":32,"ny":32,"iters":10},"domains":1}`},
+		{`{"workload":{"kind":"traffic"}}`,
+			`{"workload":{"kind":"traffic","messages":4096,"msg_bytes":2048,"window_ms":1},"domains":2}`},
+	} {
+		want := h.submit(group[0]).Key
+		for _, body := range group[1:] {
+			if got := h.submit(body).Key; got != want {
+				t.Errorf("%s: key %s, %s has %s", body, got, group[0], want)
+			}
+		}
+	}
+	// An explicit sequential kernel overrides the server default, so it
+	// must not share the defaulted traffic job's address.
+	if h.submit(`{"workload":{"kind":"traffic"},"domains":1}`).Key == h.submit(`{"workload":{"kind":"traffic"}}`).Key {
+		t.Error("traffic at domains 1 hashes like the server's default domains 2")
+	}
+}
+
 // TestNormalizeFaultsUnderDomains: fault injection on the partitioned
 // kernel is refused at submit time — Normalize exercises NewMachine's
 // validation, so the client gets the clear message instead of a worker
