@@ -82,7 +82,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		app      = fs.String("app", "cholesky", "workload: cholesky | spmv | stencil | nbody | jobs | traffic")
 		n        = fs.Int("n", 64, "cholesky matrix dimension / nbody body count")
 		ts       = fs.Int("ts", 16, "cholesky tile size")
-		workers  = fs.Int("workers", 8, "cholesky OmpSs workers")
+		workers  = fs.Int("workers", 8, "cholesky modelled OmpSs workers")
 		nx       = fs.Int("nx", 32, "grid X dimension")
 		ny       = fs.Int("ny", 32, "grid Y dimension")
 		iters    = fs.Int("iters", 10, "iterations")
@@ -172,11 +172,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer st.Close()
 		// The content address is the normalised spec's, under deeprun's
 		// own envelope so a deeprun record never answers a deepd lookup.
+		// Version 1 cholesky records hold wall-clock runtime results.
+		v := 1
+		if *app == "cholesky" {
+			v = 2
+		}
 		storeKey, err = deep.ContentHash(struct {
 			V    int        `json:"v"`
 			Kind string     `json:"kind"`
 			Spec *deep.Spec `json:"spec"`
-		}{1, "deeprun", spec})
+		}{v, "deeprun", spec})
 		if err != nil {
 			return fail(err)
 		}

@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"repro/deep"
+	"repro/internal/apps"
+	"repro/internal/linalg"
+	"repro/internal/machine"
 )
 
 func TestNewMachineValidation(t *testing.T) {
@@ -72,8 +75,43 @@ func TestWorkloadsVerifyOnDefaults(t *testing.T) {
 	}
 }
 
+// TestCholeskyModelTimeIsMakespan: the workload's model time is the
+// makespan of its task graph's list schedule on the node it is placed
+// on (the booster's KNC or the cluster's Xeon), the scheduler E06 and
+// A01 sweep.
+func TestCholeskyModelTimeIsMakespan(t *testing.T) {
+	m, err := deep.NewMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := apps.NewCholesky(linalg.NewMatrix(128, 128), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var times []deep.ModelTime
+	for _, booster := range []bool{false, true} {
+		env := m.NewEnv()
+		env.PlaceOnBooster = booster
+		res, err := deep.Run(context.Background(), env, deep.Cholesky{N: 128, TileSize: 16, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := machine.Xeon
+		if booster {
+			model = machine.KNC
+		}
+		if want := deep.ModelTime(c.Graph(model).Makespan(4).Seconds()); res.ModelTime != want || want == 0 {
+			t.Fatalf("booster=%v: model time %v, want the schedule's makespan %v", booster, res.ModelTime, want)
+		}
+		times = append(times, res.ModelTime)
+	}
+	if times[0] == times[1] {
+		t.Fatalf("cluster and booster placements both model %v", times[0])
+	}
+}
+
 // TestMPIWorkloadsDeterministicSideBySide is TestDeterminismMatrix's
-// contract for the Global-MPI workloads, whose ranks free-run as
+// contract for the SDK workloads, whose Global-MPI ranks free-run as
 // goroutines: each runs in two concurrent series of ten, beside the
 // others, and every result must agree with the first byte for byte. NBody did not (its
 // Allgather folded arrivals into the root's clock in host order).
@@ -106,9 +144,7 @@ func TestMPIWorkloadsDeterministicSideBySide(t *testing.T) {
 				}
 				return out, nil
 			}},
-		// Two tiles make a dependency chain, so max_ready is 1 whatever
-		// the host does.
-		deep.Cholesky{N: 32, TileSize: 16, Workers: 2},
+		deep.Cholesky{N: 256, TileSize: 16, Workers: 8},
 		deep.ScheduledJobs{Dynamic: true, Ckpt: &deep.Checkpointing{Interval: 2, Write: 0.5, Buddy: true},
 			Jobs: []deep.Job{{ID: 0, Duration: 5, Boosters: 8}, {ID: 1, Arrival: 1, Duration: 3, Boosters: 12}}},
 	} {

@@ -114,8 +114,8 @@ func TestResultObservability(t *testing.T) {
 	}
 }
 
-// TestCholeskyTrace checks the wall-clock workload joins the same
-// trace pipeline through the shared encoder.
+// TestCholeskyTrace checks the modelled OmpSs schedule joins the same
+// trace pipeline through the shared encoder, one span per task.
 func TestCholeskyTrace(t *testing.T) {
 	m, err := deep.NewMachine(deep.WithTracing())
 	if err != nil {
@@ -134,6 +134,9 @@ func TestCholeskyTrace(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "potrf") {
 		t.Fatal("cholesky trace missing potrf tasks")
+	}
+	if tasks, _ := res.Metric("tasks"); res.Trace.Events() != int(tasks) {
+		t.Fatalf("trace has %d spans for %v tasks", res.Trace.Events(), tasks)
 	}
 }
 

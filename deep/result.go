@@ -39,8 +39,8 @@ type Result struct {
 	Workload string `json:"workload"`
 	Summary  string `json:"summary"`
 	// ModelTime is the modelled execution time on the machine's
-	// virtual clock; zero when the workload has no communication
-	// model (e.g. node-local Cholesky).
+	// virtual clock (zero: the workload modelled no time; text output
+	// then omits it).
 	ModelTime ModelTime `json:"model_time_s"`
 	// Metrics are the ordered observations of the run.
 	Metrics []Metric `json:"metrics,omitempty"`

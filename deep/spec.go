@@ -240,6 +240,9 @@ func (w *WorkloadSpec) normalize() error {
 		def(&w.N, 64)
 		def(&w.TileSize, 16)
 		def(&w.Workers, 8)
+		if w.N%w.TileSize != 0 {
+			return fmt.Errorf("deep: cholesky tile size %d does not divide n %d", w.TileSize, w.N)
+		}
 	case "spmv":
 		def(&w.NX, 32)
 		def(&w.NY, 32)
@@ -294,6 +297,10 @@ func (w *WorkloadSpec) normalize() error {
 // else (deadlines are scheduling hints). Normalize the spec first, so
 // that defaulted and explicit forms coincide.
 func (s *Spec) Key() (string, error) {
+	v := 1
+	if s.Workload != nil && s.Workload.Kind == "cholesky" {
+		v = 2 // v1 cholesky results came from a wall-clock runtime
+	}
 	return ContentHash(struct {
 		V          int           `json:"v"` // schema version
 		Experiment string        `json:"experiment,omitempty"`
@@ -302,7 +309,7 @@ func (s *Spec) Key() (string, error) {
 		Run        runSettings   `json:"run"`
 		Trace      bool          `json:"trace,omitempty"`
 		MetricsS   float64       `json:"metrics_every_s,omitempty"`
-	}{1, s.Experiment, s.Workload, s.Machine, s.run(), s.Trace, s.MetricsEveryS})
+	}{v, s.Experiment, s.Workload, s.Machine, s.run(), s.Trace, s.MetricsEveryS})
 }
 
 // Build materialises the machine, execution environment and workload

@@ -104,7 +104,7 @@ var pinnedKeys = map[string]string{ // spec -> content key
 	`{"workload":{"kind":"spmv"}}`:                                    "171603c01303f71efc0e7527910efc3566a3d55c78f1a3c3551d7d0921f86c94",
 	`{` + stencilOnMachine + `}`:                                      "92b0d3e412bbe702f9137391ab55fec0b6704fcb2af546ba4a292c23396f24de",
 	`{"workload":{"kind":"nbody","ranks":8,"place_on_booster":true}}`: "5e5baa8d3f16785677f59d6b4ed73eadd2655f5a1e61cc6e97a6704c4ce32e57",
-	`{"workload":{"kind":"cholesky"}}`:                                "5a20900ff0326640af11b36ff730d2df43228fed37a484d5b0c1c15ebbcdc59b",
+	`{"workload":{"kind":"cholesky"}}`:                                "98e7c8f8735f49a80a30fec7235497fcc3a45257f4c86dfee23315bddef5e4ce", // v2: modelled schedule, not the wall-clock runtime
 	`{` + jobsCkpt + `}`:                                              "7bfe5e508dcd124ca3d69cdee13e378dff3c27e21c7932ab17386b617590793a",
 	`{"workload":{"kind":"traffic"},"domains":2}`:                     "25168ac2b1fddd5d0e4c2bec0495e973573b8fae2c50045be0f4b9b0f40fd0b0",
 	`{"workload":{"kind":"traffic"},"fidelity":"flow"}`:               "fb1d1cf02725e5446cb84bfdd3e77ec678154a85f6dca3ab48cf33432c4a5661",
@@ -192,6 +192,7 @@ func TestNormalizeRejects(t *testing.T) {
 		"neg window":     {&Spec{Workload: &WorkloadSpec{Kind: "stencil"}, MaxWindow: -1}, nil},
 		"workload nodes": {&Spec{Workload: &WorkloadSpec{Kind: "spmv"}, MaxNodes: 64}, nil},
 		"neg ranks":      {&Spec{Workload: &WorkloadSpec{Kind: "spmv", Ranks: -1}}, nil},
+		"ragged tiles":   {&Spec{Workload: &WorkloadSpec{Kind: "cholesky", N: 100, TileSize: 16}}, nil},
 		"neg traffic":    {&Spec{Workload: &WorkloadSpec{Kind: "traffic", WindowMS: -1}}, nil},
 		"empty jobs":     {&Spec{Workload: &WorkloadSpec{Kind: "jobs"}}, nil},
 		"bad job": {&Spec{Workload: &WorkloadSpec{Kind: "jobs",

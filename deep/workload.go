@@ -11,7 +11,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/ompss"
 	"repro/internal/rng"
 )
 
@@ -157,9 +156,12 @@ func meterModelEnergy(env *Env, res *Result, sentBytes uint64) {
 }
 
 // Cholesky is the OmpSs tiled Cholesky factorisation (paper slide
-// 23): a random SPD matrix is factorised by the dataflow runtime and
-// verified against the unblocked reference factorisation. It runs
-// node-local (no Global-MPI), so the result has no model time.
+// 23), run on the dependency analyser: the task graph of a random SPD
+// matrix is list-scheduled on Workers modelled OmpSs workers of one
+// node (the booster's KNC with Env.PlaceOnBooster, else the cluster's
+// Xeon), and the tile kernels run one at a time in a seeded random
+// topological order of that graph, verified against the unblocked
+// reference factorisation. Model time is the schedule's makespan.
 type Cholesky struct {
 	// N is the matrix dimension (default 64), TileSize the tile edge
 	// (default 16), Workers the OmpSs worker count (default 8).
@@ -190,19 +192,17 @@ func (c Cholesky) Run(ctx context.Context, env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := []ompss.Option{ompss.WithRecording()}
-	var tr *ompss.Tracer
-	if env.Machine.tracing {
-		tr = ompss.NewTracer()
-		opts = append(opts, ompss.WithTracer(tr))
+	model := env.Machine.clusterNodeModel()
+	if env.PlaceOnBooster {
+		model = env.Machine.boosterNodeModel()
 	}
-	rt := ompss.New(workers, opts...)
-	err = ch.RunDataflow(rt)
-	st := rt.Stats()
-	rt.Shutdown()
-	if err != nil {
+	g := ch.Graph(model)
+	// Any topological order must reproduce the sequential result, so a
+	// random one checks that the analysed dependences are enough.
+	if err := ch.Execute(g.RandomOrder(r.Split())); err != nil {
 		return nil, err
 	}
+	sched := g.Schedule(workers)
 	got := ch.Result()
 	maxDiff := 0.0
 	for i := 0; i < n; i++ {
@@ -213,22 +213,28 @@ func (c Cholesky) Run(ctx context.Context, env *Env) (*Result, error) {
 		}
 	}
 	res := &Result{
-		Workload: "cholesky",
-		Summary:  fmt.Sprintf("n=%d ts=%d workers=%d", n, ts, workers),
+		Workload:  "cholesky",
+		Summary:   fmt.Sprintf("n=%d ts=%d workers=%d", n, ts, workers),
+		ModelTime: ModelTime(sched.Makespan.Seconds()),
 	}
-	res.addMetric("tasks", float64(st.Submitted), "")
-	res.addMetric("edges", float64(st.Edges), "")
-	res.addMetric("max_ready", float64(st.MaxReady), "")
+	byName := make(map[string]int)
+	for _, name := range g.Names {
+		byName[name]++
+	}
+	res.addMetric("tasks", float64(g.Len()), "")
+	res.addMetric("edges", float64(g.Edges()), "")
+	res.addMetric("max_ready", float64(sched.MaxReady), "")
 	for _, kernel := range []string{"potrf", "trsm", "gemm", "syrk"} {
-		res.addMetric(kernel, float64(st.ByName[kernel]), "")
+		res.addMetric(kernel, float64(byName[kernel]), "")
 	}
 	res.verify(maxDiff, env.tol(1e-8))
-	if tr != nil {
-		// Cholesky runs on the wall clock, not the virtual clock; the
-		// tracer maps task wall times onto the trace's time axis so the
-		// dataflow schedule is viewable alongside virtual-time runs.
+	if env.Machine.tracing {
+		// The modelled schedule, one lane per worker.
 		t := obs.NewTrace()
-		tr.AddToTrace(t, "cholesky")
+		sc := t.Process("cholesky")
+		for i, name := range g.Names {
+			sc.Span(sched.Worker[i], "ompss", fmt.Sprintf("%s#%d", name, i), sched.Start[i], sched.Start[i]+g.Costs[i])
+		}
 		res.Trace = &TraceData{trace: t}
 	}
 	return res, nil

@@ -1,9 +1,11 @@
 // Cholesky: the paper's OmpSs example (slide 23) end to end through
 // the public deep SDK — a tiled Cholesky factorisation whose
-// potrf/trsm/gemm/syrk tasks declare data dependences, executed as a
-// dataflow graph and verified against the unblocked reference
-// factorisation, followed by the modelled dataflow-vs-fork-join sweep
-// (experiment E06) that shows why the paper adopts the dataflow model.
+// potrf/trsm/gemm/syrk tasks declare data dependences: the dependence
+// graph is list-scheduled on modelled workers, its kernels run in a
+// seeded random dataflow order and are verified against the unblocked
+// reference factorisation, followed by the modelled
+// dataflow-vs-fork-join sweep (experiment E06) that shows why the
+// paper adopts the dataflow model.
 //
 //	go run ./examples/cholesky
 package main
@@ -20,7 +22,7 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// Real dataflow execution with verification, on the default
+	// Modelled dataflow execution with verification, on the default
 	// machine: a 128x128 SPD matrix in 16x16 tiles over 8 workers.
 	m, err := deep.NewMachine(deep.WithSeed(2024))
 	if err != nil {

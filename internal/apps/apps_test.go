@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/linalg"
@@ -13,9 +14,10 @@ import (
 	"repro/internal/topology"
 )
 
-// factorAndVerify runs one Cholesky mode and compares the lower
-// triangle against the unblocked reference.
-func factorAndVerify(t *testing.T, n, ts, workers int, forkJoin bool) {
+// factorAndVerify factors an SPD matrix with the tile kernels run in
+// order(g) and compares the lower triangle against the unblocked
+// reference.
+func factorAndVerify(t *testing.T, n, ts int, order func(g *ompss.GraphBuilder) []int) {
 	t.Helper()
 	r := rng.New(42)
 	src := linalg.SPDMatrix(n, r.Float64)
@@ -27,14 +29,7 @@ func factorAndVerify(t *testing.T, n, ts, workers int, forkJoin bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := ompss.New(workers)
-	defer rt.Shutdown()
-	if forkJoin {
-		err = c.RunForkJoin(rt)
-	} else {
-		err = c.RunDataflow(rt)
-	}
-	if err != nil {
+	if err := c.Execute(order(c.Graph(machine.Xeon))); err != nil {
 		t.Fatal(err)
 	}
 	got := c.Result()
@@ -47,6 +42,10 @@ func factorAndVerify(t *testing.T, n, ts, workers int, forkJoin bool) {
 	}
 }
 
+// TestCholeskyDataflowMatchesReference: dataflow execution orders of
+// the analysed graph — the modelled w-worker schedule's start order and
+// a seeded random topological order — factor the matrix exactly like
+// the sequential reference.
 func TestCholeskyDataflowMatchesReference(t *testing.T) {
 	for _, cfg := range []struct{ n, ts, w int }{
 		{8, 4, 1},
@@ -55,13 +54,41 @@ func TestCholeskyDataflowMatchesReference(t *testing.T) {
 		{24, 8, 3},
 	} {
 		t.Run(fmt.Sprintf("n%d-ts%d-w%d", cfg.n, cfg.ts, cfg.w), func(t *testing.T) {
-			factorAndVerify(t, cfg.n, cfg.ts, cfg.w, false)
+			factorAndVerify(t, cfg.n, cfg.ts, func(g *ompss.GraphBuilder) []int {
+				// Ties broken by submission index keep predecessors first:
+				// every kernel costs more than zero.
+				s := g.Schedule(cfg.w)
+				order := make([]int, g.Len())
+				for i := range order {
+					order[i] = i
+				}
+				sort.SliceStable(order, func(a, b int) bool { return s.Start[order[a]] < s.Start[order[b]] })
+				return order
+			})
+			factorAndVerify(t, cfg.n, cfg.ts, func(g *ompss.GraphBuilder) []int {
+				return g.RandomOrder(rng.New(uint64(cfg.w)))
+			})
 		})
 	}
 }
 
+// TestCholeskyForkJoinMatchesReference: the fork-join order (each
+// outer iteration's phases in submission order) factors exactly too,
+// and its modelled makespan is never below the dataflow schedule's.
 func TestCholeskyForkJoinMatchesReference(t *testing.T) {
-	factorAndVerify(t, 16, 4, 4, true)
+	factorAndVerify(t, 16, 4, func(g *ompss.GraphBuilder) []int {
+		order := make([]int, g.Len())
+		for i := range order {
+			order[i] = i
+		}
+		return order
+	})
+	c, _ := NewCholesky(linalg.NewMatrix(16, 16), 4)
+	for _, w := range []int{1, 2, 4} {
+		if df, fj := c.Graph(machine.Xeon).Makespan(w), c.ForkJoinMakespan(machine.Xeon, w); fj < df {
+			t.Fatalf("%d workers: fork-join %v beats dataflow %v", w, fj, df)
+		}
+	}
 }
 
 func TestCholeskyRejectsBadShapes(t *testing.T) {
@@ -79,9 +106,7 @@ func TestCholeskyNotSPDSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := ompss.New(2)
-	defer rt.Shutdown()
-	if err := c.RunDataflow(rt); err == nil {
+	if err := c.Execute(c.Graph(machine.Xeon).RandomOrder(rng.New(1))); err == nil {
 		t.Fatal("zero matrix factored without error")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // Cholesky is a tiled Cholesky factorisation driven exactly like the
 // paper's OmpSs example (slide 23): the sequential tile loop nest
 // submits potrf/trsm/gemm/syrk tasks whose input/inout annotations let
-// the runtime extract the dataflow parallelism.
+// the dependency analyser extract the dataflow parallelism.
 type Cholesky struct {
 	// NT is the tile grid dimension; TS the tile size.
 	NT, TS int
@@ -54,93 +54,51 @@ func NewCholesky(m *linalg.Matrix, ts int) (*Cholesky, error) {
 // tile returns tile (i, j).
 func (c *Cholesky) tile(i, j int) *linalg.Tile { return c.Tiles[i*c.NT+j] }
 
-// errCapture collects the first kernel error across tasks; tasks
-// serialised on the same tiles make the zero-mutex version racy, so a
-// tiny guard struct is used.
-type errCapture struct {
-	mu  chanMutex
-	err error
-}
-
-// chanMutex is a 1-slot channel used as a mutex to avoid importing
-// sync for one field (and to keep errCapture copyable-by-pointer
-// semantics explicit).
-type chanMutex chan struct{}
-
-func newChanMutex() chanMutex { return make(chanMutex, 1) }
-func (m chanMutex) lock()     { m <- struct{}{} }
-func (m chanMutex) unlock()   { <-m }
-
-func (e *errCapture) set(err error) {
-	if err == nil {
-		return
-	}
-	e.mu.lock()
-	if e.err == nil {
-		e.err = err
-	}
-	e.mu.unlock()
-}
-
-// RunDataflow factors the matrix with full dataflow parallelism on the
-// given OmpSs runtime. It mirrors the paper's loop nest:
+// tasks walks the paper's loop nest once, in submission order, handing
+// emit each task's name, dependences and kernel. Task costs are looked
+// up in costs; a nil map costs nothing.
 //
 //	for k: potrf(A[k][k])
 //	  for i>k: trsm(A[k][k], A[k][i])
 //	  for i>k: { for j<i: gemm(A[k][i],A[k][j],A[j][i]); syrk(A[k][i],A[i][i]) }
-//
-// The runtime must be dedicated to this call (Taskwait is global).
-func (c *Cholesky) RunDataflow(rt *ompss.Runtime) error {
-	ec := &errCapture{mu: newChanMutex()}
-	c.submit(rt, ec, nil)
-	rt.Taskwait()
-	return ec.err
-}
-
-// submit issues the task graph; if barrier is non-nil it is invoked
-// after each outer iteration (fork-join mode).
-func (c *Cholesky) submit(rt *ompss.Runtime, ec *errCapture, barrier func()) {
+func (c *Cholesky) tasks(costs map[string]sim.Time, emit func(name string, d ompss.Deps, run func() error)) {
 	nt := c.NT
-	costs := c.kernelCosts(machine.Xeon)
 	for k := 0; k < nt; k++ {
-		k := k
 		akk := c.tile(k, k)
-		rt.Submit("potrf", func() { ec.set(linalg.Potrf(akk)) }, ompss.Deps{
-			InOut: []any{akk}, Priority: 3, Cost: costs["potrf"],
-		})
+		emit("potrf", ompss.Deps{InOut: []any{akk}, Priority: 3, Cost: costs["potrf"]},
+			func() error { return linalg.Potrf(akk) })
 		for i := k + 1; i < nt; i++ {
-			aki := c.tile(i, k)
-			rt.Submit("trsm", func() { linalg.Trsm(akk, aki) }, ompss.Deps{
-				In: []any{akk}, InOut: []any{aki}, Priority: 2, Cost: costs["trsm"],
-			})
+			aik := c.tile(i, k)
+			emit("trsm", ompss.Deps{In: []any{akk}, InOut: []any{aik}, Priority: 2, Cost: costs["trsm"]},
+				func() error { linalg.Trsm(akk, aik); return nil })
 		}
 		for i := k + 1; i < nt; i++ {
 			aik := c.tile(i, k)
 			for j := k + 1; j < i; j++ {
-				ajk := c.tile(j, k)
-				aij := c.tile(i, j)
-				rt.Submit("gemm", func() { linalg.Gemm(aik, ajk, aij) }, ompss.Deps{
-					In: []any{aik, ajk}, InOut: []any{aij}, Cost: costs["gemm"],
-				})
+				ajk, aij := c.tile(j, k), c.tile(i, j)
+				emit("gemm", ompss.Deps{In: []any{aik, ajk}, InOut: []any{aij}, Cost: costs["gemm"]},
+					func() error { linalg.Gemm(aik, ajk, aij); return nil })
 			}
 			aii := c.tile(i, i)
-			rt.Submit("syrk", func() { linalg.Syrk(aik, aii) }, ompss.Deps{
-				In: []any{aik}, InOut: []any{aii}, Priority: 1, Cost: costs["syrk"],
-			})
-		}
-		if barrier != nil {
-			barrier()
+			emit("syrk", ompss.Deps{In: []any{aik}, InOut: []any{aii}, Priority: 1, Cost: costs["syrk"]},
+				func() error { linalg.Syrk(aik, aii); return nil })
 		}
 	}
 }
 
-// RunForkJoin factors with a barrier after every outer iteration — the
-// fork-join baseline the dataflow model is compared against.
-func (c *Cholesky) RunForkJoin(rt *ompss.Runtime) error {
-	ec := &errCapture{mu: newChanMutex()}
-	c.submit(rt, ec, rt.Taskwait)
-	rt.Taskwait()
-	return ec.err
+// Execute runs the tile kernels one at a time in order, a topological
+// order of Graph's task indices (GraphBuilder.RandomOrder draws one),
+// and returns the first kernel error, such as Potrf's on a tile that is
+// not positive definite.
+func (c *Cholesky) Execute(order []int) error {
+	var kernels []func() error
+	c.tasks(nil, func(_ string, _ ompss.Deps, run func() error) { kernels = append(kernels, run) })
+	for _, t := range order {
+		if err := kernels[t](); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Result reassembles the factored matrix (lower triangle; the strict
@@ -179,35 +137,11 @@ func (c *Cholesky) kernelCosts(m machine.NodeModel) map[string]sim.Time {
 	}
 }
 
-// Graph dry-runs the submission into a GraphBuilder for makespan
-// analysis, with kernel costs modelled on node model m.
+// Graph records the task submission in a GraphBuilder, with kernel
+// costs modelled on node model m.
 func (c *Cholesky) Graph(m machine.NodeModel) *ompss.GraphBuilder {
 	g := ompss.NewGraphBuilder()
-	nt := c.NT
-	costs := c.kernelCosts(m)
-	for k := 0; k < nt; k++ {
-		akk := c.tile(k, k)
-		g.Add("potrf", ompss.Deps{InOut: []any{akk}, Priority: 3, Cost: costs["potrf"]})
-		for i := k + 1; i < nt; i++ {
-			g.Add("trsm", ompss.Deps{
-				In: []any{akk}, InOut: []any{c.tile(i, k)},
-				Priority: 2, Cost: costs["trsm"],
-			})
-		}
-		for i := k + 1; i < nt; i++ {
-			aik := c.tile(i, k)
-			for j := k + 1; j < i; j++ {
-				g.Add("gemm", ompss.Deps{
-					In: []any{aik, c.tile(j, k)}, InOut: []any{c.tile(i, j)},
-					Cost: costs["gemm"],
-				})
-			}
-			g.Add("syrk", ompss.Deps{
-				In: []any{aik}, InOut: []any{c.tile(i, i)},
-				Priority: 1, Cost: costs["syrk"],
-			})
-		}
-	}
+	c.tasks(c.kernelCosts(m), func(name string, d ompss.Deps, _ func() error) { g.Add(name, d) })
 	return g
 }
 

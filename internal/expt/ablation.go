@@ -19,12 +19,11 @@ import (
 // flipped. They are registered alongside the paper experiments with
 // A-prefixed IDs.
 
-// A01: task scheduler policy. The OmpSs runtime defaults to FIFO; the
-// Cholesky critical path benefits from priorities. We compare the
-// modelled makespan of the 16x16-tile Cholesky under the three ready
-// queue policies by replaying the same graph with priorities zeroed
-// (FIFO-equivalent) and set (priority scheduler), plus the fork-join
-// bound for context.
+// A01: ready-queue policy. The Cholesky critical path benefits from
+// priorities. We compare the modelled makespan of the 16x16-tile
+// Cholesky under two ready-queue policies by list-scheduling the same
+// graph with priorities zeroed (FIFO: submission order) and set
+// (priority first).
 func runA01(ctx context.Context, cfg *Config) (*stats.Table, error) {
 	c, err := apps.NewCholesky(linalg.NewMatrix(512, 512), 32)
 	if err != nil {

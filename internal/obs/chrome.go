@@ -11,9 +11,8 @@ import (
 // ChromeEvent is one record of the Chrome trace-event format (the
 // JSON-array flavour chrome://tracing and Perfetto load directly).
 // Timestamps and durations are microseconds. This is the one encoder
-// the repository uses: obs traces and ompss.Tracer both export
-// through it, so real-runtime and simulated timelines view
-// identically.
+// the repository uses: every trace exports through it, so all
+// timelines view identically.
 type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`

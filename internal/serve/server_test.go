@@ -324,6 +324,7 @@ func TestValidation(t *testing.T) {
 		{`{"experiment": "E01", "workload": {"kind": "spmv"}}`, http.StatusBadRequest, ErrInvalidRequest},
 		{`{"experiment": "E01", "fidelity": "exact"}`, http.StatusBadRequest, ErrInvalidRequest},
 		{`{"experiment": "E01", "deadline_s": -3}`, http.StatusBadRequest, ErrInvalidRequest},
+		{`{"workload": {"kind": "cholesky", "n": 100, "tile_size": 16}}`, http.StatusBadRequest, ErrInvalidRequest},
 	}
 	for _, c := range cases {
 		status, e := h.submitErr(c.body)
