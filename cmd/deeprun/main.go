@@ -172,9 +172,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer st.Close()
 		// The content address is the normalised spec's, under deeprun's
 		// own envelope so a deeprun record never answers a deepd lookup.
-		// Version 1 cholesky records hold wall-clock runtime results.
+		// Version 1 cholesky records hold wall-clock runtime results,
+		// version 1 traffic records the queued-closure pool hit rate.
 		v := 1
-		if *app == "cholesky" {
+		if *app == "cholesky" || *app == "traffic" {
 			v = 2
 		}
 		storeKey, err = deep.ContentHash(struct {

@@ -275,11 +275,11 @@ func (w *WorkloadSpec) normalize() error {
 	case "traffic":
 		def(&w.Messages, 4096)
 		def(&w.MsgBytes, 2048)
-		if w.WindowMS < 0 {
-			return fmt.Errorf("deep: negative traffic window %v ms", w.WindowMS)
-		}
 		if w.WindowMS == 0 {
 			w.WindowMS = 1
+		}
+		if _, err := trafficWindow(w.WindowMS); err != nil {
+			return err
 		}
 	case "":
 		return fmt.Errorf("%w: workload spec needs a kind", ErrUnknownWorkload)
@@ -298,8 +298,8 @@ func (w *WorkloadSpec) normalize() error {
 // that defaulted and explicit forms coincide.
 func (s *Spec) Key() (string, error) {
 	v := 1
-	if s.Workload != nil && s.Workload.Kind == "cholesky" {
-		v = 2 // v1 cholesky results came from a wall-clock runtime
+	if w := s.Workload; w != nil && (w.Kind == "cholesky" || w.Kind == "traffic") {
+		v = 2 // v1: wall-clock cholesky runtime, queued-closure traffic pool hit rate
 	}
 	return ContentHash(struct {
 		V          int           `json:"v"` // schema version

@@ -3,6 +3,7 @@ package deep
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -106,8 +107,8 @@ var pinnedKeys = map[string]string{ // spec -> content key
 	`{"workload":{"kind":"nbody","ranks":8,"place_on_booster":true}}`: "5e5baa8d3f16785677f59d6b4ed73eadd2655f5a1e61cc6e97a6704c4ce32e57",
 	`{"workload":{"kind":"cholesky"}}`:                                "98e7c8f8735f49a80a30fec7235497fcc3a45257f4c86dfee23315bddef5e4ce", // v2: modelled schedule, not the wall-clock runtime
 	`{` + jobsCkpt + `}`:                                              "7bfe5e508dcd124ca3d69cdee13e378dff3c27e21c7932ab17386b617590793a",
-	`{"workload":{"kind":"traffic"},"domains":2}`:                     "25168ac2b1fddd5d0e4c2bec0495e973573b8fae2c50045be0f4b9b0f40fd0b0",
-	`{"workload":{"kind":"traffic"},"fidelity":"flow"}`:               "fb1d1cf02725e5446cb84bfdd3e77ec678154a85f6dca3ab48cf33432c4a5661",
+	`{"workload":{"kind":"traffic"},"domains":2}`:                     "df777c3ffe83a5cda55fa63f40a6bc041d65c65ff533dd7006a61986d9f5cef3", // v2: fed injections moved pool_hit_rate
+	`{"workload":{"kind":"traffic"},"fidelity":"flow"}`:               "e3414e74fe27f0df0707a90fa7cf4213b74d7fb4fafc3aff2e5c9fd6858cc3d2", // v2: fed injections moved pool_hit_rate
 }
 
 // TestContentKeysPinned holds pinnedKeys. A twin differs from a pinned
@@ -189,12 +190,16 @@ func TestNormalizeRejects(t *testing.T) {
 		"no kind":      {&Spec{Workload: &WorkloadSpec{}}, ErrUnknownWorkload},
 		"bad kind":     {&Spec{Workload: &WorkloadSpec{Kind: "offload"}}, ErrUnknownWorkload},
 		// Validated before Normalize drops the knob from the stencil spec.
-		"neg window":     {&Spec{Workload: &WorkloadSpec{Kind: "stencil"}, MaxWindow: -1}, nil},
-		"workload nodes": {&Spec{Workload: &WorkloadSpec{Kind: "spmv"}, MaxNodes: 64}, nil},
-		"neg ranks":      {&Spec{Workload: &WorkloadSpec{Kind: "spmv", Ranks: -1}}, nil},
-		"ragged tiles":   {&Spec{Workload: &WorkloadSpec{Kind: "cholesky", N: 100, TileSize: 16}}, nil},
-		"neg traffic":    {&Spec{Workload: &WorkloadSpec{Kind: "traffic", WindowMS: -1}}, nil},
-		"empty jobs":     {&Spec{Workload: &WorkloadSpec{Kind: "jobs"}}, nil},
+		"neg window":                 {&Spec{Workload: &WorkloadSpec{Kind: "stencil"}, MaxWindow: -1}, nil},
+		"workload nodes":             {&Spec{Workload: &WorkloadSpec{Kind: "spmv"}, MaxNodes: 64}, nil},
+		"neg ranks":                  {&Spec{Workload: &WorkloadSpec{Kind: "spmv", Ranks: -1}}, nil},
+		"ragged tiles":               {&Spec{Workload: &WorkloadSpec{Kind: "cholesky", N: 100, TileSize: 16}}, nil},
+		"neg traffic":                {&Spec{Workload: &WorkloadSpec{Kind: "traffic", WindowMS: -1}}, nil},
+		"sub-ps traffic window":      {&Spec{Workload: &WorkloadSpec{Kind: "traffic", WindowMS: 1e-10}}, nil},
+		"overflowing traffic window": {&Spec{Workload: &WorkloadSpec{Kind: "traffic", WindowMS: 1e10}}, nil},
+		"NaN traffic window":         {&Spec{Workload: &WorkloadSpec{Kind: "traffic", WindowMS: math.NaN()}}, nil},
+		"Inf traffic window":         {&Spec{Workload: &WorkloadSpec{Kind: "traffic", WindowMS: math.Inf(1)}}, nil},
+		"empty jobs":                 {&Spec{Workload: &WorkloadSpec{Kind: "jobs"}}, nil},
 		"bad job": {&Spec{Workload: &WorkloadSpec{Kind: "jobs",
 			Jobs: []Job{{Arrival: -1, Duration: 1, Boosters: 1}}}}, nil},
 		// The checkpoint model's own rules, which the scheduler panics on.

@@ -3,6 +3,8 @@ package deep
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"repro/internal/cbp"
 	"repro/internal/fabric"
@@ -35,7 +37,7 @@ type TorusTraffic struct {
 	// WindowMS is the injection window in virtual milliseconds over
 	// which sends are uniformly scattered (default 1.0). Shorter
 	// windows mean more contention and more cross-domain traffic in
-	// flight per synchronization window.
+	// flight per synchronization window. Under 1 ps or past sim.Time is an error.
 	WindowMS float64
 }
 
@@ -57,7 +59,10 @@ func (w TorusTraffic) Run(ctx context.Context, env *Env) (*Result, error) {
 	if windowMS <= 0 {
 		windowMS = 1
 	}
-	window := sim.Time(windowMS * float64(sim.Millisecond))
+	window, err := trafficWindow(windowMS)
+	if err != nil {
+		return nil, err
+	}
 	x, y, z := m.torusX, m.torusY, m.torusZ
 	if x == 0 {
 		x, y, z = cbp.TorusShape(m.boosterNodes)
@@ -65,29 +70,11 @@ func (w TorusTraffic) Run(ctx context.Context, env *Env) (*Result, error) {
 	nodes := x * y * z
 	fid := fabric.Fidelity(m.fidelity)
 
-	// The traffic pattern depends only on the run seed, never on the
-	// kernel: the same (start, src, dst) list is injected under any
-	// domain count.
-	r := rng.New(env.Seed)
-	type item struct {
-		start    sim.Time
-		src, dst topology.NodeID
-	}
-	items := make([]item, count)
-	for i := range items {
-		items[i] = item{
-			start: sim.Time(r.Intn(int(window))),
-			src:   topology.NodeID(r.Intn(nodes)),
-			dst:   topology.NodeID(r.Intn(nodes)),
-		}
-	}
-
 	res := &Result{Workload: w.Name()}
 	if nodes != m.boosterNodes {
 		res.Notes = append(res.Notes,
 			fmt.Sprintf("booster torus rounded up to %dx%dx%d = %d nodes", x, y, z, nodes))
 	}
-	delivered := make([]sim.Time, count)
 
 	doms, _ := machine.BoosterFabricPar(x, y, z, m.Domains(), fid, m.seed)
 	if mw := m.MaxWindow(); mw > 1 {
@@ -96,27 +83,35 @@ func (w TorusTraffic) Run(ctx context.Context, env *Env) (*Result, error) {
 	if m.energy {
 		doms.SetEnergyModel(fabric.ExtollEnergy)
 	}
-	for i, it := range items {
-		i, it := i, it
-		sh := doms.ShardOf(it.src)
-		sh.Eng.At(it.start, func() {
-			sh.Send(it.src, it.dst, size, func(at sim.Time, err error) {
-				if err == nil {
-					delivered[i] = at
-				}
-			})
-		})
+	// The traffic pattern depends only on the run seed, never on the
+	// kernel: the same (start, src, dst) list is fed, send by send, to
+	// the source nodes' shards under any domain count.
+	var arrived atomic.Int64 // completions run on either end's engine
+	deliver := func(_ sim.Time, err error) {
+		if err == nil {
+			arrived.Add(1)
+		}
+	}
+	inj := make([]injector, doms.Domains())
+	for i := range inj {
+		inj[i] = injector{net: doms.Shard(i), size: size, done: deliver,
+			times: make([]sim.Time, 0, count/len(inj)), ends: make([][2]topology.NodeID, 0, count/len(inj))}
+	}
+	r := rng.New(env.Seed)
+	for range count {
+		start := sim.Time(r.Intn(int(window)))
+		src, dst := topology.NodeID(r.Intn(nodes)), topology.NodeID(r.Intn(nodes))
+		in := &inj[doms.Owner(src)]
+		in.times = append(in.times, start)
+		in.ends = append(in.ends, [2]topology.NodeID{src, dst})
+	}
+	for i := range inj {
+		inj[i].net.Eng.Feed(inj[i].times, &inj[i])
 	}
 	finish := doms.Run()
 	st := doms.Stats()
 	res.Kernel = clusterKernelStats(doms.KernelStats())
 
-	done := 0
-	for _, at := range delivered {
-		if at > 0 {
-			done++
-		}
-	}
 	res.Summary = fmt.Sprintf("msgs=%d bytes=%d torus=%dx%dx%d fidelity=%v domains=%d",
 		count, size, x, y, z, fid, doms.Domains())
 	res.ModelTime = ModelTime(finish.Seconds())
@@ -134,9 +129,31 @@ func (w TorusTraffic) Run(ctx context.Context, env *Env) (*Result, error) {
 	}
 	// Verification for a traffic run: every injected message was
 	// delivered, and the fabric's own ledger agrees.
+	done := int(arrived.Load())
 	res.Verified = done == count && st.BytesDelivered == uint64(count*size)
 	if !res.Verified {
 		res.Notes = append(res.Notes, fmt.Sprintf("%d of %d messages undelivered", count-done, count))
 	}
 	return res, nil
+}
+
+// injector is one shard's sends; Feed hands it each index when due.
+type injector struct {
+	net   *fabric.Network
+	times []sim.Time
+	ends  [][2]topology.NodeID // (src, dst) per send
+	size  int
+	done  func(sim.Time, error)
+}
+
+func (in *injector) OnEvent(_ sim.Time, i, _ int64) {
+	in.net.Send(in.ends[i][0], in.ends[i][1], in.size, in.done)
+}
+
+// trafficWindow is ms as virtual time; under 1 ps, overflow or NaN is an error.
+func trafficWindow(ms float64) (sim.Time, error) {
+	if ps := ms * float64(sim.Millisecond); ps >= 1 && ps < math.MaxInt64 {
+		return sim.Time(ps), nil
+	}
+	return 0, fmt.Errorf("deep: traffic window %v ms outside [1 ps, %v]", ms, sim.Time(math.MaxInt64))
 }

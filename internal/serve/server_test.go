@@ -325,6 +325,8 @@ func TestValidation(t *testing.T) {
 		{`{"experiment": "E01", "fidelity": "exact"}`, http.StatusBadRequest, ErrInvalidRequest},
 		{`{"experiment": "E01", "deadline_s": -3}`, http.StatusBadRequest, ErrInvalidRequest},
 		{`{"workload": {"kind": "cholesky", "n": 100, "tile_size": 16}}`, http.StatusBadRequest, ErrInvalidRequest},
+		{`{"workload": {"kind": "traffic", "window_ms": 1e-10}}`, http.StatusBadRequest, ErrInvalidRequest},
+		{`{"workload": {"kind": "traffic", "window_ms": 1e10}}`, http.StatusBadRequest, ErrInvalidRequest},
 	}
 	for _, c := range cases {
 		status, e := h.submitErr(c.body)

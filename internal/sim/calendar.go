@@ -60,7 +60,7 @@ type calendar struct {
 	// current position; no live event is earlier than day.
 	cur int
 	day Time
-	// maxDepth records the high-water mark of count.
+	// maxDepth records the high-water mark of count plus held (insert).
 	maxDepth int
 	resizes  uint64
 	// strain sums the steps past walkLimit that inserts and pops have
@@ -144,15 +144,13 @@ func less(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// insert links ev into its bucket, keeping the bucket sorted.
-func (c *calendar) insert(ev *Event) {
+// insert links ev into its sorted bucket; held scheduled events wait outside.
+func (c *calendar) insert(ev *Event, held int) {
 	c.init()
 	steps := c.link(ev)
 	c.count++
 	c.nodes++
-	if c.count > c.maxDepth {
-		c.maxDepth = c.count
-	}
+	c.maxDepth = max(c.maxDepth, c.count+held)
 	c.linkSteps += uint64(steps)
 	if steps <= walkLimit {
 		return

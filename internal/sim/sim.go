@@ -17,6 +17,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is a virtual time stamp in picoseconds since simulation start.
@@ -135,6 +136,7 @@ type Engine struct {
 	seq     uint64
 	cal     calendar
 	stopped bool
+	fed     int // events Feed has scheduled but not yet queued
 
 	executed  uint64
 	cancelled uint64
@@ -159,7 +161,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of scheduled-but-unexecuted events.
-func (e *Engine) Pending() int { return e.cal.count }
+func (e *Engine) Pending() int { return e.cal.count + e.fed }
 
 // Stats returns the scheduler's counters.
 func (e *Engine) Stats() Stats {
@@ -178,10 +180,15 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// schedule pulls an event from the free list and inserts it.
-func (e *Engine) schedule(t Time, fn func(), h Handler, a0, a1 int64) *Event {
+// schedule pulls an event from the free list and queues it under seq,
+// or under the next sequence number when seq is 0.
+func (e *Engine) schedule(t Time, seq uint64, fn func(), h Handler, a0, a1 int64) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	if seq == 0 {
+		e.seq++
+		seq = e.seq
 	}
 	ev := e.cal.reuse()
 	if ev != nil {
@@ -190,14 +197,13 @@ func (e *Engine) schedule(t Time, fn func(), h Handler, a0, a1 int64) *Event {
 		ev = e.cal.slab.New()
 		e.allocs++
 	}
-	e.seq++
 	ev.at = t
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.fn = fn
 	ev.h = h
 	ev.a0, ev.a1 = a0, a1
 	ev.queued = true
-	e.cal.insert(ev)
+	e.cal.insert(ev, e.fed)
 	return ev
 }
 
@@ -205,7 +211,7 @@ func (e *Engine) schedule(t Time, fn func(), h Handler, a0, a1 int64) *Event {
 // panics: it always indicates a model bug, and silently reordering
 // events would destroy causality.
 func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, fn, nil, 0, 0)
+	e.schedule(t, 0, fn, nil, 0, 0)
 }
 
 // After schedules fn to run d after the current time.
@@ -219,8 +225,76 @@ func (e *Engine) After(d Time, fn func()) {
 // Schedule is the typed, allocation-free form of At: h.OnEvent(t, a0,
 // a1) runs at absolute time t. The returned Token cancels it.
 func (e *Engine) Schedule(t Time, h Handler, a0, a1 int64) Token {
-	ev := e.schedule(t, nil, h, a0, a1)
+	ev := e.schedule(t, 0, nil, h, a0, a1)
 	return Token{ev: ev, seq: ev.seq}
+}
+
+// Feed is exactly Schedule(times[i], h, int64(i), 0) for i = 0, 1, ...
+// in turn, except that only the earliest fed event not yet fired sits
+// in the calendar; firing it queues the next. The sequence numbers are
+// reserved now, so fed events tie as the eager loop's would, and
+// Pending and Stats count the waiting ones. Do not modify times after.
+func (e *Engine) Feed(times []Time, h Handler) {
+	if len(times) == 0 {
+		return
+	}
+	if t := slices.Min(times); t < e.now {
+		panic(fmt.Sprintf("sim: feeding event at %v before now %v", t, e.now))
+	}
+	f := &feed{e: e, h: h, times: times, order: byTime(times), base: e.seq}
+	e.seq += uint64(len(times))
+	e.fed += len(times)
+	f.next()
+}
+
+// feed is the state of one Feed call.
+type feed struct {
+	e     *Engine
+	h     Handler
+	times []Time
+	order []int // indices not yet queued, in (time, index) order
+	base  uint64
+}
+
+// next queues the earliest fed event not yet queued, if any.
+func (f *feed) next() {
+	if len(f.order) > 0 {
+		i := f.order[0]
+		f.order = f.order[1:]
+		f.e.fed--
+		f.e.schedule(f.times[i], f.base+1+uint64(i), nil, f, int64(i), 0)
+	}
+}
+
+// OnEvent queues the successor first: the handler sees the eager queue.
+func (f *feed) OnEvent(now Time, i, _ int64) {
+	f.next()
+	f.h.OnEvent(now, i, 0)
+}
+
+// byTime returns the indices of times (none negative) in (time, index)
+// order: a stable LSD radix sort, a byte a pass.
+func byTime(times []Time) []int {
+	order, tmp := make([]int, len(times)), make([]int, len(times))
+	for i := range order {
+		order[i] = i
+	}
+	for shift, hi := 0, uint64(slices.Max(times)); shift < 64 && hi>>shift != 0; shift += 8 {
+		var at [256]int // counts of each digit, then its next slot
+		for _, i := range order {
+			at[byte(uint64(times[i])>>shift)]++
+		}
+		for d, sum := 0, 0; d < 256; d++ {
+			at[d], sum = sum, sum+at[d]
+		}
+		for _, i := range order {
+			d := byte(uint64(times[i]) >> shift)
+			tmp[at[d]] = i
+			at[d]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
 }
 
 // ScheduleAfter is Schedule relative to the current time.
