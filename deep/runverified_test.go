@@ -3,7 +3,9 @@ package deep
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -61,5 +63,27 @@ func TestRunVerifiedJoinsReference(t *testing.T) {
 		if after := runtime.NumGoroutine(); after > before {
 			t.Errorf("%s: %d goroutines before, %d after", tc.name, before, after)
 		}
+	}
+}
+
+// TestReferencePanicIsAnError: a reference that panics fails the run
+// with an error instead of crashing the process, whether or not the
+// ranks fail as well.
+func TestReferencePanicIsAnError(t *testing.T) {
+	m, err := NewMachine(WithClusterNodes(4), WithClusterRanks(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranksDone := func(c *mpi.Comm) ([]float64, error) { return []float64{0}, nil }
+	reference := func() []float64 { panic("reference gives up") }
+	err = runVerified(context.Background(), m.NewEnv(), &Result{Workload: "test"}, reference, 1e-9, ranksDone)
+	if err == nil || !strings.Contains(err.Error(), "reference panicked: reference gives up") {
+		t.Errorf("panicking reference: error %v", err)
+	}
+	// A grid whose cell count wraps an int: Normalize refuses it, but
+	// Run takes the workload as given.
+	n := 1 << (bits.UintSize / 2)
+	if _, err := Run(context.Background(), m.NewEnv(), Stencil{NX: n, NY: n, Iters: 1}); err == nil {
+		t.Errorf("stencil %dx%d: no error", n, n)
 	}
 }

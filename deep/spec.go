@@ -3,6 +3,7 @@ package deep
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/expt"
@@ -247,10 +248,16 @@ func (w *WorkloadSpec) normalize() error {
 		def(&w.NX, 32)
 		def(&w.NY, 32)
 		def(&w.Iters, 10)
+		if w.NX > math.MaxInt/w.NY {
+			return fmt.Errorf("deep: spmv grid %dx%d overflows int", w.NX, w.NY)
+		}
 	case "stencil":
 		def(&w.NX, 64)
 		def(&w.NY, 64)
 		def(&w.Iters, 20)
+		if w.NX < 3 || w.NY < 3 || w.NX > math.MaxInt/w.NY {
+			return fmt.Errorf("deep: stencil grid %dx%d is under 3x3 or overflows int", w.NX, w.NY)
+		}
 	case "nbody":
 		def(&w.N, 64)
 		def(&w.Steps, 10)

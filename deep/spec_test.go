@@ -193,6 +193,10 @@ func TestNormalizeRejects(t *testing.T) {
 		"neg window":                 {&Spec{Workload: &WorkloadSpec{Kind: "stencil"}, MaxWindow: -1}, nil},
 		"workload nodes":             {&Spec{Workload: &WorkloadSpec{Kind: "spmv"}, MaxNodes: 64}, nil},
 		"neg ranks":                  {&Spec{Workload: &WorkloadSpec{Kind: "spmv", Ranks: -1}}, nil},
+		"overflowing spmv grid":      {&Spec{Workload: &WorkloadSpec{Kind: "spmv", NX: 1 << 32, NY: 1 << 32}}, nil},
+		"overflowing stencil grid":   {&Spec{Workload: &WorkloadSpec{Kind: "stencil", NX: 1 << 32, NY: 1 << 32}}, nil},
+		"narrow stencil":             {&Spec{Workload: &WorkloadSpec{Kind: "stencil", NX: 2}}, nil},
+		"flat stencil":               {&Spec{Workload: &WorkloadSpec{Kind: "stencil", NY: 1}}, nil},
 		"ragged tiles":               {&Spec{Workload: &WorkloadSpec{Kind: "cholesky", N: 100, TileSize: 16}}, nil},
 		"neg traffic":                {&Spec{Workload: &WorkloadSpec{Kind: "traffic", WindowMS: -1}}, nil},
 		"sub-ps traffic window":      {&Spec{Workload: &WorkloadSpec{Kind: "traffic", WindowMS: 1e-10}}, nil},

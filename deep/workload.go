@@ -54,7 +54,8 @@ func positive(v, def int) int {
 // order, verifies them against the sequential reference, and records
 // model time plus traffic metrics on res. The reference runs on its
 // own goroutine beside the ranks and is joined before any return that
-// follows its start. The ranks run on mpi.World whatever the machine's
+// follows its start; a panic there comes back as the error, as a rank's
+// does. The ranks run on mpi.World whatever the machine's
 // domain count: their clocks, not an event kernel, carry the model.
 // This one helper replaces the four copy-pasted transport/verify loops
 // the pre-SDK cmd/deeprun carried.
@@ -87,15 +88,24 @@ func runVerified(ctx context.Context, env *Env, res *Result, reference func() []
 		return nil
 	}
 	var want []float64
+	var refErr error
 	refDone := make(chan struct{})
 	go func() {
 		defer close(refDone)
+		defer func() {
+			if r := recover(); r != nil {
+				refErr = fmt.Errorf("deep: %s reference panicked: %v", res.Workload, r)
+			}
+		}()
 		want = reference()
 	}()
 	makespan, err := mpi.NewWorld(tr, opts...).Run(env.Ranks, body)
 	<-refDone
 	if err != nil {
 		return err
+	}
+	if refErr != nil {
+		return refErr
 	}
 	var got []float64
 	for _, r := range results {

@@ -129,7 +129,7 @@ func (c *Comm) reduce(root int, data []float64, op Op) []float64 {
 	// Receive from children (deepest first not required; FIFO is fine).
 	for _, child := range []int{2*vrank + 1, 2*vrank + 2} {
 		if child < n {
-			contrib := c.recv((child+root)%n, tagReduce).f64
+			contrib := c.recv((child+root)%n, tagReduce, nil, false).f64
 			if len(contrib) != len(acc) {
 				panic(fmt.Sprintf("mpi: Reduce length mismatch %d vs %d", len(contrib), len(acc)))
 			}

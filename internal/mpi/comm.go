@@ -110,9 +110,13 @@ func (c *Comm) post(dst int, tag Tag, data any, f64 []float64, typed bool) {
 	if !typed {
 		env.bytes = PayloadBytes(data)
 	}
-	cost := t.Cost(c.ep.node, to.node, env.bytes)
+	memo := &c.ep.costs[to.node&7]
+	if !memo.ok || memo.node != to.node || memo.bytes != env.bytes {
+		memo.node, memo.bytes, memo.ok = to.node, env.bytes, true
+		memo.cost = t.Cost(c.ep.node, to.node, env.bytes)
+	}
 	c.ep.vt += t.SendOverhead()
-	env.stamp = c.ep.vt + cost
+	env.stamp = c.ep.vt + memo.cost
 	c.ep.sentMsgs++
 	c.ep.sentBytes += uint64(env.bytes)
 	to.mu.Lock()
@@ -140,7 +144,9 @@ func (ep *endpoint) match(ctx int32, src int, tag Tag) int {
 // recv is the one receive path: it blocks until a message matching src
 // and tag arrives on c, removes it from the mailbox and moves the
 // rank's clock to max(local + recv overhead, message availability time).
-func (c *Comm) recv(src int, tag Tag) envelope {
+// With typed set, a []float64 payload that fits into is copied there and
+// its buffer freed under the same lock; the caller reports any misfit.
+func (c *Comm) recv(src int, tag Tag, into []float64, typed bool) envelope {
 	if src != AnySource && c.remote == nil {
 		// Validate early for intra-comms; inter-comm sources are remote
 		// ranks.
@@ -156,6 +162,10 @@ func (c *Comm) recv(src int, tag Tag) envelope {
 	}
 	env := ep.box[i]
 	ep.box = append(ep.box[:i], ep.box[i+1:]...)
+	if typed && env.f64 != nil && len(env.f64) <= len(into) {
+		copy(into, env.f64)
+		ep.free = append(ep.free, env.f64)
+	}
 	ep.mu.Unlock()
 	arrived := env.stamp
 	local := ep.vt + c.world.transport.RecvOverhead()
@@ -178,7 +188,7 @@ func (env *envelope) status() Status {
 // []float64 payload is the caller's to keep: its buffer leaves the
 // mailbox for good.
 func (c *Comm) Recv(src int, tag Tag) (any, Status) {
-	env := c.recv(src, tag)
+	env := c.recv(src, tag, nil, false)
 	if env.f64 != nil {
 		return env.f64, env.status()
 	}
@@ -190,7 +200,7 @@ func (c *Comm) Recv(src int, tag Tag) (any, Status) {
 // the mailbox for the next sender. It panics if the message is not a
 // []float64 or does not fit.
 func (c *Comm) RecvFloat64s(src int, tag Tag, into []float64) (int, Status) {
-	env := c.recv(src, tag)
+	env := c.recv(src, tag, into, true)
 	if env.f64 == nil {
 		panic(fmt.Sprintf("mpi: rank %d RecvFloat64s from source %d tag %d: payload is %T, not []float64",
 			c.rank, env.srcRank, env.tag, env.data))
@@ -199,9 +209,7 @@ func (c *Comm) RecvFloat64s(src int, tag Tag, into []float64) (int, Status) {
 		panic(fmt.Sprintf("mpi: rank %d RecvFloat64s from source %d tag %d: %d floats do not fit a buffer of %d",
 			c.rank, env.srcRank, env.tag, len(env.f64), len(into)))
 	}
-	n := copy(into, env.f64)
-	c.ep.recycle(env.f64)
-	return n, env.status()
+	return len(env.f64), env.status()
 }
 
 // Probe reports whether a matching message is available without

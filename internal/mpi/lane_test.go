@@ -219,6 +219,12 @@ func TestMailboxBuffersBounded(t *testing.T) {
 		if len(ep.free) != peak {
 			return fmt.Errorf("%d free buffers after the run, peak depth %d", len(ep.free), peak)
 		}
+		// A buffer Recv hands out is the caller's, even an empty one.
+		c.SendFloat64s(0, 0, nil)
+		c.Recv(0, 0)
+		if len(ep.free) != peak-1 {
+			return fmt.Errorf("%d free buffers after an empty Recv, want %d", len(ep.free), peak-1)
+		}
 		return nil
 	})
 }

@@ -23,10 +23,11 @@
 // returning, into a buffer from a free list the destination mailbox
 // owns, under the mailbox mutex both sides take anyway (no sync.Pool,
 // no package state). RecvFloat64s copies it out and puts the buffer
-// back, and that is the only way back: Recv hands the buffer to its
-// caller for good. A steady SendFloat64s/RecvFloat64s exchange thus
-// allocates nothing, and a mailbox never owns more buffers than its
-// deepest queue so far.
+// back inside the critical section that matched the message, so a
+// typed receive takes the mailbox lock once; Reduce puts its operands
+// back too, and Recv hands the buffer to its caller for good. A steady
+// SendFloat64s/RecvFloat64s exchange thus allocates nothing, and a
+// mailbox never owns more buffers than its deepest queue so far.
 //
 // Determinism. A rank's clock folds in message stamps in the order the
 // rank receives them. A receive that names its source matches in
@@ -109,9 +110,18 @@ type endpoint struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	box  []envelope
-	// free holds the []float64 buffers RecvFloat64s handed back, for the
+	// free holds the []float64 buffers receives handed back, for the
 	// next senders to this mailbox. Guarded by mu.
 	free [][]float64
+
+	// costs memoises the pure Transport.Cost from node (fixed before the
+	// process sends) per destination node and size, direct-mapped on the
+	// destination node. Owned by the rank goroutine.
+	costs [8]struct {
+		node, bytes int
+		cost        sim.Time
+		ok          bool
+	}
 
 	// vt is the endpoint's virtual clock, owned by the rank goroutine.
 	vt sim.Time

@@ -327,6 +327,9 @@ func TestValidation(t *testing.T) {
 		{`{"workload": {"kind": "cholesky", "n": 100, "tile_size": 16}}`, http.StatusBadRequest, ErrInvalidRequest},
 		{`{"workload": {"kind": "traffic", "window_ms": 1e-10}}`, http.StatusBadRequest, ErrInvalidRequest},
 		{`{"workload": {"kind": "traffic", "window_ms": 1e10}}`, http.StatusBadRequest, ErrInvalidRequest},
+		{`{"workload": {"kind": "stencil", "nx": 4294967296, "ny": 4294967296}}`, http.StatusBadRequest, ErrInvalidRequest},
+		{`{"workload": {"kind": "spmv", "nx": 4294967296, "ny": 4294967296}}`, http.StatusBadRequest, ErrInvalidRequest},
+		{`{"workload": {"kind": "stencil", "nx": 2}}`, http.StatusBadRequest, ErrInvalidRequest},
 	}
 	for _, c := range cases {
 		status, e := h.submitErr(c.body)
