@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		parallelFlag  = fs.Int("parallel", 1, "number of experiments to run concurrently")
 		seedFlag      = fs.Uint64("seed", 0, "override the published seed of seeded experiments (0: keep)")
 		scaleFlag     = fs.Float64("scale", 1, "scale factor for experiment workload sizes")
-		fidelityFlag  = fs.String("fidelity", "default", "fabric transfer model: default | packet | flow | auto")
+		fidelityFlag  = fs.String("fidelity", "default", "fabric transfer model: default | packet | flow")
 		energyFlag    = fs.Bool("energy", false, "append joules / GFlop/W columns to every experiment (event-driven energy recorder)")
 		traceFlag     = fs.String("trace", "", "write a Chrome trace-event JSON of every run to this file")
 		metricsFlag   = fs.String("metrics", "", "write sampled metrics timeseries CSV to this file")

@@ -88,7 +88,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		iters    = fs.Int("iters", 10, "iterations")
 		ranks    = fs.Int("ranks", 4, "MPI ranks")
 		seed     = fs.Uint64("seed", 42, "random seed")
-		fidStr   = fs.String("fidelity", "default", "fabric transfer model: default | packet | flow | auto")
+		fidStr   = fs.String("fidelity", "default", "fabric transfer model: default | packet | flow")
 		energy   = fs.Bool("energy", false, "report energy to solution (joules, per-group breakdown)")
 		tol      = fs.Float64("tol", 0, "override the workload's verification tolerance (0: built-in default)")
 		jobCount = fs.Int("jobs", 24, "jobs: number of synthetic jobs to schedule")

@@ -63,18 +63,13 @@ const (
 	// message-granular FIFO under contention, and the only way to
 	// simulate 100k-node machines in interactive time.
 	Flow
-	// Auto takes the flow path only when the result is provably
-	// identical to the packet model and falls back otherwise, so it is
-	// bit-compatible with Packet at a discount on request/response
-	// traffic.
-	Auto
 )
 
 // String implements fmt.Stringer.
 func (f Fidelity) String() string { return fabric.Fidelity(f).String() }
 
-// ParseFidelity converts a flag value ("packet", "flow", "auto",
-// "default") into a Fidelity.
+// ParseFidelity converts a flag value ("default", "packet", "flow")
+// into a Fidelity. The legacy name "auto" parses as Packet.
 func ParseFidelity(s string) (Fidelity, error) {
 	f, err := fabric.ParseFidelity(s)
 	return Fidelity(f), err
@@ -204,8 +199,8 @@ func WithSeed(seed uint64) Option { return func(m *Machine) { m.seed = seed } }
 func WithModelCompute() Option { return func(m *Machine) { m.modelCompute = true } }
 
 // WithFidelity selects the machine's fabric simulation fidelity:
-// Packet (exact, the default), Flow (flow-level fast path for
-// 100k-node scale), or Auto (flow only where provably exact).
+// Packet (exact, the default) or Flow (flow-level fast path for
+// 100k-node scale).
 func WithFidelity(f Fidelity) Option { return func(m *Machine) { m.fidelity = f } }
 
 // WithFaultInjector attaches a fault plan to the machine; workloads

@@ -26,7 +26,9 @@ type Spec struct {
 	Machine  *MachineSpec  `json:"machine,omitempty"`
 
 	// Seed, Scale, Fidelity and Energy are the Runner knobs of the same
-	// names; zero values keep published behaviour.
+	// names; zero values keep published behaviour. Fidelity matters to
+	// experiment and traffic runs only; Normalize drops it from the
+	// other workloads' specs.
 	Seed     uint64  `json:"seed,omitempty"`
 	Scale    float64 `json:"scale,omitempty"`
 	Fidelity string  `json:"fidelity,omitempty"`
@@ -199,10 +201,10 @@ func (s *Spec) Normalize() error {
 		return errors.New("deep: max_nodes lifts experiment sweep ceilings; workloads size their own machines")
 	}
 	if s.Workload.Kind != "traffic" {
-		// Only TorusTraffic reads Machine.Domains and MaxWindow; every
-		// other workload computes the same result at any K, so the knobs
-		// must not split its content key.
-		s.Domains, s.MaxWindow = 0, 0
+		// Only TorusTraffic reads Machine.Domains, MaxWindow and
+		// fidelity; every other workload computes the same result at any
+		// K and fidelity, so the knobs must not split its content key.
+		s.Domains, s.MaxWindow, s.Fidelity = 0, 0, ""
 	}
 	if err := s.Workload.normalize(); err != nil {
 		return err

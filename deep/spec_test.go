@@ -109,15 +109,23 @@ var pinnedKeys = map[string]string{ // spec -> content key
 	`{` + jobsCkpt + `}`:                                              "7bfe5e508dcd124ca3d69cdee13e378dff3c27e21c7932ab17386b617590793a",
 	`{"workload":{"kind":"traffic"},"domains":2}`:                     "df777c3ffe83a5cda55fa63f40a6bc041d65c65ff533dd7006a61986d9f5cef3", // v2: fed injections moved pool_hit_rate
 	`{"workload":{"kind":"traffic"},"fidelity":"flow"}`:               "e3414e74fe27f0df0707a90fa7cf4213b74d7fb4fafc3aff2e5c9fd6858cc3d2", // v2: fed injections moved pool_hit_rate
+	`{"experiment":"E01","fidelity":"packet"}`:                        "b3328ff1147865640aff0cfc8ccbd89f2d0298281fdf65f6339d2913482403e7",
+	`{"workload":{"kind":"traffic"},"fidelity":"packet"}`:             "dccb0a579f4d56d31d8105236e54a4907974119985e2d0f94cebee448560e92e",
 }
 
 // TestContentKeysPinned holds pinnedKeys. A twin differs from a pinned
-// spec only in knobs its kind ignores and must hash to that pin.
+// spec only in knobs its kind ignores, or in the legacy fidelity name
+// "auto" for "packet", and must hash to that pin.
 func TestContentKeysPinned(t *testing.T) {
 	twins := map[string]string{ // spec -> the pinned spec it must hash as
 		`{` + stencilOnMachine + `,"domains":4}`:                   `{` + stencilOnMachine + `}`,
+		`{` + stencilOnMachine + `,"fidelity":"flow"}`:             `{` + stencilOnMachine + `}`,
 		`{"workload":{"kind":"spmv"},"domains":-1,"max_window":8}`: `{"workload":{"kind":"spmv"}}`,
+		`{"workload":{"kind":"cholesky"},"fidelity":"packet"}`:     `{"workload":{"kind":"cholesky"}}`,
 		`{` + jobsCkpt + `,"domains":2}`:                           `{` + jobsCkpt + `}`,
+		`{` + jobsCkpt + `,"fidelity":"flow"}`:                     `{` + jobsCkpt + `}`,
+		`{"experiment":"E01","fidelity":"auto"}`:                   `{"experiment":"E01","fidelity":"packet"}`,
+		`{"workload":{"kind":"traffic"},"fidelity":"auto"}`:        `{"workload":{"kind":"traffic"},"fidelity":"packet"}`,
 	}
 	key := func(body string) string {
 		t.Helper()
@@ -155,7 +163,7 @@ func TestRunKeysPinned(t *testing.T) {
 		{"E16", Runner{Energy: true, Scale: 1}, "c0a4aaff5ef4cd809eb90d8c75d67607ad5d8715138a8436c8296edde9fa4678"},
 		{"E15", Runner{Domains: 4, MaxWindow: 8, MaxNodes: 1_000_000}, "af3dd068f2e2b1727fa81f28f01a77f7472161a0223f8414dd4f1566626a0501"},
 		{"E15", Runner{Domains: 1, MaxWindow: 1, Fidelity: Packet}, "b0128681069e4cd5655f3ea8e727f23381d1672fbe41b6a80275f24f151eaf94"},
-		{"E09", Runner{Fidelity: Auto, Scale: 0.5, Seed: 3}, "c70444a6e389ad12080c6ee1cf5c0e9fb1c4367f10ba69f5633944347f7aeb90"},
+		{"E09", Runner{Fidelity: Packet, Scale: 0.5, Seed: 3}, "bf14b5eba67718bc37c84eeb6bd7c15e13e4062073dafda30a80729b73a26431"},
 		{"E10", Runner{Scale: 1, Domains: 1, MaxWindow: -2, MaxNodes: -5}, "4d278e00905f9168fbd6950686a0dcc1899f64d1dbc0d0d7326c8385d3932878"},
 	} {
 		if got, err := runKey(c.id, c.r.settings()); err != nil || got != c.key {

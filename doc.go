@@ -20,5 +20,5 @@
 // records paper-vs-measured for every registry entry. The benchmarks
 // in deep/bench_test.go regenerate every figure via the internal/expt
 // registry the deep.Runner fronts, at selectable fabric fidelity
-// (packet, flow, auto — see the deep package docs).
+// (default | packet | flow — see the deep package docs).
 package repro

@@ -13,7 +13,7 @@
 //
 //	go run ./examples/dynamicbooster
 //	go run ./examples/dynamicbooster -energy
-//	go run ./examples/dynamicbooster -energy -fidelity auto
+//	go run ./examples/dynamicbooster -energy -fidelity packet
 package main
 
 import (
@@ -47,7 +47,7 @@ func workload() []deep.Job {
 func main() {
 	var (
 		energyFlag = flag.Bool("energy", false, "meter energy and add a power-gated configuration")
-		fidStr     = flag.String("fidelity", "default", "fabric transfer model: default | packet | flow | auto")
+		fidStr     = flag.String("fidelity", "default", "fabric transfer model: default | packet | flow")
 	)
 	flag.Parse()
 	fid, err := deep.ParseFidelity(*fidStr)

@@ -21,7 +21,7 @@ import (
 func main() {
 	var (
 		energyFlag = flag.Bool("energy", false, "meter energy to solution (Result.Energy block)")
-		fidStr     = flag.String("fidelity", "default", "fabric transfer model: default | packet | flow | auto")
+		fidStr     = flag.String("fidelity", "default", "fabric transfer model: default | packet | flow")
 	)
 	flag.Parse()
 	fid, err := deep.ParseFidelity(*fidStr)

@@ -32,8 +32,8 @@ import (
 // -energy toggle.
 //
 // The traffic is one halo message per node per round on disjoint
-// routes, so the flow fast path is exact here and packet/flow/auto
-// fidelity produce the identical table — the determinism regression
+// routes, so the flow fast path is exact here and packet and flow
+// fidelity produce the identical table — the energy fidelity test
 // holds E16 to that.
 
 // e16Edges are the booster torus edge lengths swept: 8, 27 and 64

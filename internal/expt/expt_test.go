@@ -508,14 +508,14 @@ func TestEnergyDeterministicAcrossFidelity(t *testing.T) {
 	e, _ := Get("E16")
 	ctx := context.Background()
 	var totals []float64
-	for _, fid := range []fabric.Fidelity{fabric.FidelityPacket, fabric.FidelityFlow, fabric.FidelityAuto} {
+	for _, fid := range []fabric.Fidelity{fabric.FidelityPacket, fabric.FidelityFlow} {
 		tab, err := e.Run(ctx, &Config{Scale: 1, Fidelity: fid})
 		if err != nil {
 			t.Fatalf("E16 (%v): %v", fid, err)
 		}
 		totals = append(totals, tab.Summary["joules"])
 	}
-	if totals[0] != totals[1] || totals[0] != totals[2] {
+	if totals[0] != totals[1] {
 		t.Fatalf("E16 joules vary with fidelity: %v", totals)
 	}
 }

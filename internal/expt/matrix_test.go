@@ -3,6 +3,7 @@ package expt_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -17,12 +18,28 @@ type artefacts struct {
 	hash                    string
 }
 
-// observedRun runs one registry experiment through the public Runner
-// with tracing and metrics sampling on and renders every artefact.
-func observedRun(id string, fid deep.Fidelity) (artefacts, error) {
+// cell is one point of the determinism matrix: a registry experiment
+// at a fabric fidelity, its sweep bounded to maxNodes when positive.
+type cell struct {
+	id       string
+	fid      deep.Fidelity
+	maxNodes int
+}
+
+func (c cell) String() string {
+	name := c.id + "/" + c.fid.String()
+	if c.maxNodes > 0 {
+		name += fmt.Sprintf("/maxnodes%d", c.maxNodes)
+	}
+	return name
+}
+
+// observedRun runs one matrix cell through the public Runner with
+// tracing and metrics sampling on and renders every artefact.
+func observedRun(c cell) (artefacts, error) {
 	var a artefacts
-	r := &deep.Runner{Fidelity: fid, Tracing: true, MetricsEvery: 0.5}
-	rep, err := r.Run(context.Background(), id)
+	r := &deep.Runner{Fidelity: c.fid, MaxNodes: c.maxNodes, Tracing: true, MetricsEvery: 0.5}
+	rep, err := r.Run(context.Background(), c.id)
 	if err != nil {
 		return a, err
 	}
@@ -46,29 +63,68 @@ func observedRun(id string, fid deep.Fidelity) (artefacts, error) {
 	return a, nil
 }
 
+// differing names the artefacts that differ between a and b.
+func differing(a, b artefacts) []string {
+	var diff []string
+	for _, c := range []struct {
+		what string
+		a, b []byte
+	}{
+		{"table", a.table, b.table},
+		{"Chrome trace", a.trace, b.trace},
+		{"metrics CSV", a.csv, b.csv},
+		{"result JSON", a.json, b.json},
+		{"content hash", []byte(a.hash), []byte(b.hash)},
+	} {
+		if !bytes.Equal(c.a, c.b) {
+			diff = append(diff, fmt.Sprintf("%s (%d vs %d bytes)", c.what, len(c.a), len(c.b)))
+		}
+	}
+	return diff
+}
+
 // TestDeterminismMatrix closes the class of bug that kept tier-1 red:
 // a host-dependent value (then: sync.Pool's hit rate, exported as the
 // sim_pool_hit_rate gauge) reaching a byte-compared artefact. Every
-// registry experiment runs twice at the same time, beside the other
-// experiments' runs, and every artefact of the pair must be
-// byte-identical: rendered table, Chrome trace, metrics CSV, result
-// JSON and content hash. Nothing GC-, scheduler- or wall-clock-
-// dependent survives that. -short skips only E15's packet-fidelity
-// sweep (100k nodes packet by packet).
+// cell runs twice at the same time, beside the other cells' runs, and
+// every artefact of the pair must be byte-identical: rendered table,
+// Chrome trace, metrics CSV, result JSON and content hash. Nothing GC-,
+// scheduler- or wall-clock-dependent survives that.
+//
+// The cells are every registry experiment at its default fidelity —
+// packet for all but E15, which sweeps at flow — plus E09 at flow,
+// where contention makes the flow model an approximation that must
+// still repeat, and E15 at packet. No two E15 messages share a link
+// queue, so the flow model is exact there: once every cell has
+// finished, the E15 default cell must equal the E15 packet cell in
+// every artefact, which is what lets the 100k-node sweep default to
+// flow. The metrics CSV stamps samples to the picosecond, so a flow
+// delivery off by one picosecond shows even where the table rounds it
+// away. -short bounds that pair to 5000 nodes rather than run E15's
+// packet sweep at 100k nodes.
 func TestDeterminismMatrix(t *testing.T) {
-	type point struct {
-		id  string
-		fid deep.Fidelity
-	}
-	var points []point
+	var cells []cell
 	for _, id := range expt.IDs() {
-		points = append(points, point{id, deep.DefaultFidelity})
+		cells = append(cells, cell{id: id, fid: deep.DefaultFidelity})
 	}
-	if !testing.Short() {
-		points = append(points, point{"E15", deep.Packet})
+	flow, packet := cell{id: "E15", fid: deep.DefaultFidelity}, cell{id: "E15", fid: deep.Packet}
+	if testing.Short() {
+		flow.maxNodes, packet.maxNodes = 5000, 5000
+		cells = append(cells, flow)
 	}
-	for _, p := range points {
-		t.Run(p.id+"/"+p.fid.String(), func(t *testing.T) {
+	cells = append(cells, packet, cell{id: "E09", fid: deep.Flow})
+
+	var mu sync.Mutex
+	done := map[cell]artefacts{}
+	t.Cleanup(func() { // runs once every cell has finished
+		a, okA := done[flow]
+		b, okB := done[packet]
+		if diff := differing(a, b); okA && okB && diff != nil {
+			t.Errorf("%v and %v differ: %v\n--- %v ---\n%s\n--- %v ---\n%s", flow, packet, diff, flow, a.table, packet, b.table)
+		}
+	})
+	for _, c := range cells {
+		t.Run(c.String(), func(t *testing.T) {
 			t.Parallel()
 			var runs [2]artefacts
 			var errs [2]error
@@ -77,7 +133,7 @@ func TestDeterminismMatrix(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					runs[i], errs[i] = observedRun(p.id, p.fid)
+					runs[i], errs[i] = observedRun(c)
 				}()
 			}
 			wg.Wait()
@@ -86,21 +142,12 @@ func TestDeterminismMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			a, b := runs[0], runs[1]
-			for _, c := range []struct {
-				what string
-				a, b []byte
-			}{
-				{"table", a.table, b.table},
-				{"Chrome trace", a.trace, b.trace},
-				{"metrics CSV", a.csv, b.csv},
-				{"result JSON", a.json, b.json},
-				{"content hash", []byte(a.hash), []byte(b.hash)},
-			} {
-				if !bytes.Equal(c.a, c.b) {
-					t.Errorf("%s differs between two concurrent runs (%d vs %d bytes)", c.what, len(c.a), len(c.b))
-				}
+			if diff := differing(runs[0], runs[1]); diff != nil {
+				t.Errorf("two concurrent runs differ: %v", diff)
 			}
+			mu.Lock()
+			done[c] = runs[0]
+			mu.Unlock()
 		})
 	}
 }

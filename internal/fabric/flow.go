@@ -23,14 +23,6 @@ import (
 // contention it approximates FIFO queueing at message granularity:
 // a later flow waits for the whole of an earlier one instead of
 // interleaving segment-by-segment.
-//
-// Auto uses the flow path only when it can prove the result identical
-// to the packet model: the route must be error-free and idle, and no
-// other simulation event may be pending before the flow would
-// complete — in a sequential discrete-event simulation nothing can
-// then disturb the transfer. Everything else falls back to the exact
-// packet model, so Auto is bit-identical to Packet by construction,
-// just cheaper on request/response traffic.
 type Fidelity int
 
 // The fidelity levels. The zero value resolves to the packet model so
@@ -39,7 +31,6 @@ const (
 	FidelityDefault Fidelity = iota
 	FidelityPacket
 	FidelityFlow
-	FidelityAuto
 )
 
 // String implements fmt.Stringer.
@@ -51,26 +42,24 @@ func (f Fidelity) String() string {
 		return "packet"
 	case FidelityFlow:
 		return "flow"
-	case FidelityAuto:
-		return "auto"
 	default:
 		return fmt.Sprintf("fidelity-%d", int(f))
 	}
 }
 
-// ParseFidelity converts a flag value into a Fidelity.
+// ParseFidelity converts a flag value into a Fidelity. "auto" is the
+// legacy name of a packet-exact mode and parses as FidelityPacket, so
+// old scripts and specs keep running and share packet's content keys.
 func ParseFidelity(s string) (Fidelity, error) {
 	switch s {
 	case "", "default":
 		return FidelityDefault, nil
-	case "packet":
+	case "packet", "auto":
 		return FidelityPacket, nil
 	case "flow":
 		return FidelityFlow, nil
-	case "auto":
-		return FidelityAuto, nil
 	default:
-		return 0, fmt.Errorf("fabric: unknown fidelity %q (want packet, flow or auto)", s)
+		return 0, fmt.Errorf("fabric: unknown fidelity %q (want packet or flow)", s)
 	}
 }
 
@@ -79,18 +68,13 @@ func ParseFidelity(s string) (Fidelity, error) {
 // bookings vs flow reservations) miss each other.
 func (n *Network) SetFidelity(f Fidelity) {
 	n.fidelity = f
-	if f == FidelityFlow || f == FidelityAuto {
-		if n.flowFree == nil {
-			// Sized to the owned link range: all links normally, the
-			// shard's contiguous slice on a partitioned fabric.
-			n.flowFree = make([]sim.Time, len(n.down))
-			n.flowBusy = make([]sim.Time, len(n.down))
-		}
+	if f == FidelityFlow && n.flowFree == nil {
+		// Sized to the owned link range: all links normally, the
+		// shard's contiguous slice on a partitioned fabric.
+		n.flowFree = make([]sim.Time, len(n.down))
+		n.flowBusy = make([]sim.Time, len(n.down))
 	}
 }
-
-// FidelityLevel returns the configured transfer model.
-func (n *Network) FidelityLevel() Fidelity { return n.fidelity }
 
 // flow is one message between Send and the packet model, or — on the
 // flow path — between Send and delivery: a pooled record that is its
@@ -142,22 +126,19 @@ func (f *flow) OnEvent(now sim.Time, phase, hop int64) {
 		done(now, nil)
 		return
 	}
-	// The fidelity decision happens at injection time (after the send
-	// overhead), when the route and event-queue state that the Auto
-	// proof needs are current. Fault-affected routes are rejected
-	// before any planning work.
+	// The model is chosen at injection time (after the send overhead),
+	// when the route's fault state is current: fault-affected routes
+	// take the packet model even at flow fidelity.
 	route, sh := n.route(f.src, f.dst, hop), n.P.shape(f.size)
-	if (n.fidelity == FidelityFlow || n.fidelity == FidelityAuto) && n.routeFaultFree(route) {
+	if n.fidelity == FidelityFlow && n.routeFaultFree(route) {
 		starts, total, delivery := n.flowPlan(route, sh)
-		if n.fidelity == FidelityFlow || n.autoQuiescent(route, delivery) {
-			if n.Obs.Enabled() {
-				n.Obs.Instant(obs.LaneNodes+int(f.src), "fabric", "flow-commit",
-					now, obs.KV{K: "dst", V: int(f.dst)}, obs.KV{K: "bytes", V: f.size})
-			}
-			n.commitFlow(route, f.size, starts, total)
-			n.Eng.Schedule(delivery, f, flowDeliver, 0)
-			return
+		if n.Obs.Enabled() {
+			n.Obs.Instant(obs.LaneNodes+int(f.src), "fabric", "flow-commit",
+				now, obs.KV{K: "dst", V: int(f.dst)}, obs.KV{K: "bytes", V: f.size})
 		}
+		n.commitFlow(route, f.size, starts, total)
+		n.Eng.Schedule(delivery, f, flowDeliver, 0)
+		return
 	}
 	size, done := n.release(f)
 	n.packetSend(route, sh, size, done)
@@ -218,31 +199,4 @@ func (n *Network) routeFaultFree(route []topology.LinkID) bool {
 		}
 	}
 	return true
-}
-
-// autoQuiescent is the Auto-fidelity non-interference proof for a
-// planned flow: the route must be completely idle (no packet booking
-// or flow reservation beyond now) and the engine's next pending event
-// must lie beyond the delivery time — nothing is left that could
-// interact with the transfer before it completes, so the flow result
-// is provably identical to the packet model's. A segment whose booking
-// ends exactly at now still has its arrival pending, which the second
-// half rejects.
-func (n *Network) autoQuiescent(route []topology.LinkID, delivery sim.Time) bool {
-	now := n.Eng.Now()
-	for _, l := range route {
-		if n.flowFree[n.li(l)] > now || n.links != nil && n.links[n.li(l)].freeAt > now {
-			return false
-		}
-	}
-	if n.part != nil && delivery > n.part.cl.WindowDeadline() {
-		// Partitioned shard: NextEventTime sees only domain-local
-		// state. Cross-domain events are merged in strictly beyond the
-		// window deadline, so inside the window the local proof is
-		// complete; a delivery reaching past the deadline could race a
-		// future cross arrival — fall back to the packet model.
-		return false
-	}
-	next, ok := n.Eng.NextEventTime()
-	return !ok || next > delivery
 }

@@ -48,93 +48,6 @@ func TestFlowMatchesPacketUncontended(t *testing.T) {
 	}
 }
 
-// TestAutoMatchesPacketQuiescent: a quiescent single transfer must be
-// committed as a flow by Auto and still land at the exact packet time.
-func TestAutoMatchesPacketQuiescent(t *testing.T) {
-	pkt, netP := sendWith(t, FidelityPacket, 0, 21, 1<<20)
-	aut, netA := sendWith(t, FidelityAuto, 0, 21, 1<<20)
-	if aut != pkt {
-		t.Fatalf("auto %v != packet %v", aut, pkt)
-	}
-	if netA.Stats.FlowMessages != 1 {
-		t.Fatal("auto did not take the flow path on a quiescent network")
-	}
-	// Stats the experiments print must agree too.
-	if netA.Stats.Packets != netP.Stats.Packets ||
-		netA.Stats.BytesDelivered != netP.Stats.BytesDelivered {
-		t.Fatalf("stats diverged: auto %+v packet %+v", netA.Stats, netP.Stats)
-	}
-	for l := 0; l < netP.Topo.Links(); l++ {
-		id := topology.LinkID(l)
-		if netA.LinkUtilisation(id) != netP.LinkUtilisation(id) {
-			t.Fatalf("link %d utilisation diverged", l)
-		}
-	}
-}
-
-// TestAutoFallsBackUnderContention: concurrent transfers sharing the
-// engine must all take the packet path and therefore produce times
-// identical to pure packet fidelity.
-func TestAutoFallsBackUnderContention(t *testing.T) {
-	run := func(fid Fidelity) ([]sim.Time, *Network) {
-		topo := topology.NewTorus3D(4, 1, 1)
-		eng := sim.New()
-		net := MustNetwork(eng, topo, Extoll, 1)
-		net.SetFidelity(fid)
-		var times []sim.Time
-		for i := 0; i < 4; i++ {
-			net.Send(0, 2, 1<<20, func(at sim.Time, err error) { times = append(times, at) })
-		}
-		eng.Run()
-		return times, net
-	}
-	pkt, _ := run(FidelityPacket)
-	aut, netA := run(FidelityAuto)
-	if netA.Stats.FlowMessages != 0 {
-		t.Fatalf("auto committed %d flows under contention", netA.Stats.FlowMessages)
-	}
-	for i := range pkt {
-		if aut[i] != pkt[i] {
-			t.Fatalf("message %d: auto %v != packet %v", i, aut[i], pkt[i])
-		}
-	}
-}
-
-// TestAutoChainedTransfersCommit: a request/response chain (each send
-// injected from the previous completion, nothing else pending) is the
-// pattern Auto exists for — every message should go flow-level.
-func TestAutoChainedTransfersCommit(t *testing.T) {
-	run := func(fid Fidelity) (sim.Time, *Network) {
-		topo := topology.NewTorus3D(4, 4, 1)
-		eng := sim.New()
-		net := MustNetwork(eng, topo, Extoll, 1)
-		net.SetFidelity(fid)
-		var last sim.Time
-		hops := []topology.NodeID{5, 9, 2, 0}
-		var next func(i int, from topology.NodeID)
-		next = func(i int, from topology.NodeID) {
-			if i == len(hops) {
-				return
-			}
-			net.Send(from, hops[i], 64<<10, func(at sim.Time, err error) {
-				last = at
-				next(i+1, hops[i])
-			})
-		}
-		next(0, 0)
-		eng.Run()
-		return last, net
-	}
-	pkt, _ := run(FidelityPacket)
-	aut, netA := run(FidelityAuto)
-	if aut != pkt {
-		t.Fatalf("auto %v != packet %v", aut, pkt)
-	}
-	if got := netA.Stats.FlowMessages; got != 4 {
-		t.Fatalf("auto committed %d of 4 chained transfers", got)
-	}
-}
-
 // TestFlowContentionSerializes: in pure flow fidelity, messages on a
 // shared link serialize at message granularity.
 func TestFlowContentionSerializes(t *testing.T) {

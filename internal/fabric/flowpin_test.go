@@ -43,8 +43,7 @@ func haloTraffic(tor *topology.Torus3D) []trafficItem {
 // (empty, sub-MTU, multi-segment, beyond maxPackets*MTU): burst of them
 // inside a short window, so flows queue behind each other on shared
 // links, then tail more spaced far enough apart that each finds the
-// network idle — under Auto the burst falls back to packets and the
-// tail commits as flows.
+// network idle.
 func contendedTraffic(tor *topology.Torus3D, burst, tail int, seed uint64, window sim.Time) []trafficItem {
 	r := rng.New(seed)
 	items := make([]trafficItem, burst+tail)
@@ -114,13 +113,15 @@ func runFlowScenario(t *testing.T, fid Fidelity, k int, tor *topology.Torus3D, i
 	return out, kernelWalk{scheduled: st.Scheduled, executed: st.Executed}
 }
 
-// TestFlowPathPinned holds the flow and auto fidelities to outcomes
+// TestFlowPathPinned holds the flow fidelity to outcomes
 // captured from the implementation the pooled flow record replaced
 // (an injection closure plus an index into a pending-flow table per
 // message). Every change must reproduce the model outcome — every
 // delivery time, counter and joule — on one engine, on one domain (the
-// plain Network) and on two domains. The event counts move only with
-// the events a packet hop costs, each re-pin with its reason.
+// plain Network) and on two domains. The contended-packet cases hold
+// the same traffic at packet fidelity, the reference the flow cases
+// approximate. The event counts move only with the events a packet hop
+// costs, each re-pin with its reason.
 func TestFlowPathPinned(t *testing.T) {
 	tor := topology.NewTorus3D(8, 8, 8)
 	halo := haloTraffic(tor)
@@ -153,13 +154,12 @@ func TestFlowPathPinned(t *testing.T) {
 				stats:   Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, FlowMessages: 1711, CrossMessages: 682},
 				energyJ: 75.06520659773439},
 			walk: kernelWalk{scheduled: 6511, executed: 6511}},
-		{name: "contended-auto", fid: FidelityAuto, items: random,
+		{name: "contended-packet", fid: FidelityPacket, items: random,
 			want: flowOutcome{digest: 0x92946de430ea551d, last: 20357887821,
-				stats:   Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, FlowMessages: 398},
+				stats:   Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626},
 				energyJ: 75.06520659773437},
-			// One event per packet hop, not two: 98 977 events before.
-			walk: kernelWalk{scheduled: 53085, executed: 53085}},
-		{name: "contended-auto-k2", fid: FidelityAuto, k: 2, items: random,
+			walk: kernelWalk{scheduled: 64175, executed: 64175}},
+		{name: "contended-packet-k2", fid: FidelityPacket, k: 2, items: random,
 			want: flowOutcome{digest: 0x6c19a09fcb864244, last: 20357887821,
 				stats:   Stats{Messages: 2400, BytesDelivered: 30526848, Packets: 9626, CrossMessages: 682},
 				energyJ: 75.06520659773439},
@@ -243,7 +243,7 @@ func (c *countingTorus) AppendRoute(buf []topology.LinkID, src, dst topology.Nod
 // link, which the injection event then carries. Loopback is never
 // routed off a shard, and the delivery times stay the zero-load ones.
 func TestRoutesPerMessage(t *testing.T) {
-	for _, fid := range []Fidelity{FidelityPacket, FidelityFlow, FidelityAuto} {
+	for _, fid := range []Fidelity{FidelityPacket, FidelityFlow} {
 		for _, c := range []struct {
 			name string
 			k    int

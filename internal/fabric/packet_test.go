@@ -200,6 +200,13 @@ func packetPins() []packetCase {
 	lossy := Extoll
 	lossy.PacketErrorRate = 1e-3
 	lossy.MaxRetries = 2
+	outage := func(eng *sim.Engine, net *Network) {
+		// Six links around node 100 fail mid-run and come back.
+		for l := 600; l < 606; l++ {
+			eng.At(60*sim.Microsecond, func() { net.LinkFailed(l) })
+			eng.At(140*sim.Microsecond, func() { net.LinkRepaired(l) })
+		}
+	}
 	pins := []packetCase{
 		{name: "clean-contended", p: Extoll, seed: 11, messages: 3000, window: 40 * sim.Microsecond,
 			model: packetModel{digest: 0x74d8593acd420717, last: 107997502,
@@ -213,14 +220,7 @@ func packetPins() []packetCase {
 				energyJ: 0.8779902579712069, links: 0x5d02b9629cc09b24, maxUtil: 0.376689305693187},
 			// One event per hop, not two: 159 217 events before.
 			walk: kernelWalk{scheduled: 84145, executed: 84145, linkSteps: 91556, daySteps: 13207}},
-		{name: "link-outage", p: Extoll, seed: 13, messages: 2000, window: 200 * sim.Microsecond,
-			prepare: func(eng *sim.Engine, net *Network) {
-				// Six links around node 100 fail mid-run and come back.
-				for l := 600; l < 606; l++ {
-					eng.At(60*sim.Microsecond, func() { net.LinkFailed(l) })
-					eng.At(140*sim.Microsecond, func() { net.LinkRepaired(l) })
-				}
-			},
+		{name: "link-outage", p: Extoll, seed: 13, messages: 2000, window: 200 * sim.Microsecond, prepare: outage,
 			model: packetModel{digest: 0xc604550cabbd2a52, last: 232080296,
 				stats:   Stats{Messages: 2000, BytesDelivered: 26202432, Packets: 8220, Retransmits: 150, LinkOutageHits: 150},
 				energyJ: 0.8712533087743886, links: 0x55d9469fc27bf11b, maxUtil: 0.3683283823457378},
@@ -239,16 +239,21 @@ func packetPins() []packetCase {
 				energyJ: 0.05643576140800026, links: 0x33e628ed8a2a1576, maxUtil: 0.9088528421136638},
 			// One event per hop, not two: 45 554 events before.
 			walk: kernelWalk{scheduled: 26490, executed: 26490, linkSteps: 33888, daySteps: 6432}},
-		// Auto falls back to packets, which queue behind booked links,
-		// for all but 264 of the messages. It was 263 while a separate
-		// event freed each link: one flow's proof saw that event pending
-		// before its delivery and fell back, with the same delivery times.
-		{name: "auto-queued", p: Extoll, fid: FidelityAuto, seed: 14, messages: 3000, window: 12 * sim.Millisecond,
+		// Sparse traffic over a 12 ms window: long idle stretches walk
+		// the calendar's day buckets.
+		{name: "sparse-packet", p: Extoll, fid: FidelityPacket, seed: 14, messages: 3000, window: 12 * sim.Millisecond,
 			model: packetModel{digest: 0x44c060436aa11e3c, last: 11989041416,
-				stats:   Stats{Messages: 3000, BytesDelivered: 40152832, Packets: 12523, FlowMessages: 264},
+				stats:   Stats{Messages: 3000, BytesDelivered: 40152832, Packets: 12523},
 				energyJ: 44.2204412199424, links: 0xb9b25076906277e0, maxUtil: 0.0075419612680066835},
-			// One event per hop, not two: 154 931 events before.
-			walk: kernelWalk{scheduled: 81959, executed: 81959, linkSteps: 381255, daySteps: 5906}},
+			walk: kernelWalk{scheduled: 84275, executed: 84275, linkSteps: 381584, daySteps: 5906}},
+		// The link-outage traffic at flow fidelity: routes over a down
+		// link fall back to the packet model and its retransmits, the
+		// rest commit as flows. The link busy times match link-outage's.
+		{name: "flow-outage", p: Extoll, fid: FidelityFlow, seed: 13, messages: 2000, window: 200 * sim.Microsecond, prepare: outage,
+			model: packetModel{digest: 0xd3d87f2be00e7cb6, last: 232080296,
+				stats:   Stats{Messages: 2000, BytesDelivered: 26202432, Packets: 8220, Retransmits: 150, LinkOutageHits: 150, FlowMessages: 1985},
+				energyJ: 0.8712533087743997, links: 0x55d9469fc27bf11b, maxUtil: 0.3683283823457378},
+			walk: kernelWalk{scheduled: 6736, executed: 6736, linkSteps: 5599, daySteps: 1087}},
 	}
 	for _, c := range pins[:2] {
 		c.name, c.k = c.name+"-domains-k1", 1

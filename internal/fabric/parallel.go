@@ -21,7 +21,7 @@ var ErrPartitionUnsupported = errors.New("not supported under the partitioned ke
 // into K contiguous index ranges, each owning the links that leave its
 // nodes and simulated by its own shard Network on its own sim.Cluster
 // domain. Traffic whose route stays inside one shard runs through the
-// unmodified sequential code path (packet, flow or auto fidelity);
+// unmodified sequential code path (packet or flow fidelity);
 // traffic that crosses a boundary is delivered at its zero-load
 // latency as a single cross-domain event — exact for uncontended
 // routes, an approximation under cross-boundary contention.

@@ -104,7 +104,7 @@ func runParallelBounded(topo topology.Topology, p Params, fid Fidelity, bounds [
 func TestDomainsUncontendedMatchesSequential(t *testing.T) {
 	topo := topology.NewTorus3D(6, 6, 6)
 	items := randomTraffic(topo, 120, 7, 50*sim.Microsecond)
-	for _, fid := range []Fidelity{FidelityPacket, FidelityAuto, FidelityFlow} {
+	for _, fid := range []Fidelity{FidelityPacket, FidelityFlow} {
 		want := runSequentialTraffic(topo, Extoll, fid, items)
 		for _, k := range []int{2, 3, 4, 6} {
 			got := runParallelTraffic(topo, Extoll, fid, k, items)
@@ -127,7 +127,7 @@ func TestDomainsUncontendedMatchesSequential(t *testing.T) {
 func TestFatTreeDomainsUncontendedMatchesSequential(t *testing.T) {
 	topo := topology.NewFatTree(8, 8, 4) // 64 nodes, leaf-aligned evenBounds for k | 8
 	items := randomTraffic(topo, 120, 7, 50*sim.Microsecond)
-	for _, fid := range []Fidelity{FidelityPacket, FidelityAuto, FidelityFlow} {
+	for _, fid := range []Fidelity{FidelityPacket, FidelityFlow} {
 		want := runSequentialTraffic(topo, InfiniBandFDR, fid, items)
 		for _, k := range []int{2, 4, 8} {
 			got := runParallelTraffic(topo, InfiniBandFDR, fid, k, items)
@@ -164,8 +164,8 @@ func TestDomainsContendedRepeatablePerK(t *testing.T) {
 	topo := topology.NewTorus3D(5, 5, 5)
 	items := randomTraffic(topo, 200, 11, 0) // heavy collisions
 	for _, k := range []int{2, 4} {
-		a := runParallelTraffic(topo, Extoll, FidelityAuto, k, items)
-		b := runParallelTraffic(topo, Extoll, FidelityAuto, k, items)
+		a := runParallelTraffic(topo, Extoll, FidelityPacket, k, items)
+		b := runParallelTraffic(topo, Extoll, FidelityPacket, k, items)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("K=%d: identical contended runs diverged", k)
 		}
@@ -176,8 +176,8 @@ func TestFatTreeDomainsContendedRepeatablePerK(t *testing.T) {
 	topo := topology.NewFatTree(4, 8, 2)
 	items := randomTraffic(topo, 200, 11, 0) // heavy collisions
 	for _, k := range []int{2, 4} {
-		a := runParallelTraffic(topo, InfiniBandFDR, FidelityAuto, k, items)
-		b := runParallelTraffic(topo, InfiniBandFDR, FidelityAuto, k, items)
+		a := runParallelTraffic(topo, InfiniBandFDR, FidelityPacket, k, items)
+		b := runParallelTraffic(topo, InfiniBandFDR, FidelityPacket, k, items)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("K=%d: identical contended fat-tree runs diverged", k)
 		}

@@ -17,7 +17,7 @@ import (
 //
 // Sampling rides the engine's probe hook rather than self-scheduled
 // tick events: a tick event would enter the calendar queue, perturb
-// Engine.NextEventTime (which the fabric's auto-fidelity proof reads),
+// the kernel's event counts and the cluster's window boundaries,
 // stretch the apparent makespan past the last model event, and need
 // its own termination logic. The probe fires as the clock advances
 // through events that exist anyway, so sampling can never change what

@@ -352,7 +352,7 @@ func TestFarFutureEvents(t *testing.T) {
 	}
 }
 
-// TestNextEventTime checks the peek API the fabric fast path uses.
+// TestNextEventTime checks the peek API the cluster coordinator uses.
 func TestNextEventTime(t *testing.T) {
 	e := New()
 	if _, ok := e.NextEventTime(); ok {
@@ -416,8 +416,8 @@ func BenchmarkScheduleCancel(b *testing.B) {
 // (NextEventTime) while the queue's minimum lies far in the future
 // must not advance the calendar cursor — the running event may still
 // schedule work between now and that minimum, and a moved cursor
-// would walk right past it. The fabric's Auto fast path peeks on
-// every send, which is exactly this pattern.
+// would walk right past it. Any caller that peeks from inside an event
+// callback hits exactly this pattern.
 func TestPeekDoesNotSkipLaterInserts(t *testing.T) {
 	e := New()
 	var order []Time

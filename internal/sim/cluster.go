@@ -41,12 +41,6 @@ type Cluster struct {
 	xseq   []uint64 // per-source post sequence, for deterministic merge
 	merged []xev    // coordinator scratch for the boundary merge
 
-	// deadline is the current window's inclusive execution bound. The
-	// coordinator writes it between windows; workers read it during
-	// the window (Post's conservativeness check, the fabric's flow
-	// proof) — ordered by the goroutine start / WaitGroup edges.
-	deadline Time
-
 	windows uint64
 	cross   uint64
 	blocked []uint64
@@ -126,15 +120,6 @@ func (c *Cluster) Domains() int { return len(c.engines) }
 
 // Lookahead returns the inter-domain lookahead bound.
 func (c *Cluster) Lookahead() Time { return c.lookahead }
-
-// WindowDeadline returns the current window's inclusive floor bound
-// minNext+lookahead-1. Domain-local proofs (the fabric's flow fast
-// path) may rely on it: no cross-domain event can be delivered at or
-// before it. Under adaptive widening the executed span may extend
-// beyond this floor, but every cross stamp still exceeds it — the
-// stamp is at least the window's minimum clock plus the lookahead —
-// so the guarantee is unchanged.
-func (c *Cluster) WindowDeadline() Time { return c.deadline }
 
 // SetMaxWindow caps adaptive window widening at mult times the
 // lookahead. With mult <= 1 (the default) every window spans exactly
@@ -264,9 +249,6 @@ func (c *Cluster) Run() Time {
 			w = c.widen
 		}
 		d := minNext + w*c.lookahead - 1
-		// The published deadline stays the one-lookahead floor: cross
-		// stamps always exceed it, whatever the widened span executes.
-		c.deadline = minNext + c.lookahead - 1
 		c.windows++
 		eligible := 0
 		for i := range ran {

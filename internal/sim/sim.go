@@ -147,7 +147,7 @@ type Engine struct {
 	// each event dispatches, with the new current time. It must not
 	// schedule or cancel events — it exists so the observability layer
 	// can sample state without ever entering the event queue (a real
-	// tick event would perturb NextEventTime and the makespan).
+	// tick event would perturb the event counts and the makespan).
 	probe func(now Time)
 }
 
