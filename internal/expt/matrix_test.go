@@ -83,6 +83,32 @@ func differing(a, b artefacts) []string {
 	return diff
 }
 
+// runTwice runs c twice at the same time and fails t unless every
+// artefact of the pair is byte-identical; it returns the first run.
+func runTwice(t *testing.T, c cell) artefacts {
+	t.Helper()
+	var runs [2]artefacts
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i], errs[i] = observedRun(c)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if diff := differing(runs[0], runs[1]); diff != nil {
+		t.Errorf("two concurrent runs of %v differ: %v", c, diff)
+	}
+	return runs[0]
+}
+
 // TestDeterminismMatrix closes the class of bug that kept tier-1 red:
 // a host-dependent value (then: sync.Pool's hit rate, exported as the
 // sim_pool_hit_rate gauge) reaching a byte-compared artefact. Every
@@ -92,62 +118,62 @@ func differing(a, b artefacts) []string {
 // scheduler- or wall-clock-dependent survives that.
 //
 // The cells are every registry experiment at its default fidelity —
-// packet for all but E15, which sweeps at flow — plus E09 at flow,
-// where contention makes the flow model an approximation that must
-// still repeat, and E15 at packet. No two E15 messages share a link
-// queue, so the flow model is exact there: once every cell has
-// finished, the E15 default cell must equal the E15 packet cell in
-// every artefact, which is what lets the 100k-node sweep default to
-// flow. The metrics CSV stamps samples to the picosecond, so a flow
-// delivery off by one picosecond shows even where the table rounds it
-// away. -short bounds that pair to 5000 nodes rather than run E15's
-// packet sweep at 100k nodes.
+// packet for all but E15, which sweeps at flow — plus E15 at packet.
+// -short skips only E15's packet-fidelity sweep (100k nodes packet by
+// packet). TestFidelityDeterminism is the flow axis of the same check.
 func TestDeterminismMatrix(t *testing.T) {
 	var cells []cell
 	for _, id := range expt.IDs() {
 		cells = append(cells, cell{id: id, fid: deep.DefaultFidelity})
 	}
-	flow, packet := cell{id: "E15", fid: deep.DefaultFidelity}, cell{id: "E15", fid: deep.Packet}
-	if testing.Short() {
-		flow.maxNodes, packet.maxNodes = 5000, 5000
-		cells = append(cells, flow)
+	if !testing.Short() {
+		cells = append(cells, cell{id: "E15", fid: deep.Packet})
 	}
-	cells = append(cells, packet, cell{id: "E09", fid: deep.Flow})
-
-	var mu sync.Mutex
-	done := map[cell]artefacts{}
-	t.Cleanup(func() { // runs once every cell has finished
-		a, okA := done[flow]
-		b, okB := done[packet]
-		if diff := differing(a, b); okA && okB && diff != nil {
-			t.Errorf("%v and %v differ: %v\n--- %v ---\n%s\n--- %v ---\n%s", flow, packet, diff, flow, a.table, packet, b.table)
-		}
-	})
 	for _, c := range cells {
 		t.Run(c.String(), func(t *testing.T) {
 			t.Parallel()
-			var runs [2]artefacts
-			var errs [2]error
-			var wg sync.WaitGroup
-			for i := range runs {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					runs[i], errs[i] = observedRun(c)
-				}()
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			if diff := differing(runs[0], runs[1]); diff != nil {
-				t.Errorf("two concurrent runs differ: %v", diff)
-			}
-			mu.Lock()
-			done[c] = runs[0]
-			mu.Unlock()
+			runTwice(t, c)
 		})
+	}
+}
+
+// TestFidelityDeterminism is the flow axis of the determinism matrix:
+// every registry experiment runs twice at flow fidelity, and every
+// artefact of the pair must be byte-identical. Where messages contend
+// for a link the flow model is an approximation (E09), but an
+// approximation, not a different random process, so it must repeat.
+func TestFidelityDeterminism(t *testing.T) {
+	for _, id := range expt.IDs() {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			runTwice(t, cell{id: id, fid: deep.Flow})
+		})
+	}
+}
+
+// TestE15FlowMatchesPacket: no two E15 messages share a link queue, so
+// the flow model is exact there and E15 at flow must equal E15 at
+// packet in every artefact — which is what lets the 100k-node sweep
+// default to flow. The metrics CSV stamps samples to the picosecond,
+// so a flow delivery off by one picosecond shows even where the table
+// rounds it away. -short bounds the pair to 5000 nodes rather than run
+// the packet sweep at 100k nodes.
+func TestE15FlowMatchesPacket(t *testing.T) {
+	flow, packet := cell{id: "E15", fid: deep.Flow}, cell{id: "E15", fid: deep.Packet}
+	if testing.Short() {
+		flow.maxNodes, packet.maxNodes = 5000, 5000
+	}
+	var a, b artefacts
+	var errA, errB error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); a, errA = observedRun(flow) }()
+	go func() { defer wg.Done(); b, errB = observedRun(packet) }()
+	wg.Wait()
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if diff := differing(a, b); diff != nil {
+		t.Errorf("%v and %v differ: %v\n--- %v ---\n%s\n--- %v ---\n%s", flow, packet, diff, flow, a.table, packet, b.table)
 	}
 }

@@ -27,8 +27,8 @@ import (
 // completion events instead of per-packet chains, which is what makes
 // a 100k-node machine simulable in CI time. Packet fidelity produces
 // the identical table (the traffic is uncontended, where the flow
-// model is exact), just slower — the determinism matrix compares the
-// E15 default and packet cells on exactly that.
+// model is exact), just slower — TestE15FlowMatchesPacket compares
+// every artefact of the two on exactly that.
 
 // e15Edges are the torus edge lengths swept: k^3 nodes each, 1000 to
 // 103823 ("100k boosters"). Edge 100 — a million-node booster — lies
