@@ -77,71 +77,57 @@ func (n *Network) SetFidelity(f Fidelity) {
 }
 
 // flow is one message between Send and the packet model, or — on the
-// flow path — between Send and delivery: a pooled record that is its
-// own injection and completion event, so a flow-level message costs no
-// allocation once the free list is warm.
+// flow path — between Send and delivery: a pooled record carrying its
+// own injection and completion events, its callback in Network.dones.
 type flow struct {
-	net      *Network
-	src, dst topology.NodeID
-	size     int
-	done     func(at sim.Time, err error)
-	next     *flow // free-list link
+	size           int
+	src, dst, next int32 // next: free-list link
 }
 
-// The flow phases, carried as the first event argument.
-const (
-	flowInject  = iota // SendOverhead elapsed: choose the model and book the transfer
-	flowDeliver        // the last byte has been received
-)
-
-// newFlow takes a record off the free list, or a fresh one from the
-// slab, so a halo burst's first pass is not an allocation per message.
-func (n *Network) newFlow(src, dst topology.NodeID, size int, done func(at sim.Time, err error)) *flow {
-	f := n.freeFlows
-	if f != nil {
-		n.freeFlows = f.next
+// newFlow takes a record off the free list and returns its index.
+func (n *Network) newFlow(src, dst topology.NodeID, size int, done func(at sim.Time, err error)) int64 {
+	i := n.freeFlow
+	if i != 0 {
+		n.freeFlow = n.flows.at(i).next
 	} else {
-		f = n.flowSlab.New()
-		f.net = n
+		n.nflows++
+		i = n.nflows
+		n.flows.reach(i)
+		n.dones.reach(i)
 	}
-	f.src, f.dst, f.size, f.done = src, dst, size, done
-	return f
+	*n.flows.at(i) = flow{size: size, src: int32(src), dst: int32(dst)}
+	*n.dones.at(i) = done
+	return int64(i)
 }
 
 // release returns a record whose message has moved on. The free list
 // must not pin the completion callback.
-func (n *Network) release(f *flow) (size int, done func(at sim.Time, err error)) {
-	size, done = f.size, f.done
-	f.done, f.next = nil, n.freeFlows
-	n.freeFlows = f
+func (n *Network) release(i int32) (size int, done func(at sim.Time, err error)) {
+	d, f := n.dones.at(i), n.flows.at(i)
+	size, done = f.size, *d
+	*d, f.next, n.freeFlow = nil, n.freeFlow, i
 	return size, done
 }
 
-// OnEvent implements sim.Handler.
-func (f *flow) OnEvent(now sim.Time, phase, hop int64) {
-	n := f.net
-	if phase == flowDeliver {
-		size, done := n.release(f)
-		n.Stats.BytesDelivered += uint64(size)
-		done(now, nil)
-		return
-	}
-	// The model is chosen at injection time (after the send overhead),
-	// when the route's fault state is current: fault-affected routes
-	// take the packet model even at flow fidelity.
-	route, sh := n.route(f.src, f.dst, hop), n.P.shape(f.size)
+// inject runs flow i's injection event: the model is chosen at
+// injection time (after the send overhead), when the route's fault
+// state is current, so fault-affected routes take the packet model
+// even at flow fidelity.
+func (n *Network) inject(now sim.Time, i int32, hop int64) {
+	f := *n.flows.at(i)
+	src, dst := topology.NodeID(f.src), topology.NodeID(f.dst)
+	route, sh := n.route(src, dst, hop), n.P.shape(f.size)
 	if n.fidelity == FidelityFlow && n.routeFaultFree(route) {
 		starts, total, delivery := n.flowPlan(route, sh)
 		if n.Obs.Enabled() {
-			n.Obs.Instant(obs.LaneNodes+int(f.src), "fabric", "flow-commit",
-				now, obs.KV{K: "dst", V: int(f.dst)}, obs.KV{K: "bytes", V: f.size})
+			n.Obs.Instant(obs.LaneNodes+int(src), "fabric", "flow-commit",
+				now, obs.KV{K: "dst", V: int(dst)}, obs.KV{K: "bytes", V: f.size})
 		}
 		n.commitFlow(route, f.size, starts, total)
-		n.Eng.Schedule(delivery, f, flowDeliver, 0)
+		n.Eng.ScheduleKind(delivery, n.kind, int64(i), flowDeliver)
 		return
 	}
-	size, done := n.release(f)
-	n.packetSend(route, sh, size, done)
+	n.packetSend(i, route, sh)
 }
 
 // flowPlan computes the flow-level trajectory of one message over

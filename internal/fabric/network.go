@@ -74,11 +74,18 @@ type Network struct {
 	// shard, sent. The next one overwrites it, so whatever outlives the
 	// current event (the packet path's message) copies it.
 	scratch []topology.LinkID
-	// freeFlows recycles the per-message flow records (see flow.go), a
-	// stack through their next pointers as deep as the most messages ever
-	// between Send and delivery; flowSlab issues those it cannot supply.
-	freeFlows *flow
-	flowSlab  sim.Slab[flow]
+
+	// kind is the network's entry in its engine's handler table: every
+	// fabric event is OnEvent with a flow index or a packet, and a phase.
+	kind sim.Kind
+	// flows holds a pointer-free record per message between Send and
+	// delivery (see flow.go), and dones its completion callback under
+	// the same index. freeFlow heads their LIFO free list, threaded
+	// through the records; index 0 is never issued, so 0 ends it.
+	flows    pages[flow]
+	dones    pages[func(at sim.Time, err error)]
+	freeFlow int32
+	nflows   int32 // the highest index issued
 
 	// energy is the electrical model; transferJ accumulates per-byte
 	// link-traversal energy as delivery events fire. Both the packet
@@ -89,17 +96,35 @@ type Network struct {
 	energy    EnergyModel
 	transferJ float64
 
-	// freePackets and freeMessages recycle the packet path's records (see
-	// packetSend): stacks through their next pointers as deep as the most
-	// ever in flight at once. Message records keep their route buffers.
-	freePackets  *packet
-	freeMessages *message
+	// msgs holds the packet path's message records (see packetSend),
+	// each under its flow's index.
+	msgs pages[message]
 
 	// Obs, when non-nil, receives the fabric timeline as trace events:
 	// one message span per Send on the sender's node lane, flow-commit
 	// instants when the fast path fires, and link outage instants.
 	// Nil — the default — is inert.
 	Obs *obs.Scope
+}
+
+const recPage = 1 << 10 // records per page of the fabric's record stores
+
+// pages stores values by index in fixed-size pages that never move, so
+// growth copies nothing.
+type pages[T any] struct {
+	p []*[recPage]T
+}
+
+// at returns value i, which reach must have made room for.
+func (s *pages[T]) at(i int32) *T {
+	return &s.p[uint32(i)/recPage][uint32(i)%recPage]
+}
+
+// reach adds pages up to index i.
+func (s *pages[T]) reach(i int32) {
+	for int(i) >= len(s.p)*recPage {
+		s.p = append(s.p, new([recPage]T))
+	}
 }
 
 // SetEnergyModel attaches an electrical model to the fabric. Call
@@ -129,6 +154,7 @@ func NewNetwork(eng *sim.Engine, topo topology.Topology, p Params, seed uint64) 
 	}
 	n := &Network{Eng: eng, Topo: topo, P: p, src: rng.New(seed)}
 	n.down = make([]bool, topo.Links())
+	n.kind = eng.Register(n)
 	return n, nil
 }
 
@@ -232,7 +258,7 @@ func (n *Network) Send(src, dst topology.NodeID, size int, done func(at sim.Time
 	}
 	if src == dst {
 		// Loopback (the empty route): only the software overheads apply.
-		n.Eng.ScheduleAfter(n.P.SendOverhead+n.P.RecvOverhead, n.newFlow(src, dst, size, done), flowDeliver, 0)
+		n.Eng.ScheduleKind(n.Eng.Now()+n.P.SendOverhead+n.P.RecvOverhead, n.kind, n.newFlow(src, dst, size, done), flowDeliver)
 		return
 	}
 	sh := n.P.shape(size)
@@ -245,7 +271,39 @@ func (n *Network) Send(src, dst topology.NodeID, size int, done func(at sim.Time
 	if len(route) == 1 {
 		hop = int64(route[0]) + 1
 	}
-	n.Eng.ScheduleAfter(n.P.SendOverhead, n.newFlow(src, dst, size, done), flowInject, hop)
+	n.Eng.ScheduleKind(n.Eng.Now()+n.P.SendOverhead, n.kind, n.newFlow(src, dst, size, done), hop<<phaseBits|flowInject)
+}
+
+// The event phases, carried in the low bits of an event's second
+// argument: above them sits a shard's one-hop route (see route) on
+// flowInject, and a packet's state on the packet phases (see packet).
+const (
+	flowInject  = iota // flow: SendOverhead elapsed, choose the model and book the transfer
+	flowDeliver        // flow: the last byte has been received
+	pktArrived         // packet: serialization, router and wire delay elapsed, CRC check at the far end
+	pktRetry           // packet: retransmit turnaround elapsed, book the link again
+	phaseBits   = 2
+)
+
+// OnEvent implements sim.Handler: it steps flow a0, or the packet the
+// arguments carry, through the phase a1 carries.
+func (n *Network) OnEvent(now sim.Time, a0, a1 int64) {
+	i := int32(a0)
+	switch a1 & (1<<phaseBits - 1) {
+	case flowInject:
+		n.inject(now, i, a1>>phaseBits)
+	case flowDeliver:
+		size, done := n.release(i)
+		n.Stats.BytesDelivered += uint64(size)
+		done(now, nil)
+	case pktArrived:
+		n.arrive(unpack(a0, a1))
+	case pktRetry:
+		p := unpack(a0, a1)
+		p.attempt++
+		m := n.msgs.at(p.msg)
+		n.acquire(p, m, m.route[p.hop])
+	}
 }
 
 // route writes the route from src to dst into the scratch buffer. A
@@ -278,32 +336,37 @@ func (n *Network) obsWrap(src, dst topology.NodeID, size int,
 	}
 }
 
-// message is the completion record the segments of one packet-model
-// message share, and the typed delivery event that fires RecvOverhead
-// after the last of them arrives (or, failed, the last segment retires),
-// and then returns to the free list.
+// message is the state the segments of a packet-model message share,
+// under its flow's index: the flow is delivered RecvOverhead after the
+// last segment arrives, or, failed, freed when it retires. Its route
+// buffer makes it the one fabric record with a pointer.
 type message struct {
-	net       *Network
 	route     []topology.LinkID
-	size      int
+	sh        segShape
 	remaining int // segments still in flight
 	failed    bool
-	done      func(at sim.Time, err error)
-	next      *message // free-list link
 }
 
 // packet is one segment in flight: a state machine the engine steps
-// through typed events, one per hop, so a hop costs no allocation. Each
-// hop books the link behind every earlier booking, serializes, then
-// pays router and propagation delay; a corrupted traversal is detected
-// by CRC at the far end and retransmitted by the link after
-// RetransmitDelay.
+// through events, one per hop, so a hop costs no allocation. Each hop
+// books the link behind every earlier booking, serializes, then pays
+// router and propagation delay; a corrupted traversal is detected by
+// CRC at the far end and retransmitted by the link after
+// RetransmitDelay. The state travels whole in the event's arguments.
 type packet struct {
-	msg     *message
-	bytes   int
-	hop     int     // index into msg.route of the link being crossed
-	attempt int     // retransmissions of this hop so far
-	next    *packet // free-list link
+	msg     int32 // its message's flow
+	seg     int32 // its segment of the message
+	hop     int32 // index into the message's route of the link being crossed
+	attempt int32 // retransmissions of this hop so far, below 1<<30
+}
+
+// args packs p and phase into event arguments; unpack reverses it.
+func (p packet) args(phase int64) (a0, a1 int64) {
+	return int64(p.msg)<<32 | int64(p.seg), int64(p.hop)<<32 | int64(p.attempt)<<phaseBits | phase
+}
+
+func unpack(a0, a1 int64) packet {
+	return packet{int32(a0 >> 32), int32(a0), int32(a1 >> 32), int32(uint32(a1) >> phaseBits)}
 }
 
 // link is one link's reservation: the time its last booked segment
@@ -315,71 +378,44 @@ type link struct {
 	busyTime sim.Time
 }
 
-// The packet phases, carried as the first event argument.
-const (
-	pktArrived = iota // serialization, router and wire delay elapsed: CRC check at the far end
-	pktRetry          // retransmit turnaround elapsed: book the link again
-)
-
-// packetSend injects one message into the exact per-packet model:
-// every segment contends for every link of the route, which the
-// message keeps a copy of.
-func (n *Network) packetSend(route []topology.LinkID, sh segShape, size int,
-	done func(at sim.Time, err error)) {
+// packetSend injects flow mi into the exact per-packet model: every
+// segment contends for every link of the route, which the message
+// keeps a copy of.
+func (n *Network) packetSend(mi int32, route []topology.LinkID, sh segShape) {
 	if n.links == nil {
 		n.links = make([]link, len(n.down))
 	}
-	m := n.freeMessages
-	if m != nil {
-		n.freeMessages, m.next = m.next, nil
-	} else {
-		m = &message{net: n}
-	}
+	n.msgs.reach(mi)
+	m := n.msgs.at(mi)
 	m.route = append(m.route[:0], route...)
-	m.size, m.remaining, m.failed, m.done = size, sh.packets, false, done
-	for i := 0; i < sh.packets; i++ {
-		p := n.freePackets
-		if p != nil {
-			n.freePackets = p.next
-		} else {
-			p = new(packet)
-		}
-		*p = packet{msg: m, bytes: sh.seg(i)}
-		p.acquire()
+	m.sh, m.remaining, m.failed = sh, sh.packets, false
+	for k := 0; k < sh.packets; k++ {
+		n.acquire(packet{msg: mi, seg: int32(k)}, m, route[0])
 	}
 }
 
-// acquire is one whole hop: it books the link of the packet's current
-// hop after every earlier booking — on the wire at once if the link is
-// free — and schedules the arrival at the far end.
-func (p *packet) acquire() {
-	n := p.msg.net
-	q := &n.links[n.li(p.msg.route[p.hop])]
-	ser := n.P.serTime(p.bytes)
+// acquire is one whole hop of packet p of message m: it books l, the
+// link of the packet's current hop, after every earlier booking — on
+// the wire at once if the link is free — and schedules the arrival at
+// the far end.
+func (n *Network) acquire(p packet, m *message, l topology.LinkID) {
+	q := &n.links[n.li(l)]
+	ser := n.P.serTime(m.sh.seg(int(p.seg)))
 	q.freeAt = max(n.Eng.Now(), q.freeAt) + ser
 	q.busyTime += ser
-	n.Eng.Schedule(q.freeAt+n.P.RouterDelay+n.P.LinkLatency, p, pktArrived, 0)
+	a0, a1 := p.args(pktArrived)
+	n.Eng.ScheduleKind(q.freeAt+n.P.RouterDelay+n.P.LinkLatency, n.kind, a0, a1)
 }
 
-// OnEvent implements sim.Handler: it advances the packet one phase.
-func (p *packet) OnEvent(_ sim.Time, phase, _ int64) {
-	if phase == pktArrived {
-		p.arrive()
-		return
-	}
-	p.attempt++
-	p.acquire()
-}
-
-// arrive settles one link traversal at its far end.
-func (p *packet) arrive() {
-	m := p.msg
-	n, l := m.net, m.route[p.hop]
+// arrive settles packet p's link traversal at its far end.
+func (n *Network) arrive(p packet) {
+	m := n.msgs.at(p.msg)
+	l := m.route[p.hop]
 	if n.energy.PerByteJ != 0 {
 		// The bytes crossed the link whether or not the CRC rejects
 		// them at the far end: retransmissions burn energy, which is
 		// exactly what E10's inflation shows.
-		n.transferJ += n.energy.PerByteJ * float64(p.bytes)
+		n.transferJ += n.energy.PerByteJ * float64(m.sh.seg(int(p.seg)))
 	}
 	corrupted := n.P.PacketErrorRate > 0 && n.src.Bool(n.P.PacketErrorRate)
 	down := n.down[n.li(l)]
@@ -393,8 +429,8 @@ func (p *packet) arrive() {
 	}
 	if corrupted {
 		n.Stats.Retransmits++
-		if p.attempt+1 >= n.P.maxRetries() {
-			n.retire(p, fmt.Errorf("fabric: packet dropped after %d retries on %s",
+		if int(p.attempt)+1 >= n.P.maxRetries() {
+			n.retire(p.msg, m, fmt.Errorf("fabric: packet dropped after %d retries on %s",
 				p.attempt+1, n.linkName(l)))
 			return
 		}
@@ -406,54 +442,35 @@ func (p *packet) arrive() {
 			// retransmit cadence.
 			delay <<= uint(min(p.attempt, 20))
 		}
-		n.Eng.ScheduleAfter(delay, p, pktRetry, 0)
+		a0, a1 := p.args(pktRetry)
+		n.Eng.ScheduleKind(n.Eng.Now()+delay, n.kind, a0, a1)
 		return
 	}
 	p.hop++
 	p.attempt = 0
-	if p.hop == len(m.route) {
-		n.retire(p, nil)
+	if int(p.hop) == len(m.route) {
+		n.retire(p.msg, m, nil)
 		return
 	}
-	p.acquire()
+	n.acquire(p, m, m.route[p.hop])
 }
 
-// retire frees a packet that reached its destination (err == nil) or
-// was dropped, and settles its message: the first drop fails the
+// retire settles message m, flow mi, for a segment that reached its
+// destination (err == nil) or was dropped: the first drop fails the
 // message at once, the last arrival of an intact one schedules its
-// delivery, and the last segment of a failed one frees the record.
-func (n *Network) retire(p *packet, err error) {
-	m := p.msg
-	*p = packet{next: n.freePackets} // the free list must not pin the message
-	n.freePackets = p
+// delivery, and the last segment of a failed one frees the flow.
+func (n *Network) retire(mi int32, m *message, err error) {
 	if err != nil && !m.failed {
 		m.failed = true
 		n.Stats.Drops++
-		m.done(n.Eng.Now(), err)
+		(*n.dones.at(mi))(n.Eng.Now(), err)
 	}
 	m.remaining--
 	if m.remaining == 0 && m.failed {
-		n.releaseMessage(m)
+		n.release(mi)
 	} else if m.remaining == 0 {
-		n.Eng.ScheduleAfter(n.P.RecvOverhead, m, 0, 0)
+		n.Eng.ScheduleKind(n.Eng.Now()+n.P.RecvOverhead, n.kind, int64(mi), flowDeliver)
 	}
-}
-
-// releaseMessage returns a settled record to the free list, which must
-// not pin its completion callback, and hands that callback back.
-func (n *Network) releaseMessage(m *message) func(at sim.Time, err error) {
-	done := m.done
-	m.done, m.next = nil, n.freeMessages
-	n.freeMessages = m
-	return done
-}
-
-// OnEvent implements sim.Handler: the receive overhead has elapsed
-// and the message is delivered.
-func (m *message) OnEvent(now sim.Time, _, _ int64) {
-	n := m.net
-	n.Stats.BytesDelivered += uint64(m.size)
-	n.releaseMessage(m)(now, nil)
 }
 
 // segShape is how a message is cut into segments: packets of them, the

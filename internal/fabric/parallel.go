@@ -96,6 +96,7 @@ func NewDomains(topo topology.Topology, p Params, seed uint64, bounds []int) (*D
 			part:   d,
 			domain: i,
 		}
+		d.shards[i].kind = d.shards[i].Eng.Register(d.shards[i])
 	}
 	if nodeMajor {
 		deg := nm.LinkDegree()

@@ -37,13 +37,12 @@ const (
 	// pop (over empty days) may take for free; steps beyond it are
 	// charged to the current width as strain.
 	walkLimit = 8
-	// maxSlab caps the block size a Slab allocates in.
-	maxSlab = 256
+	pageSize  = 512 // records per event page: 20 KiB, a small-object size class
 )
 
-// bucket is one sorted day list.
+// bucket is one sorted day list, by event index (0 when empty).
 type bucket struct {
-	head, tail *Event
+	head, tail int32
 }
 
 // calendar is the bucketed priority queue. The zero value is ready to
@@ -69,58 +68,53 @@ type calendar struct {
 	strain              int
 	linkSteps, daySteps uint64
 	// free heads the event free list, a stack threaded through the
-	// events' own next pointers (it costs no memory and never grows),
+	// records' own next links (it costs no memory and never grows),
 	// and nfree is its length. An event enters it when it leaves the
 	// calendar and the next schedule takes the most recent one, so the
 	// list never outgrows the most events ever queued at once and
 	// reuse is a pure function of the event sequence.
-	free  *Event
+	free  int32
 	nfree int
-	// slab issues the events the free list cannot supply.
-	slab Slab[Event]
+	// pages hold the records; they never move, so growth copies nothing.
+	// used counts the indices ever issued. Index 0 is reserved: 0 ends
+	// every chain, and the zero bucket is empty.
+	pages []*[pageSize]Event
+	used  int32
 }
 
-// Slab hands out zeroed values that have never been used, to owners
-// that recycle them on a free list of their own. They come from the
-// allocator in blocks, each twice the last up to maxSlab and only when
-// the last is used up: 300 000 first uses at one instant are some 1 200
-// allocations, a handful of uses a handful. The zero Slab is ready.
-type Slab[T any] struct {
-	block []T
-	used  int
+// ev returns event i's record.
+func (c *calendar) ev(i int32) *Event {
+	return &c.pages[uint32(i)/pageSize][uint32(i)%pageSize]
 }
 
-// New returns the next unused value.
-func (s *Slab[T]) New() *T {
-	if s.used == len(s.block) {
-		s.block = make([]T, min(max(2*len(s.block), 1), maxSlab))
-		s.used = 0
+// fresh issues an index never used before, adding pages as needed.
+func (c *calendar) fresh() (int32, *Event) {
+	if c.used%pageSize == 0 {
+		c.pages = append(c.pages, new([pageSize]Event))
+		c.used = max(c.used, 1)
 	}
-	s.used++
-	return &s.block[s.used-1]
+	c.used++
+	return c.used - 1, c.ev(c.used - 1)
 }
 
-// recycle clears an unlinked event — the free list must not pin the
-// callback it carried — and pushes it on the free list.
-func (c *calendar) recycle(ev *Event) {
-	ev.fn = nil
-	ev.h = nil
-	ev.queued = false
-	ev.cancelled = false
-	ev.next = c.free
-	c.free = ev
+// recycle zeroes ev, unlinked event i, and pushes it on the free list.
+func (c *calendar) recycle(i int32, ev *Event) {
+	*ev = Event{next: c.free}
+	c.free = i
 	c.nfree++
 }
 
-// reuse pops an event off the free list, or returns nil when it is
+// reuse pops an event off the free list, or returns 0, nil when it is
 // empty.
-func (c *calendar) reuse() *Event {
-	ev := c.free
-	if ev != nil {
-		c.free, ev.next = ev.next, nil
-		c.nfree--
+func (c *calendar) reuse() (int32, *Event) {
+	i := c.free
+	if i == 0 {
+		return 0, nil
 	}
-	return ev
+	ev := c.ev(i)
+	c.free, ev.next = ev.next, 0
+	c.nfree--
+	return i, ev
 }
 
 func (c *calendar) init() {
@@ -144,10 +138,10 @@ func less(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// insert links ev into its sorted bucket; held scheduled events wait outside.
-func (c *calendar) insert(ev *Event, held int) {
+// insert links ev, event i, into its sorted bucket; held events wait outside.
+func (c *calendar) insert(i int32, ev *Event, held int) {
 	c.init()
-	steps := c.link(ev)
+	steps := c.link(i, ev)
 	c.count++
 	c.nodes++
 	c.maxDepth = max(c.maxDepth, c.count+held)
@@ -170,63 +164,67 @@ func (c *calendar) insert(ev *Event, held int) {
 	}
 }
 
-// link places ev into sorted position within its bucket and returns
-// the list steps it took. Monotone arrivals append at the tail in
-// O(1); out-of-order arrivals walk.
-func (c *calendar) link(ev *Event) (steps int) {
+// link places ev, event i, into sorted position within its bucket and
+// returns the list steps it took. Monotone arrivals append at the tail
+// in O(1); out-of-order arrivals walk.
+func (c *calendar) link(i int32, ev *Event) (steps int) {
 	b := &c.buckets[c.bucketOf(ev.at)]
+	tail := c.ev(b.tail) // the reserved record 0 for an empty bucket
 	switch {
-	case b.head == nil:
-		b.head, b.tail = ev, ev
-		ev.next = nil
-	case !less(ev, b.tail):
-		b.tail.next = ev
-		b.tail = ev
-		ev.next = nil
-	case less(ev, b.head):
+	case b.head == 0:
+		b.head, b.tail = i, i
+		ev.next = 0
+	case !less(ev, tail):
+		tail.next = i
+		b.tail = i
+		ev.next = 0
+	case less(ev, c.ev(b.head)):
 		ev.next = b.head
-		b.head = ev
+		b.head = i
 	default:
-		p := b.head
-		for p.next != nil && !less(ev, p.next) {
-			p = p.next
+		p := c.ev(b.head)
+		for p.next != 0 && !less(ev, c.ev(p.next)) {
+			p = c.ev(p.next)
 			steps++
 		}
 		ev.next = p.next
-		p.next = ev
+		p.next = i
 	}
 	return steps
 }
 
 // headOf purges cancelled events from the front of bucket idx and
-// returns its least live event (nil for an empty bucket).
+// returns the record of its least live event, now its head, or nil
+// when it is empty.
 func (c *calendar) headOf(idx int) *Event {
 	b := &c.buckets[idx]
-	for b.head != nil && b.head.cancelled {
-		ev := b.head
+	for b.head != 0 {
+		i := b.head
+		ev := c.ev(i)
+		if ev.kind != cancelled {
+			return ev
+		}
 		b.head = ev.next
-		if b.head == nil {
-			b.tail = nil
+		if b.head == 0 {
+			b.tail = 0
 		}
 		c.nodes--
-		c.recycle(ev)
+		c.recycle(i, ev)
 	}
-	return b.head
+	return nil
 }
 
-// unlinkHead removes the head of bucket idx.
-func (c *calendar) unlinkHead(idx int) *Event {
+// unlinkHead removes ev, the head of bucket idx, and returns its index.
+func (c *calendar) unlinkHead(idx int, ev *Event) int32 {
 	b := &c.buckets[idx]
-	ev := b.head
+	i := b.head
 	b.head = ev.next
-	if b.head == nil {
-		b.tail = nil
+	if b.head == 0 {
+		b.tail = 0
 	}
-	ev.next = nil
-	ev.queued = false
 	c.nodes--
 	c.count--
-	return ev
+	return i
 }
 
 // sweep drops cancelled nodes from every bucket. Called when the dead
@@ -236,32 +234,33 @@ func (c *calendar) unlinkHead(idx int) *Event {
 func (c *calendar) sweep() {
 	for idx := range c.buckets {
 		b := &c.buckets[idx]
-		var prev *Event
-		ev := b.head
-		for ev != nil {
+		var prev int32
+		for i := b.head; i != 0; {
+			ev := c.ev(i)
 			next := ev.next
-			if ev.cancelled {
-				if prev == nil {
+			if ev.kind == cancelled {
+				if prev == 0 {
 					b.head = next
 				} else {
-					prev.next = next
+					c.ev(prev).next = next
 				}
 				c.nodes--
-				c.recycle(ev)
+				c.recycle(i, ev)
 			} else {
-				prev = ev
+				prev = i
 			}
-			ev = next
+			i = next
 		}
 		b.tail = prev
 	}
 }
 
-// popMin removes and returns the least event with at <= deadline, or
-// nil when none exists. With remove=false it only peeks.
-func (c *calendar) popMin(deadline Time, remove bool) *Event {
+// popMin removes and returns the least event with at <= deadline and
+// its record, or 0, nil when none exists. With remove=false it only
+// peeks.
+func (c *calendar) popMin(deadline Time, remove bool) (int32, *Event) {
 	if c.count == 0 {
-		return nil
+		return 0, nil
 	}
 	if remove {
 		switch {
@@ -274,16 +273,16 @@ func (c *calendar) popMin(deadline Time, remove bool) *Event {
 			c.resize(len(c.buckets))
 		}
 	}
-	if ev, conclusive := c.dayWalk(deadline, remove); conclusive {
-		return ev
+	if i, ev, conclusive := c.dayWalk(deadline, remove); conclusive {
+		return i, ev
 	}
 	// A whole year passed without a hit: the head of the population is
 	// spread far wider than the current day width covers (a handful of
 	// events milliseconds apart under a nanosecond-era width). Re-fit
 	// the width to it and walk again.
 	c.resize(len(c.buckets))
-	if ev, conclusive := c.dayWalk(deadline, remove); conclusive {
-		return ev
+	if i, ev, conclusive := c.dayWalk(deadline, remove); conclusive {
+		return i, ev
 	}
 	// Safety net (unreachable for sane geometries): direct search over
 	// the bucket heads, jumping the calendar to the winner.
@@ -295,14 +294,14 @@ func (c *calendar) popMin(deadline Time, remove bool) *Event {
 		}
 	}
 	if best == nil || best.at > deadline {
-		return nil
+		return 0, nil
 	}
 	if remove {
 		c.day = best.at - best.at%c.width
 		c.cur = c.bucketOf(c.day)
-		return c.unlinkHead(bestIdx)
+		return c.unlinkHead(bestIdx, best), best
 	}
-	return best
+	return c.buckets[bestIdx].head, best
 }
 
 // dayWalk advances day by day for up to one year looking for the next
@@ -310,15 +309,17 @@ func (c *calendar) popMin(deadline Time, remove bool) *Event {
 // event found, or the deadline proven unreachable. A false return
 // means the year was exhausted and the caller should re-fit the
 // calendar geometry.
-func (c *calendar) dayWalk(deadline Time, remove bool) (*Event, bool) {
+func (c *calendar) dayWalk(deadline Time, remove bool) (int32, *Event, bool) {
 	cur, day := c.cur, c.day
 	for i := 0; i <= c.mask; i++ {
 		if day > deadline {
-			return nil, true
+			return 0, nil, true
 		}
-		if ev := c.headOf(cur); ev != nil && ev.at < day+c.width {
+		if c.buckets[cur].head == 0 {
+			// An empty day, passed without a call.
+		} else if ev := c.headOf(cur); ev != nil && ev.at < day+c.width {
 			if ev.at > deadline {
-				return nil, true
+				return 0, nil, true
 			}
 			// Only a removal may advance the cursor. A peek happens in
 			// the middle of event execution: the running event can
@@ -330,14 +331,14 @@ func (c *calendar) dayWalk(deadline Time, remove bool) (*Event, bool) {
 				if i > walkLimit {
 					c.strain += i - walkLimit
 				}
-				return c.unlinkHead(cur), true
+				return c.unlinkHead(cur, ev), ev, true
 			}
-			return ev, true
+			return c.buckets[cur].head, ev, true
 		}
 		cur = (cur + 1) & c.mask
 		day += c.width
 	}
-	return nil, false
+	return 0, nil, false
 }
 
 // resize rebuilds the calendar with n buckets and a day width fitted
@@ -345,18 +346,18 @@ func (c *calendar) dayWalk(deadline Time, remove bool) (*Event, bool) {
 // at c.day, the day of the last removal: the engine clock never runs
 // behind it, so no live event and no later insert can precede it.
 func (c *calendar) resize(n int) {
-	var all *Event
+	var all int32
 	var hi Time
 	// head[:k] holds the k earliest times seen so far, ascending.
 	var head [headSample]Time
 	k := 0
 	for idx := range c.buckets {
-		ev := c.buckets[idx].head
-		for ev != nil {
+		for i := c.buckets[idx].head; i != 0; {
+			ev := c.ev(i)
 			next := ev.next
-			if ev.cancelled {
+			if ev.kind == cancelled {
 				c.nodes--
-				c.recycle(ev)
+				c.recycle(i, ev)
 			} else {
 				if ev.at > hi {
 					hi = ev.at
@@ -372,9 +373,9 @@ func (c *calendar) resize(n int) {
 					head[i] = ev.at
 				}
 				ev.next = all
-				all = ev
+				all = i
 			}
-			ev = next
+			i = next
 		}
 	}
 	// Three mean gaps of the earliest events per day (Brown's rule):
@@ -406,9 +407,10 @@ func (c *calendar) resize(n int) {
 	c.strain = 0
 	c.day -= c.day % width
 	c.cur = c.bucketOf(c.day)
-	for all != nil {
-		next := all.next
-		c.link(all)
+	for all != 0 {
+		ev := c.ev(all)
+		next := ev.next
+		c.link(all, ev)
 		all = next
 	}
 }

@@ -117,15 +117,13 @@ func runOracle(t *testing.T, seed uint64, ops int, pop population) *Engine {
 		if ok != (oe != nil) || (ok && at != oe.at) {
 			t.Fatalf("%s seed %d: peek = %v, %v; oracle min %+v", pop.name, seed, at, ok, oe)
 		}
-		ev := e.cal.popMin(math.MaxInt64, true)
-		if ev == nil {
+		i, ev := e.cal.popMin(math.MaxInt64, true)
+		if i == 0 {
 			return false
 		}
 		heap.Pop(&oracle)
 		want = append(want, oe.id)
-		e.now = ev.at
-		e.executed++
-		e.dispatch(ev)
+		e.dispatch(i, ev)
 		return true
 	}
 
@@ -245,7 +243,7 @@ func TestPopNondecreasing(t *testing.T) {
 	var tokens []Token
 	for i := 0; i < 5000; i++ {
 		tok := e.Schedule(Time(r.Intn(1_000_000)), h, 0, 0)
-		tokens = append(tokens, Token{ev: tok.ev, seq: tok.seq})
+		tokens = append(tokens, tok)
 		if len(tokens) > 3 && r.Intn(3) == 0 {
 			e.Cancel(tokens[r.Intn(len(tokens))])
 		}
@@ -292,13 +290,49 @@ func TestCancelSemantics(t *testing.T) {
 		t.Fatalf("fired = %d", fired)
 	}
 	tok3 := e.Schedule(30*Nanosecond, h, 0, 0)
+	if tok3.idx != tok2.idx {
+		t.Fatalf("record %d not reissued, got %d", tok2.idx, tok3.idx)
+	}
 	if e.Cancel(tok2) {
 		t.Fatal("stale token cancelled something")
 	}
 	if e.Pending() != 1 {
 		t.Fatal("stale cancel disturbed the queue")
 	}
-	e.Cancel(tok3)
+	e.Run()
+	if fired != 2 {
+		t.Fatalf("reissued event fired %d times after a stale cancel, want once", fired-1)
+	}
+
+	// Feed reserves its sequence numbers ahead, so a record can pass to
+	// an event with a smaller number than the one it held: here the
+	// later fed time has the earlier index. A Token for the first event
+	// must still miss the second.
+	f := New()
+	var fed []int64
+	f.Feed([]Time{20 * Nanosecond, 10 * Nanosecond}, handlerFunc(func(_ Time, i, _ int64) { fed = append(fed, i) }))
+	stale := Token{idx: f.cal.used - 1, seq: f.cal.ev(f.cal.used - 1).seq}
+	f.RunUntil(15 * Nanosecond)
+	if seq := f.cal.ev(stale.idx).seq; seq >= stale.seq {
+		t.Fatalf("record %d holds seq %d, want the fed successor's, below %d", stale.idx, seq, stale.seq)
+	}
+	if f.Cancel(stale) {
+		t.Fatal("stale token cancelled the fed event that reuses its record")
+	}
+	f.Run()
+	if len(fed) != 2 || fed[0] != 1 || fed[1] != 0 {
+		t.Fatalf("fed events fired as %v, want [1 0]", fed)
+	}
+
+	// The zero Token is inert, on an engine with no records and on one
+	// with a live event.
+	if New().Cancel(Token{}) {
+		t.Fatal("the zero Token cancelled something on an empty engine")
+	}
+	f.Schedule(f.Now(), h, 0, 0)
+	if f.Cancel(Token{}) || f.Pending() != 1 {
+		t.Fatal("the zero Token disturbed the queue")
+	}
 }
 
 func TestStatsCounters(t *testing.T) {
@@ -396,9 +430,7 @@ func benchSchedulePop(b *testing.B, far int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := e.cal.popMin(math.MaxInt64, true)
-		e.now = ev.at
-		e.dispatch(ev)
+		e.dispatch(e.cal.popMin(math.MaxInt64, true))
 	}
 }
 

@@ -5,9 +5,9 @@
 // absolute virtual times and executed in nondecreasing time order.
 // Ties are broken by schedule order (a monotonically increasing
 // sequence number), which makes every run fully deterministic. Events
-// are recycled through an engine-owned free list, and hot models can
-// schedule typed Handler events instead of closures, so the
-// steady-state event loop allocates nothing.
+// are pointer-free records in engine-owned pages, linked and recycled
+// by index, and hot models dispatch through a registered handler Kind,
+// so the GC never walks the queue and the steady state allocates nothing.
 //
 // Virtual time is kept as integer picoseconds so that latencies in the
 // nanosecond range and bandwidths in the GB/s range can be combined
@@ -70,29 +70,32 @@ type Handler interface {
 	OnEvent(now Time, a0, a1 int64)
 }
 
-// Event is one scheduled occurrence. Events are owned by the engine's
-// free list; models hold only Tokens.
-type Event struct {
-	at  Time
-	seq uint64
-	// Exactly one of fn (closure form) and h (typed form) is set.
-	fn     func()
-	h      Handler
-	a0, a1 int64
+// Kind names a Handler in an engine's handler table: one Register
+// added, or as ^slot the callback of one pending closure or
+// interface-form event.
+type Kind int32
 
-	next      *Event // bucket chain
-	queued    bool
-	cancelled bool
+const cancelled Kind = math.MinInt32 // the kind of a revoked event not yet unlinked
+
+// Event is one scheduled occurrence: a value record in the engine's
+// event pages, holding no pointer, so the GC never walks the queue and
+// linking an event fires no write barrier. Models hold only Tokens.
+type Event struct {
+	at     Time
+	seq    uint64 // 0 while the record is free
+	a0, a1 int64
+	next   int32 // bucket chain or free list; 0 ends both
+	kind   Kind
 }
 
 // Token identifies a scheduled event for cancellation. The zero Token
-// is inert. Tokens remain safe to Cancel after the event has fired:
-// the sequence number check makes stale cancellations no-ops. (This
-// is also why the event free list is per-engine: a recycled Event can
-// only be re-issued by the same engine with a strictly larger
-// sequence number, so a stale Token can never alias a live event.)
+// is inert. Tokens remain safe to Cancel after the event has fired: no
+// two events of an engine share a sequence number (Feed reserves its
+// numbers ahead, it never reuses them), so a stale Token cannot match
+// the event a recycled record carries next. (This is also why records
+// are per-engine: a Token means nothing to another engine.)
 type Token struct {
-	ev  *Event
+	idx int32
 	seq uint64
 }
 
@@ -125,11 +128,11 @@ type Stats struct {
 // from inside event callbacks (or before Run).
 //
 // Events come from a free list the engine's calendar owns: a stack
-// threaded through idle events, touched only by the engine's own
+// threaded through idle records, touched only by the engine's own
 // thread. Events therefore never migrate across engines (the Token
 // safety contract relies on that), the list is bounded by the queue's
 // high-water mark, and the hit rate Stats reports is deterministic per
-// engine — the same event sequence reuses the same events whatever
+// engine — the same event sequence reuses the same records whatever
 // the host, the GC or other goroutines do.
 type Engine struct {
 	now     Time
@@ -142,6 +145,12 @@ type Engine struct {
 	cancelled uint64
 	allocs    uint64
 	reused    uint64
+
+	// handlers is the table kinds index: the Handlers registered for
+	// good, and the callbacks of pending closure and interface-form
+	// events, one slot each, reused LIFO through free.
+	handlers []Handler
+	free     []int32
 
 	// probe, when set, observes the clock advancing: it runs before
 	// each event dispatches, with the new current time. It must not
@@ -182,7 +191,7 @@ func (e *Engine) Stats() Stats {
 
 // schedule pulls an event from the free list and queues it under seq,
 // or under the next sequence number when seq is 0.
-func (e *Engine) schedule(t Time, seq uint64, fn func(), h Handler, a0, a1 int64) *Event {
+func (e *Engine) schedule(t Time, seq uint64, k Kind, a0, a1 int64) Token {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -190,28 +199,46 @@ func (e *Engine) schedule(t Time, seq uint64, fn func(), h Handler, a0, a1 int64
 		e.seq++
 		seq = e.seq
 	}
-	ev := e.cal.reuse()
-	if ev != nil {
+	i, ev := e.cal.reuse()
+	if i != 0 {
 		e.reused++
 	} else {
-		ev = e.cal.slab.New()
+		i, ev = e.cal.fresh()
 		e.allocs++
 	}
-	ev.at = t
-	ev.seq = seq
-	ev.fn = fn
-	ev.h = h
-	ev.a0, ev.a1 = a0, a1
-	ev.queued = true
-	e.cal.insert(ev, e.fed)
-	return ev
+	ev.at, ev.seq, ev.kind, ev.a0, ev.a1 = t, seq, k, a0, a1
+	e.cal.insert(i, ev, e.fed)
+	return Token{idx: i, seq: seq}
+}
+
+// funcHandler adapts a closure to Handler.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(Time, int64, int64) { f() }
+
+// hold puts h in a free handler slot and returns the kind that frees
+// it again when its event fires or is cancelled.
+func (e *Engine) hold(h Handler) Kind {
+	if n := len(e.free); n > 0 {
+		s := e.free[n-1]
+		e.free, e.handlers[s] = e.free[:n-1], h
+		return ^Kind(s)
+	}
+	e.handlers = append(e.handlers, h)
+	return ^Kind(len(e.handlers) - 1)
+}
+
+// unhold frees held kind k's slot, which must not pin the callback.
+func (e *Engine) unhold(k Kind) {
+	e.handlers[^k] = nil
+	e.free = append(e.free, int32(^k))
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it always indicates a model bug, and silently reordering
 // events would destroy causality.
 func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, 0, fn, nil, 0, 0)
+	e.schedule(t, 0, e.hold(funcHandler(fn)), 0, 0)
 }
 
 // After schedules fn to run d after the current time.
@@ -222,11 +249,19 @@ func (e *Engine) After(d Time, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// Schedule is the typed, allocation-free form of At: h.OnEvent(t, a0,
-// a1) runs at absolute time t. The returned Token cancels it.
+// Schedule is the allocation-free form of At: h.OnEvent(t, a0, a1)
+// runs at absolute time t. The returned Token cancels it.
 func (e *Engine) Schedule(t Time, h Handler, a0, a1 int64) Token {
-	ev := e.schedule(t, 0, nil, h, a0, a1)
-	return Token{ev: ev, seq: ev.seq}
+	return e.schedule(t, 0, e.hold(h), a0, a1)
+}
+
+// Register adds h to the handler table for good and returns its Kind:
+// the hot path, whose events hold nothing but their record.
+func (e *Engine) Register(h Handler) Kind { return ^e.hold(h) }
+
+// ScheduleKind is Schedule for the Handler registered as k.
+func (e *Engine) ScheduleKind(t Time, k Kind, a0, a1 int64) Token {
+	return e.schedule(t, 0, k, a0, a1)
 }
 
 // Feed is exactly Schedule(times[i], h, int64(i), 0) for i = 0, 1, ...
@@ -262,7 +297,7 @@ func (f *feed) next() {
 		i := f.order[0]
 		f.order = f.order[1:]
 		f.e.fed--
-		f.e.schedule(f.times[i], f.base+1+uint64(i), nil, f, int64(i), 0)
+		f.e.schedule(f.times[i], f.base+1+uint64(i), f.e.hold(f), int64(i), 0)
 	}
 }
 
@@ -309,11 +344,17 @@ func (e *Engine) ScheduleAfter(d Time, h Handler, a0, a1 int64) Token {
 // still pending; cancelling an already-fired or already-cancelled
 // event is a safe no-op.
 func (e *Engine) Cancel(tok Token) bool {
-	ev := tok.ev
-	if ev == nil || !ev.queued || ev.cancelled || ev.seq != tok.seq {
+	if tok.idx <= 0 || tok.idx >= e.cal.used {
 		return false
 	}
-	ev.cancelled = true
+	ev := e.cal.ev(tok.idx)
+	if ev.seq != tok.seq || ev.kind == cancelled {
+		return false
+	}
+	if ev.kind < 0 {
+		e.unhold(ev.kind)
+	}
+	ev.kind = cancelled
 	e.cal.count--
 	e.cancelled++
 	if e.cal.nodes > 2*e.cal.count+64 {
@@ -326,11 +367,10 @@ func (e *Engine) Cancel(tok Token) bool {
 // The fabric's flow fast path uses it to prove that a transfer cannot
 // be disturbed before it completes.
 func (e *Engine) NextEventTime() (Time, bool) {
-	ev := e.cal.popMin(math.MaxInt64, false)
-	if ev == nil {
-		return 0, false
+	if _, ev := e.cal.popMin(math.MaxInt64, false); ev != nil {
+		return ev.at, true
 	}
-	return ev.at, true
+	return 0, false
 }
 
 // Stop makes Run return after the current event completes. Pending
@@ -343,13 +383,21 @@ func (e *Engine) Stop() { e.stopped = true }
 // probe installed the cost is one predictable branch per event.
 func (e *Engine) SetProbe(fn func(now Time)) { e.probe = fn }
 
-// dispatch runs one popped event and recycles it.
-func (e *Engine) dispatch(ev *Event) {
-	fn, h, a0, a1, t := ev.fn, ev.h, ev.a0, ev.a1, ev.at
-	e.cal.recycle(ev)
-	if fn != nil {
-		fn()
-	} else if h != nil {
+// dispatch advances the clock to popped event i, record ev, recycles
+// the record and runs the event.
+func (e *Engine) dispatch(i int32, ev *Event) {
+	t, k, a0, a1 := ev.at, ev.kind, ev.a0, ev.a1
+	e.cal.recycle(i, ev)
+	e.now = t
+	if e.probe != nil {
+		e.probe(t)
+	}
+	e.executed++
+	h := e.handlers[max(k, ^k)] // k registered, ^k held
+	if k < 0 {
+		e.unhold(k)
+	}
+	if h != nil {
 		h.OnEvent(t, a0, a1)
 	}
 }
@@ -359,16 +407,11 @@ func (e *Engine) dispatch(ev *Event) {
 func (e *Engine) Run() Time {
 	e.stopped = false
 	for !e.stopped {
-		ev := e.cal.popMin(math.MaxInt64, true)
-		if ev == nil {
+		i, ev := e.cal.popMin(math.MaxInt64, true)
+		if i == 0 {
 			break
 		}
-		e.now = ev.at
-		if e.probe != nil {
-			e.probe(e.now)
-		}
-		e.executed++
-		e.dispatch(ev)
+		e.dispatch(i, ev)
 	}
 	return e.now
 }
@@ -379,16 +422,11 @@ func (e *Engine) Run() Time {
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	for !e.stopped {
-		ev := e.cal.popMin(deadline, true)
-		if ev == nil {
+		i, ev := e.cal.popMin(deadline, true)
+		if i == 0 {
 			break
 		}
-		e.now = ev.at
-		if e.probe != nil {
-			e.probe(e.now)
-		}
-		e.executed++
-		e.dispatch(ev)
+		e.dispatch(i, ev)
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -405,17 +443,12 @@ func (e *Engine) RunWindow(deadline Time) uint64 {
 	e.stopped = false
 	var n uint64
 	for !e.stopped {
-		ev := e.cal.popMin(deadline, true)
-		if ev == nil {
+		i, ev := e.cal.popMin(deadline, true)
+		if i == 0 {
 			break
 		}
-		e.now = ev.at
-		if e.probe != nil {
-			e.probe(e.now)
-		}
-		e.executed++
 		n++
-		e.dispatch(ev)
+		e.dispatch(i, ev)
 	}
 	return n
 }

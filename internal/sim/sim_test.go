@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -369,16 +370,52 @@ func TestFreeListBoundedAndClean(t *testing.T) {
 		t.Fatalf("%d events allocated but %d on the free list after the drain", st.Allocs, e.cal.nfree)
 	}
 	n := 0
-	for ev := e.cal.free; ev != nil; ev = ev.next {
-		if ev.fn != nil || ev.h != nil || ev.queued || ev.cancelled {
-			t.Fatalf("free event %d still carries state: %+v", n, *ev)
+	for i := e.cal.free; i != 0; i = e.cal.ev(i).next {
+		if ev := *e.cal.ev(i); ev != (Event{next: ev.next}) {
+			t.Fatalf("free event %d still carries state: %+v", n, ev)
 		}
 		n++
 	}
 	if n != e.cal.nfree {
 		t.Fatalf("free list has %d events, nfree says %d", n, e.cal.nfree)
 	}
+	if len(e.free) != len(e.handlers) {
+		t.Fatalf("%d of %d handler slots free after the drain", len(e.free), len(e.handlers))
+	}
+	for s, h := range e.handlers {
+		if h != nil {
+			t.Fatalf("free handler slot %d still pins a callback", s)
+		}
+	}
 	if _, again := run(); again.Allocs != st.Allocs || again.Reused != st.Reused {
 		t.Fatalf("pool counters differ between identical runs: %+v vs %+v", st, again)
 	}
+}
+
+// TestRecordsArePointerFree fails on any Event field the GC would have
+// to walk: with a pointer, slice, map, func, interface, chan or string
+// in it, every event page becomes scanned memory and every link a
+// write barrier.
+func TestRecordsArePointerFree(t *testing.T) {
+	if bad := gcFields(reflect.TypeOf(Event{}), "Event"); len(bad) > 0 {
+		t.Fatalf("event record holds GC-visible fields: %v", bad)
+	}
+}
+
+// gcFields lists the fields of typ, recursively, that the GC walks.
+func gcFields(typ reflect.Type, path string) []string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.Func, reflect.Interface, reflect.Chan, reflect.String:
+		return []string{path + " " + typ.String()}
+	case reflect.Array:
+		return gcFields(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		var bad []string
+		for i := 0; i < typ.NumField(); i++ {
+			bad = append(bad, gcFields(typ.Field(i).Type, path+"."+typ.Field(i).Name)...)
+		}
+		return bad
+	}
+	return nil
 }
