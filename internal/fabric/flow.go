@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -84,28 +85,43 @@ type flow struct {
 	src, dst, next int32 // next: free-list link
 }
 
+// The pools the networks' record stores take their pages from. Only
+// flow and callback pages go back (see release), every callback nil.
+var (
+	flowPages = sync.Pool{New: func() any { return new([sim.PageLen]flow) }}
+	donePages = sync.Pool{New: func() any { return new([sim.PageLen]func(sim.Time, error)) }}
+	msgPages  = sync.Pool{New: func() any { return new([sim.PageLen]message) }}
+)
+
 // newFlow takes a record off the free list and returns its index.
 func (n *Network) newFlow(src, dst topology.NodeID, size int, done func(at sim.Time, err error)) int64 {
 	i := n.freeFlow
 	if i != 0 {
-		n.freeFlow = n.flows.at(i).next
+		n.freeFlow = n.flows.At(i).next
 	} else {
 		n.nflows++
 		i = n.nflows
-		n.flows.reach(i)
-		n.dones.reach(i)
+		n.flows.Reach(i, &flowPages)
+		n.dones.Reach(i, &donePages)
 	}
-	*n.flows.at(i) = flow{size: size, src: int32(src), dst: int32(dst)}
-	*n.dones.at(i) = done
+	*n.flows.At(i) = flow{size: size, src: int32(src), dst: int32(dst)}
+	*n.dones.At(i) = done
+	n.live++
 	return int64(i)
 }
 
 // release returns a record whose message has moved on. The free list
-// must not pin the completion callback.
+// must not pin the completion callback. Releasing the last live flow
+// trims the stores, as an engine's calendar is trimmed when it idles.
 func (n *Network) release(i int32) (size int, done func(at sim.Time, err error)) {
-	d, f := n.dones.at(i), n.flows.at(i)
+	d, f := n.dones.At(i), n.flows.At(i)
 	size, done = f.size, *d
 	*d, f.next, n.freeFlow = nil, n.freeFlow, i
+	if n.live--; n.live == 0 && n.flows.Len() > sim.PageLen {
+		n.flows.Trim(&flowPages)
+		n.dones.Trim(&donePages)
+		n.freeFlow, n.nflows = 0, 0
+	}
 	return size, done
 }
 
@@ -114,7 +130,7 @@ func (n *Network) release(i int32) (size int, done func(at sim.Time, err error))
 // state is current, so fault-affected routes take the packet model
 // even at flow fidelity.
 func (n *Network) inject(now sim.Time, i int32, hop int64) {
-	f := *n.flows.at(i)
+	f := *n.flows.At(i)
 	src, dst := topology.NodeID(f.src), topology.NodeID(f.dst)
 	route, sh := n.route(src, dst, hop), n.P.shape(f.size)
 	if n.fidelity == FidelityFlow && n.routeFaultFree(route) {

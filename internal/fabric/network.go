@@ -82,10 +82,11 @@ type Network struct {
 	// delivery (see flow.go), and dones its completion callback under
 	// the same index. freeFlow heads their LIFO free list, threaded
 	// through the records; index 0 is never issued, so 0 ends it.
-	flows    pages[flow]
-	dones    pages[func(at sim.Time, err error)]
+	flows    sim.Pages[flow]
+	dones    sim.Pages[func(at sim.Time, err error)]
 	freeFlow int32
-	nflows   int32 // the highest index issued
+	nflows   int32 // the highest index issued since no flow was live
+	live     int32 // flows between newFlow and release
 
 	// energy is the electrical model; transferJ accumulates per-byte
 	// link-traversal energy as delivery events fire. Both the packet
@@ -98,33 +99,13 @@ type Network struct {
 
 	// msgs holds the packet path's message records (see packetSend),
 	// each under its flow's index.
-	msgs pages[message]
+	msgs sim.Pages[message]
 
 	// Obs, when non-nil, receives the fabric timeline as trace events:
 	// one message span per Send on the sender's node lane, flow-commit
 	// instants when the fast path fires, and link outage instants.
 	// Nil — the default — is inert.
 	Obs *obs.Scope
-}
-
-const recPage = 1 << 10 // records per page of the fabric's record stores
-
-// pages stores values by index in fixed-size pages that never move, so
-// growth copies nothing.
-type pages[T any] struct {
-	p []*[recPage]T
-}
-
-// at returns value i, which reach must have made room for.
-func (s *pages[T]) at(i int32) *T {
-	return &s.p[uint32(i)/recPage][uint32(i)%recPage]
-}
-
-// reach adds pages up to index i.
-func (s *pages[T]) reach(i int32) {
-	for int(i) >= len(s.p)*recPage {
-		s.p = append(s.p, new([recPage]T))
-	}
 }
 
 // SetEnergyModel attaches an electrical model to the fabric. Call
@@ -301,7 +282,7 @@ func (n *Network) OnEvent(now sim.Time, a0, a1 int64) {
 	case pktRetry:
 		p := unpack(a0, a1)
 		p.attempt++
-		m := n.msgs.at(p.msg)
+		m := n.msgs.At(p.msg)
 		n.acquire(p, m, m.route[p.hop])
 	}
 }
@@ -385,8 +366,8 @@ func (n *Network) packetSend(mi int32, route []topology.LinkID, sh segShape) {
 	if n.links == nil {
 		n.links = make([]link, len(n.down))
 	}
-	n.msgs.reach(mi)
-	m := n.msgs.at(mi)
+	n.msgs.Reach(mi, &msgPages)
+	m := n.msgs.At(mi)
 	m.route = append(m.route[:0], route...)
 	m.sh, m.remaining, m.failed = sh, sh.packets, false
 	for k := 0; k < sh.packets; k++ {
@@ -409,7 +390,7 @@ func (n *Network) acquire(p packet, m *message, l topology.LinkID) {
 
 // arrive settles packet p's link traversal at its far end.
 func (n *Network) arrive(p packet) {
-	m := n.msgs.at(p.msg)
+	m := n.msgs.At(p.msg)
 	l := m.route[p.hop]
 	if n.energy.PerByteJ != 0 {
 		// The bytes crossed the link whether or not the CRC rejects
@@ -463,7 +444,7 @@ func (n *Network) retire(mi int32, m *message, err error) {
 	if err != nil && !m.failed {
 		m.failed = true
 		n.Stats.Drops++
-		(*n.dones.at(mi))(n.Eng.Now(), err)
+		(*n.dones.At(mi))(n.Eng.Now(), err)
 	}
 	m.remaining--
 	if m.remaining == 0 && m.failed {

@@ -281,13 +281,13 @@ func TestDroppedMessageReusedAfterLastSegment(t *testing.T) {
 			if dropped == 0 && net.Stats.Drops > 0 {
 				dropped = probes
 			}
-			for i := net.freeFlow; i != 0; i = net.flows.at(i).next {
-				if int(i) >= len(net.msgs.p)*recPage {
+			for i := net.freeFlow; i != 0; i = net.flows.At(i).next {
+				if int(i) >= net.msgs.Len() {
 					continue // never took the packet path
 				}
-				m := net.msgs.at(i)
-				if m.remaining != 0 || *net.dones.at(i) != nil {
-					t.Fatalf("free message record with %d segments in flight, callback %v", m.remaining, *net.dones.at(i) != nil)
+				m := net.msgs.At(i)
+				if m.remaining != 0 || *net.dones.At(i) != nil {
+					t.Fatalf("free message record with %d segments in flight, callback %v", m.remaining, *net.dones.At(i) != nil)
 				}
 				if m.failed && released == 0 {
 					released = probes

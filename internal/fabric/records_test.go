@@ -23,6 +23,44 @@ func TestRecordsArePointerFree(t *testing.T) {
 	}
 }
 
+// TestIdleNetworkHandsBackPages drains a burst larger than a page of
+// flow records and checks that the network then keeps one page of each
+// store, every callback on it nil, and starts its indices over.
+func TestIdleNetworkHandsBackPages(t *testing.T) {
+	eng := sim.New()
+	tor := topology.NewTorus3D(8, 8, 8)
+	net := MustNetwork(eng, tor, Extoll, 1)
+	net.SetFidelity(FidelityFlow)
+	delivered := 0
+	for round := 0; round < 2; round++ {
+		for id := 0; id < tor.Nodes(); id++ {
+			x, y, z := tor.Coord(topology.NodeID(id))
+			net.Send(topology.NodeID(id), tor.ID(x+1, y, z), 2048, func(sim.Time, error) { delivered++ })
+			net.Send(topology.NodeID(id), tor.ID(x, y+1, z), 2048, func(sim.Time, error) { delivered++ })
+		}
+		if net.nflows <= sim.PageLen {
+			t.Fatalf("round %d: a burst of %d flows issued only %d indices", round, 2*tor.Nodes(), net.nflows)
+		}
+		eng.Run()
+		if net.live != 0 || net.nflows != 0 || net.freeFlow != 0 {
+			t.Fatalf("round %d: drained network has %d live flows, %d indices issued, free list head %d",
+				round, net.live, net.nflows, net.freeFlow)
+		}
+		if net.flows.Len() != sim.PageLen || net.dones.Len() != sim.PageLen {
+			t.Fatalf("round %d: drained network kept room for %d flows and %d callbacks, want one page",
+				round, net.flows.Len(), net.dones.Len())
+		}
+		for i := int32(0); i < sim.PageLen; i++ {
+			if *net.dones.At(i) != nil {
+				t.Fatalf("round %d: kept callback %d is not nil", round, i)
+			}
+		}
+	}
+	if delivered != 4*tor.Nodes() {
+		t.Fatalf("%d messages delivered, want %d", delivered, 4*tor.Nodes())
+	}
+}
+
 // gcFields lists the fields of typ, recursively, that the GC walks.
 func gcFields(typ reflect.Type, path string) []string {
 	switch typ.Kind() {

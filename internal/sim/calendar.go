@@ -1,5 +1,7 @@
 package sim
 
+import "sync"
+
 // This file implements the calendar-queue event scheduler that backs
 // Engine: a ring of buckets, each covering one "day" of virtual time,
 // cycled through year after year. Each bucket keeps its events sorted
@@ -37,7 +39,6 @@ const (
 	// pop (over empty days) may take for free; steps beyond it are
 	// charged to the current width as strain.
 	walkLimit = 8
-	pageSize  = 512 // records per event page: 20 KiB, a small-object size class
 )
 
 // bucket is one sorted day list, by event index (0 when empty).
@@ -68,40 +69,47 @@ type calendar struct {
 	strain              int
 	linkSteps, daySteps uint64
 	// free heads the event free list, a stack threaded through the
-	// records' own next links (it costs no memory and never grows),
-	// and nfree is its length. An event enters it when it leaves the
-	// calendar and the next schedule takes the most recent one, so the
-	// list never outgrows the most events ever queued at once and
-	// reuse is a pure function of the event sequence.
-	free  int32
-	nfree int
-	// pages hold the records; they never move, so growth copies nothing.
-	// used counts the indices ever issued. Index 0 is reserved: 0 ends
-	// every chain, and the zero bucket is empty.
-	pages []*[pageSize]Event
-	used  int32
+	// records' own next links (it costs no memory and never grows).
+	// An event enters it when it leaves the calendar and the next
+	// schedule takes the most recent one, so the list never outgrows
+	// the most events ever queued at once and reuse is a pure function
+	// of the event sequence.
+	free int32
+	// recs holds the records (40 B each, a page is 20 KiB). used counts
+	// the indices issued since the calendar last went idle (see trim),
+	// peak the most ever issued. Index 0 is reserved: 0 ends every
+	// chain, and the zero bucket is empty.
+	recs       Pages[Event]
+	used, peak int32
 }
+
+// eventPages is the pool every calendar takes its event pages from.
+var eventPages = sync.Pool{New: func() any { return new([PageLen]Event) }}
 
 // ev returns event i's record.
-func (c *calendar) ev(i int32) *Event {
-	return &c.pages[uint32(i)/pageSize][uint32(i)%pageSize]
+func (c *calendar) ev(i int32) *Event { return c.recs.At(i) }
+
+// fresh issues the next index not used since the calendar went idle.
+func (c *calendar) fresh() (int32, *Event) {
+	c.used = max(c.used, 1) + 1
+	c.recs.Reach(c.used-1, &eventPages)
+	return c.used - 1, c.ev(c.used - 1)
 }
 
-// fresh issues an index never used before, adding pages as needed.
-func (c *calendar) fresh() (int32, *Event) {
-	if c.used%pageSize == 0 {
-		c.pages = append(c.pages, new([pageSize]Event))
-		c.used = max(c.used, 1)
+// trim hands an idle calendar's pages but the first back, every record
+// on them zero but its next link, and starts the index space over: the
+// free list held every index below used, fresh reissues them in order.
+func (c *calendar) trim() {
+	if c.nodes == 0 && c.recs.Len() > PageLen {
+		c.recs.Trim(&eventPages)
+		c.used, c.free = 1, 0
 	}
-	c.used++
-	return c.used - 1, c.ev(c.used - 1)
 }
 
 // recycle zeroes ev, unlinked event i, and pushes it on the free list.
 func (c *calendar) recycle(i int32, ev *Event) {
 	*ev = Event{next: c.free}
 	c.free = i
-	c.nfree++
 }
 
 // reuse pops an event off the free list, or returns 0, nil when it is
@@ -113,7 +121,6 @@ func (c *calendar) reuse() (int32, *Event) {
 	}
 	ev := c.ev(i)
 	c.free, ev.next = ev.next, 0
-	c.nfree--
 	return i, ev
 }
 

@@ -225,7 +225,6 @@ func (c *Cluster) Run() Time {
 	k := len(c.engines)
 	nexts := make([]Time, k)
 	ran := make([]bool, k)
-	var wg sync.WaitGroup
 	for {
 		c.deliver()
 		minNext, any := Time(math.MaxInt64), false
@@ -264,26 +263,8 @@ func (c *Cluster) Run() Time {
 		if w > 1 {
 			end = c.runWide(d, nexts, ran, eligible)
 			c.wideWindows++
-		} else if eligible == 1 {
-			// A lone eligible domain runs inline: no goroutine, no
-			// synchronization cost for serial phases of the workload.
-			for i := range ran {
-				if ran[i] {
-					c.engines[i].RunWindow(d)
-				}
-			}
 		} else {
-			for i := range ran {
-				if !ran[i] {
-					continue
-				}
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					c.engines[i].RunWindow(d)
-				}(i)
-			}
-			wg.Wait()
+			inParallel(ran, eligible, func(i int) { c.engines[i].RunWindow(d) })
 		}
 		for i, e := range c.engines {
 			if ran[i] && e.Now() > c.maxNow {
@@ -304,6 +285,25 @@ func (c *Cluster) Run() Time {
 		}
 	}
 	return c.maxNow
+}
+
+// inParallel runs f(i) for each of the eligible domains ran marks, one
+// goroutine each. A lone eligible domain runs inline: no goroutine, no
+// synchronization cost for serial phases of the workload.
+func inParallel(ran []bool, eligible int, f func(i int)) {
+	var wg sync.WaitGroup
+	for i := range ran {
+		if ran[i] && eligible == 1 {
+			f(i)
+		} else if ran[i] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f(i)
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // posted returns the total number of cross-domain posts ever issued —
@@ -339,26 +339,7 @@ func (c *Cluster) runWide(d Time, nexts []Time, ran []bool, eligible int) Time {
 		}
 	}
 	c.gated = true
-	if eligible == 1 {
-		for i := range ran {
-			if ran[i] {
-				c.gatedRun(i)
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := range ran {
-			if !ran[i] {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				c.gatedRun(i)
-			}(i)
-		}
-		wg.Wait()
-	}
+	inParallel(ran, eligible, c.gatedRun)
 	c.gated = false
 	return Time(c.limit.Load())
 }

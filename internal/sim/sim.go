@@ -5,9 +5,9 @@
 // absolute virtual times and executed in nondecreasing time order.
 // Ties are broken by schedule order (a monotonically increasing
 // sequence number), which makes every run fully deterministic. Events
-// are pointer-free records in engine-owned pages, linked and recycled
-// by index, and hot models dispatch through a registered handler Kind,
-// so the GC never walks the queue and the steady state allocates nothing.
+// are pointer-free records in pooled pages, linked and recycled by
+// index, and hot models dispatch through a registered handler Kind, so
+// the GC never walks the queue and the steady state allocates nothing.
 //
 // Virtual time is kept as integer picoseconds so that latencies in the
 // nanosecond range and bandwidths in the GB/s range can be combined
@@ -129,11 +129,12 @@ type Stats struct {
 //
 // Events come from a free list the engine's calendar owns: a stack
 // threaded through idle records, touched only by the engine's own
-// thread. Events therefore never migrate across engines (the Token
-// safety contract relies on that), the list is bounded by the queue's
-// high-water mark, and the hit rate Stats reports is deterministic per
-// engine — the same event sequence reuses the same records whatever
-// the host, the GC or other goroutines do.
+// thread. A record holding an event never migrates across engines (the
+// Token safety contract relies on that): only an idle engine hands its
+// pages on, every record on them blank. The list is bounded by the
+// queue's high-water mark, and the hit rate Stats reports is
+// deterministic per engine — the same event sequence reuses the same
+// indices whatever the host, the GC or other goroutines do.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -143,7 +144,6 @@ type Engine struct {
 
 	executed  uint64
 	cancelled uint64
-	allocs    uint64
 	reused    uint64
 
 	// handlers is the table kinds index: the Handlers registered for
@@ -179,7 +179,7 @@ func (e *Engine) Stats() Stats {
 		Scheduled:     e.seq,
 		Cancelled:     e.cancelled,
 		MaxQueueDepth: e.cal.maxDepth,
-		Allocs:        e.allocs,
+		Allocs:        uint64(e.cal.peak),
 		Reused:        e.reused,
 		Buckets:       len(e.cal.buckets),
 		BucketWidth:   e.cal.width,
@@ -200,11 +200,13 @@ func (e *Engine) schedule(t Time, seq uint64, k Kind, a0, a1 int64) Token {
 		seq = e.seq
 	}
 	i, ev := e.cal.reuse()
-	if i != 0 {
+	if i == 0 {
+		i, ev = e.cal.fresh()
+	}
+	if i <= e.cal.peak {
 		e.reused++
 	} else {
-		i, ev = e.cal.fresh()
-		e.allocs++
+		e.cal.peak = i
 	}
 	ev.at, ev.seq, ev.kind, ev.a0, ev.a1 = t, seq, k, a0, a1
 	e.cal.insert(i, ev, e.fed)
@@ -405,14 +407,7 @@ func (e *Engine) dispatch(i int32, ev *Event) {
 // Run executes events until the queue is empty or Stop is called.
 // It returns the final virtual time.
 func (e *Engine) Run() Time {
-	e.stopped = false
-	for !e.stopped {
-		i, ev := e.cal.popMin(math.MaxInt64, true)
-		if i == 0 {
-			break
-		}
-		e.dispatch(i, ev)
-	}
+	e.RunWindow(math.MaxInt64)
 	return e.now
 }
 
@@ -420,14 +415,7 @@ func (e *Engine) Run() Time {
 // clock is advanced to the deadline even if the queue drains early, so
 // periodic models can be stepped at a fixed cadence.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped {
-		i, ev := e.cal.popMin(deadline, true)
-		if i == 0 {
-			break
-		}
-		e.dispatch(i, ev)
-	}
+	e.RunWindow(deadline)
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
@@ -439,6 +427,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // executed event rather than advancing it to the deadline, so a
 // coordinator can still inject events anywhere inside the remainder of
 // the window — the contract the conservative parallel Cluster needs.
+// Every run form ends here, where an idle engine trims its pages.
 func (e *Engine) RunWindow(deadline Time) uint64 {
 	e.stopped = false
 	var n uint64
@@ -450,5 +439,6 @@ func (e *Engine) RunWindow(deadline Time) uint64 {
 		n++
 		e.dispatch(i, ev)
 	}
+	e.cal.trim()
 	return n
 }

@@ -344,7 +344,8 @@ func TestResourceClosureAndNilShareFIFO(t *testing.T) {
 
 // TestFreeListBoundedAndClean checks the engine-owned free list: it
 // never outgrows the queue's high-water mark, reuse is a function of
-// the event sequence alone, and a parked event pins no callback.
+// the event sequence alone, a parked event pins no callback, and the
+// drained engine keeps one page of blank records.
 func TestFreeListBoundedAndClean(t *testing.T) {
 	run := func() (*Engine, Stats) {
 		e := New()
@@ -359,25 +360,34 @@ func TestFreeListBoundedAndClean(t *testing.T) {
 			e.Schedule(Time(r.Intn(100_000)), h, 0, 0)
 			e.At(Time(r.Intn(100_000)), func() {})
 		}
+		e.SetProbe(func(Time) {
+			n := 0
+			for i := e.cal.free; i != 0; i = e.cal.ev(i).next {
+				if ev := *e.cal.ev(i); ev != (Event{next: ev.next}) {
+					t.Fatalf("free event %d still carries state: %+v", n, ev)
+				}
+				n++
+			}
+			if n > e.cal.maxDepth {
+				t.Fatalf("free list holds %d events, queue never held more than %d", n, e.cal.maxDepth)
+			}
+		})
 		e.Run()
 		return e, e.Stats()
 	}
 	e, st := run()
-	if e.cal.nfree > st.MaxQueueDepth {
-		t.Fatalf("free list holds %d events, queue never held more than %d", e.cal.nfree, st.MaxQueueDepth)
+	if st.Allocs > uint64(st.MaxQueueDepth) || st.Allocs <= PageLen {
+		t.Fatalf("%d events allocated for a queue at most %d deep, want more than a page and no more than the depth",
+			st.Allocs, st.MaxQueueDepth)
 	}
-	if uint64(e.cal.nfree) != st.Allocs {
-		t.Fatalf("%d events allocated but %d on the free list after the drain", st.Allocs, e.cal.nfree)
+	if e.cal.recs.Len() != PageLen || e.cal.free != 0 || e.cal.used != 1 {
+		t.Fatalf("drained engine kept room for %d events, free list head %d, %d indices issued: want one page, none",
+			e.cal.recs.Len(), e.cal.free, e.cal.used)
 	}
-	n := 0
-	for i := e.cal.free; i != 0; i = e.cal.ev(i).next {
+	for i := int32(0); i < PageLen; i++ {
 		if ev := *e.cal.ev(i); ev != (Event{next: ev.next}) {
-			t.Fatalf("free event %d still carries state: %+v", n, ev)
+			t.Fatalf("kept event %d still carries state: %+v", i, ev)
 		}
-		n++
-	}
-	if n != e.cal.nfree {
-		t.Fatalf("free list has %d events, nfree says %d", n, e.cal.nfree)
 	}
 	if len(e.free) != len(e.handlers) {
 		t.Fatalf("%d of %d handler slots free after the drain", len(e.free), len(e.handlers))
@@ -389,6 +399,43 @@ func TestFreeListBoundedAndClean(t *testing.T) {
 	}
 	if _, again := run(); again.Allocs != st.Allocs || again.Reused != st.Reused {
 		t.Fatalf("pool counters differ between identical runs: %+v vs %+v", st, again)
+	}
+}
+
+// TestIdleEngineHandsBackPages runs bursts that drain in between: each
+// drain hands the pages past the first back, yet Allocs and Reused
+// count as if the engine had kept them (Allocs is the peak number of
+// records, every other schedule a reuse), and a Token from before a
+// drain cancels nothing after it.
+func TestIdleEngineHandsBackPages(t *testing.T) {
+	e := New()
+	var fired int
+	h := handlerFunc(func(Time, int64, int64) { fired++ })
+	var stale []Token
+	for _, b := range []struct {
+		n              int
+		allocs, reused uint64
+	}{{1000, 1000, 0}, {600, 1000, 600}, {1200, 1200, 1600}} {
+		var toks []Token
+		for i := 0; i < b.n; i++ {
+			toks = append(toks, e.ScheduleAfter(Time(i), h, 0, 0))
+		}
+		for _, tok := range stale {
+			if e.Cancel(tok) {
+				t.Fatalf("token %+v from before the drain cancelled a later event", tok)
+			}
+		}
+		e.Run()
+		if st := e.Stats(); st.Allocs != b.allocs || st.Reused != b.reused {
+			t.Fatalf("after a burst of %d: allocs %d reused %d, want %d and %d", b.n, st.Allocs, st.Reused, b.allocs, b.reused)
+		}
+		if e.cal.recs.Len() != PageLen {
+			t.Fatalf("idle engine kept room for %d events, want one page", e.cal.recs.Len())
+		}
+		stale = toks
+	}
+	if fired != 2800 {
+		t.Fatalf("%d events fired, want 2800", fired)
 	}
 }
 
