@@ -18,12 +18,17 @@ var modelPackages = []string{
 }
 
 // TestNoWallClockInModel: the model packages and the deep SDK never
-// read or wait on the host clock (time.Now, time.Since, time.Sleep), so
-// no wall-clock value can reach a result, trace, golden table or
-// content-hashed byte. The daemon, the store, the benchmark harness and
-// the commands measure host time and stay outside this fence.
+// read or wait on the host clock (time.Now, time.Since, time.Sleep) and
+// start no host timer (time.After, time.Tick, time.NewTimer,
+// time.NewTicker, time.AfterFunc), so no wall-clock value or timing can
+// reach a result, trace, golden table or content-hashed byte. The
+// daemon, the store, the benchmark harness and the commands measure
+// host time and stay outside this fence.
 func TestNoWallClockInModel(t *testing.T) {
-	banned := map[string]bool{"Now": true, "Since": true, "Sleep": true}
+	banned := map[string]bool{
+		"Now": true, "Since": true, "Sleep": true,
+		"After": true, "Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true,
+	}
 	roots := []string{"."}
 	for _, p := range modelPackages {
 		roots = append(roots, filepath.Join("..", "internal", p))
@@ -59,7 +64,7 @@ func TestNoWallClockInModel(t *testing.T) {
 						return true
 					}
 					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name && banned[sel.Sel.Name] {
-						t.Errorf("%s: time.%s reads the host clock in a model package", fset.Position(sel.Pos()), sel.Sel.Name)
+						t.Errorf("%s: time.%s uses the host clock in a model package", fset.Position(sel.Pos()), sel.Sel.Name)
 					}
 					return true
 				})

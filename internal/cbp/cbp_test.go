@@ -1,215 +1,12 @@
 package cbp
 
 import (
-	"bytes"
-	"errors"
-	"runtime"
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/fabric"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
-
-func TestFrameRoundTrip(t *testing.T) {
-	f := &Frame{Type: FrameData, Flags: 3, Seq: 42, Src: 7, Dst: 9,
-		Payload: []byte("cluster-booster")}
-	buf, err := f.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, n, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d of %d", n, len(buf))
-	}
-	if got.Type != f.Type || got.Flags != f.Flags || got.Seq != f.Seq ||
-		got.Src != f.Src || got.Dst != f.Dst || !bytes.Equal(got.Payload, f.Payload) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, f)
-	}
-}
-
-// TestFrameRoundTripProperty: arbitrary frames survive encode/decode.
-func TestFrameRoundTripProperty(t *testing.T) {
-	check := func(seq, src, dst uint32, flags uint8, payload []byte) bool {
-		if len(payload) > MaxPayload {
-			payload = payload[:MaxPayload]
-		}
-		f := &Frame{Type: FrameData, Flags: flags, Seq: seq, Src: src, Dst: dst, Payload: payload}
-		buf, err := f.Encode()
-		if err != nil {
-			return false
-		}
-		got, _, err := Decode(buf)
-		if err != nil {
-			return false
-		}
-		return got.Seq == seq && got.Src == src && got.Dst == dst &&
-			got.Flags == flags && bytes.Equal(got.Payload, payload)
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeRejectsCorruption(t *testing.T) {
-	f := &Frame{Type: FrameData, Seq: 1, Src: 2, Dst: 3, Payload: []byte("payload")}
-	buf, _ := f.Encode()
-	// Flip every byte position in turn; decode must never silently
-	// accept a corrupted frame.
-	for i := range buf {
-		c := append([]byte(nil), buf...)
-		c[i] ^= 0xff
-		if _, _, err := Decode(c); err == nil {
-			t.Fatalf("corruption at byte %d accepted", i)
-		}
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode(nil); !errors.Is(err, ErrShortFrame) {
-		t.Fatalf("nil buffer: %v", err)
-	}
-	if _, _, err := Decode(make([]byte, 10)); !errors.Is(err, ErrShortFrame) {
-		t.Fatalf("short buffer: %v", err)
-	}
-	bad := make([]byte, headerBytes)
-	if _, _, err := Decode(bad); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("zero magic: %v", err)
-	}
-}
-
-func TestEncodeRejectsOversizedPayload(t *testing.T) {
-	f := &Frame{Type: FrameData, Payload: make([]byte, MaxPayload+1)}
-	if _, err := f.Encode(); !errors.Is(err, ErrBadLength) {
-		t.Fatalf("oversize accepted: %v", err)
-	}
-}
-
-func TestFragmentReassemble(t *testing.T) {
-	r := rng.New(5)
-	payload := make([]byte, 3*MaxPayload+1234)
-	for i := range payload {
-		payload[i] = byte(r.Uint64())
-	}
-	frames := Fragment(1, 2, 100, payload)
-	if len(frames) != 4 {
-		t.Fatalf("fragments = %d", len(frames))
-	}
-	for i, f := range frames {
-		if f.Seq != 100+uint32(i) || f.Src != 1 || f.Dst != 2 {
-			t.Fatalf("frame %d header %+v", i, f)
-		}
-	}
-	got, err := Reassemble(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("reassembled payload differs")
-	}
-}
-
-func TestFragmentEmpty(t *testing.T) {
-	frames := Fragment(1, 2, 0, nil)
-	if len(frames) != 1 || len(frames[0].Payload) != 0 {
-		t.Fatalf("empty fragment %+v", frames)
-	}
-}
-
-func TestReassembleDetectsGaps(t *testing.T) {
-	frames := Fragment(1, 2, 0, make([]byte, 2*MaxPayload))
-	frames[1].Seq = 5
-	if _, err := Reassemble(frames); err == nil {
-		t.Fatal("sequence gap accepted")
-	}
-	if _, err := Reassemble(nil); err == nil {
-		t.Fatal("empty reassemble accepted")
-	}
-}
-
-func TestCreditWindowBasics(t *testing.T) {
-	w := NewCreditWindow(2)
-	if !w.TryTake() || !w.TryTake() {
-		t.Fatal("initial credits unavailable")
-	}
-	if w.TryTake() {
-		t.Fatal("third credit granted from window of 2")
-	}
-	w.Return(1)
-	if w.Available() != 1 {
-		t.Fatalf("available = %d", w.Available())
-	}
-	if !w.Take() {
-		t.Fatal("Take failed with credit available")
-	}
-}
-
-func TestCreditWindowBlocksAndWakes(t *testing.T) {
-	w := NewCreditWindow(1)
-	w.Take()
-	done := make(chan bool)
-	go func() { done <- w.Take() }()
-	// Wait until the taker has registered its blocked state so the
-	// wake-up path is actually exercised.
-	for w.WaitCount() == 0 {
-		runtime.Gosched()
-	}
-	w.Return(1)
-	if !<-done {
-		t.Fatal("blocked taker not granted after Return")
-	}
-	if w.WaitCount() != 1 {
-		t.Fatalf("waits = %d", w.WaitCount())
-	}
-}
-
-func TestCreditWindowClose(t *testing.T) {
-	w := NewCreditWindow(1)
-	w.Take()
-	done := make(chan bool)
-	go func() { done <- w.Take() }()
-	w.Close()
-	if <-done {
-		t.Fatal("Take succeeded on closed window")
-	}
-}
-
-func TestCreditOverflowPanics(t *testing.T) {
-	w := NewCreditWindow(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overflow accepted")
-		}
-	}()
-	w.Return(1)
-}
-
-func TestCreditConcurrentConservation(t *testing.T) {
-	const max = 8
-	w := NewCreditWindow(max)
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				if w.Take() {
-					w.Return(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if w.Available() != max {
-		t.Fatalf("credits leaked: %d != %d", w.Available(), max)
-	}
-}
 
 func newBridge(t *testing.T) (*sim.Engine, *Gateway) {
 	t.Helper()
@@ -320,27 +117,34 @@ func TestTorusShapeCoversRequest(t *testing.T) {
 	}
 }
 
-func TestFrameTypeString(t *testing.T) {
-	for ft, want := range map[FrameType]string{
-		FrameData: "data", FrameCredit: "credit", FrameAck: "ack",
-		FrameControl: "control", FrameType(99): "frame-type-99",
+func TestNewGatewayRejectsBadWiring(t *testing.T) {
+	mk := func(eng *sim.Engine) *fabric.Network {
+		return fabric.MustNetwork(eng, topology.NewTorus3D(2, 2, 2), fabric.Extoll, 1)
+	}
+	eng := sim.New()
+	for _, tc := range []struct {
+		name  string
+		build func()
+	}{
+		{"different engines", func() { NewGateway(mk(eng), mk(sim.New()), 0, 0, 0, fabric.GB) }},
+		{"zero memBW", func() { NewGateway(mk(eng), mk(eng), 0, 0, 0, 0) }},
+		{"no cluster nodes", func() { NewDeepTransport(0, 1) }},
 	} {
-		if got := ft.String(); got != want {
-			t.Errorf("%d -> %q, want %q", ft, got, want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			tc.build()
+		})
 	}
 }
 
-func BenchmarkFrameEncodeDecode(b *testing.B) {
-	f := &Frame{Type: FrameData, Seq: 1, Src: 2, Dst: 3, Payload: make([]byte, 4096)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err := f.Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := Decode(buf); err != nil {
-			b.Fatal(err)
-		}
+func TestDeepTransportOverheads(t *testing.T) {
+	tr := NewDeepTransport(16, 8)
+	if tr.SendOverhead() != fabric.InfiniBandFDR.SendOverhead || tr.RecvOverhead() != fabric.InfiniBandFDR.RecvOverhead {
+		t.Fatalf("overheads %v/%v, want InfiniBand FDR's %v/%v", tr.SendOverhead(), tr.RecvOverhead(),
+			fabric.InfiniBandFDR.SendOverhead, fabric.InfiniBandFDR.RecvOverhead)
 	}
 }

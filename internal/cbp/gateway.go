@@ -11,8 +11,8 @@ import (
 // Gateway is a Booster Interface node: it owns one endpoint on the
 // cluster fabric (InfiniBand) and one on the booster fabric (EXTOLL)
 // and forwards traffic between them with SMFU store-and-forward
-// semantics: the full message is landed in gateway memory, re-framed,
-// and re-injected on the other side.
+// semantics: the full message is landed in gateway memory and
+// re-injected on the other side.
 type Gateway struct {
 	Cluster     *fabric.Network
 	Booster     *fabric.Network

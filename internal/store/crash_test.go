@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -173,5 +175,43 @@ func TestGarbageFileIsNotFatal(t *testing.T) {
 	mustPut(t, s, &Entry{Key: "k", Result: []byte("v")})
 	if e := mustGet(t, s, "k"); string(e.Result) != "v" {
 		t.Fatal("store unusable after garbage segment")
+	}
+}
+
+// tornHeader is an 8-byte segment whose length prefix claims a record
+// just under maxRecordBytes: a header written before a crash, its
+// body never.
+func tornHeader() []byte {
+	var h [recHeaderLen]byte
+	binary.LittleEndian.PutUint32(h[0:4], maxRecordBytes-1)
+	return h[:]
+}
+
+// TestHugeLengthPrefixIsTornTail: a length prefix larger than the
+// bytes left in the segment is a torn tail. Open must repair it
+// without allocating the claimed size first.
+func TestHugeLengthPrefixIsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	path := dir + "/" + segName(1)
+	if err := os.WriteFile(path, tornHeader(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := openT(t, dir, Options{})
+	runtime.ReadMemStats(&after)
+	defer s.Close()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Fatalf("Open allocated %d MiB for an 8-byte segment", alloc>>20)
+	}
+	if st := s.Stats(); st.Entries != 0 {
+		t.Fatalf("torn header produced %d entries", st.Entries)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 0 {
+		t.Fatalf("torn header not truncated away: file is %d bytes", fi.Size())
 	}
 }

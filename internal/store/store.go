@@ -183,7 +183,8 @@ func Open(dir string, opts Options) (*Store, error) {
 // first torn or corrupt record, leaving seg.size at the end of the
 // last good one.
 func (s *Store) scanSegment(seg *segment) error {
-	if _, err := seg.f.Seek(0, io.SeekStart); err != nil {
+	fi, err := seg.f.Stat() // seg.f was just opened: it reads from offset 0
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	br := bufio.NewReaderSize(seg.f, 1<<20)
@@ -197,8 +198,8 @@ func (s *Store) scanSegment(seg *segment) error {
 		}
 		bodyLen := binary.LittleEndian.Uint32(header[0:4])
 		wantCRC := binary.LittleEndian.Uint32(header[4:8])
-		if bodyLen > maxRecordBytes {
-			break // corrupt length prefix
+		if bodyLen > maxRecordBytes || int64(bodyLen) > fi.Size()-off-recHeaderLen {
+			break // corrupt length prefix, or a torn body the file cannot hold
 		}
 		body := make([]byte, bodyLen)
 		if _, err := io.ReadFull(br, body); err != nil {
