@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"repro/deep"
+	"repro/internal/cli"
 	"repro/internal/store"
 )
 
@@ -39,48 +40,24 @@ func (w writeOnlyStore) StoreRun(key, experiment string, payload, text []byte) e
 	return w.inner.StoreRun(key, experiment, payload, text)
 }
 
-// writeFile streams a report export into path.
-func writeFile(path string, stderr io.Writer, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "wrote %s\n", path)
-	return nil
-}
-
 // run is the testable body of main: parses args (without the program
 // name), runs the selected experiments and returns the process exit
 // code — 2 for a flag-parsing error, 1 for any other failure.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("deepbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	spec := &deep.Spec{}
 	var (
-		runFlag       = fs.String("run", "", "comma-separated experiment IDs (default: all)")
-		csvFlag       = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonFlag      = fs.Bool("json", false, "emit JSON instead of aligned tables")
-		listFlag      = fs.Bool("list", false, "list registered experiments and exit")
-		parallelFlag  = fs.Int("parallel", 1, "number of experiments to run concurrently")
-		seedFlag      = fs.Uint64("seed", 0, "override the published seed of seeded experiments (0: keep)")
-		scaleFlag     = fs.Float64("scale", 1, "scale factor for experiment workload sizes")
-		fidelityFlag  = fs.String("fidelity", "default", "fabric transfer model: default | packet | flow")
-		energyFlag    = fs.Bool("energy", false, "append joules / GFlop/W columns to every experiment (event-driven energy recorder)")
-		traceFlag     = fs.String("trace", "", "write a Chrome trace-event JSON of every run to this file")
-		metricsFlag   = fs.String("metrics", "", "write sampled metrics timeseries CSV to this file")
-		sampleFlag    = fs.Float64("sample", 0.1, "metrics sampling interval in virtual seconds (with -metrics)")
-		storeFlag     = fs.String("store", "", "persist finished points to an append-only store in this directory")
-		resumeFlag    = fs.Bool("resume", false, "skip points already in -store (resume a killed sweep)")
-		domainsFlag   = fs.Int("domains", 0, "simulation-kernel domains: 0/1 sequential, K>1 partitioned parallel kernel, -1 = GOMAXPROCS")
-		maxWindowFlag = fs.Int("maxwindow", 0, "adaptive window cap on the partitioned kernel: quiet windows widen up to N x lookahead (0/1: fixed windows)")
-		maxNodesFlag  = fs.Int("maxnodes", 0, "bound sweep machine sizes; >103823 adds E15's million-node point (needs -domains >= 2)")
+		runFlag      = fs.String("run", "", "comma-separated experiment IDs (default: all)")
+		csvFlag      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		jsonFlag     = fs.Bool("json", false, "emit JSON instead of aligned tables")
+		listFlag     = fs.Bool("list", false, "list registered experiments and exit")
+		parallelFlag = fs.Int("parallel", 1, "number of experiments to run concurrently")
 	)
+	fs.Uint64Var(&spec.Seed, "seed", 0, "override the published seed of seeded experiments (0: keep)")
+	fs.Float64Var(&spec.Scale, "scale", 1, "scale factor for experiment workload sizes")
+	fs.IntVar(&spec.MaxNodes, "maxnodes", 0, "bound sweep machine sizes; >103823 adds E15's million-node point (needs -domains >= 2)")
+	fl := cli.Register(fs, spec)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -89,11 +66,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "deepbench: "+format+"\n", a...)
 		return 1
 	}
-
-	fidelity, err := deep.ParseFidelity(*fidelityFlag)
+	if err := fl.Check(); err != nil {
+		return fail("%v", err)
+	}
+	runner, err := spec.Runner()
 	if err != nil {
 		return fail("%v", err)
 	}
+	runner.Parallel = *parallelFlag
 
 	if *listFlag {
 		for _, e := range deep.Experiments() {
@@ -115,27 +95,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail("-run %q names no experiments (try -list)", *runFlag)
 	}
 
-	runner := &deep.Runner{Parallel: *parallelFlag, Seed: *seedFlag, Scale: *scaleFlag, Fidelity: fidelity, Energy: *energyFlag,
-		Domains: *domainsFlag, MaxWindow: *maxWindowFlag, MaxNodes: *maxNodesFlag}
-	runner.Tracing = *traceFlag != ""
-	if *metricsFlag != "" {
-		runner.MetricsEvery = *sampleFlag
-	}
-
-	if *resumeFlag && *storeFlag == "" {
-		return fail("-resume needs -store (where would the finished points come from?)")
-	}
-	if *storeFlag != "" {
-		if runner.Tracing || runner.MetricsEvery > 0 {
-			return fail("-store cannot be combined with -trace/-metrics (observability artifacts are not stored)")
-		}
-		st, err := store.Open(*storeFlag, store.Options{})
+	if fl.Store != "" {
+		st, err := store.Open(fl.Store, store.Options{})
 		if err != nil {
 			return fail("opening store: %v", err)
 		}
 		defer st.Close()
 		runner.Store = store.RunView{Store: st}
-		if !*resumeFlag {
+		if !fl.Resume {
 			runner.Store = writeOnlyStore{inner: runner.Store}
 		}
 	}
@@ -144,20 +111,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if rep == nil {
 		return fail("%v (try -list)", runErr)
 	}
-	if *resumeFlag {
+	if fl.Resume {
 		fmt.Fprintf(stderr, "deepbench: resumed %d of %d points from %s\n",
-			rep.StoreHits, len(rep.Results), *storeFlag)
+			rep.StoreHits, len(rep.Results), fl.Store)
 	}
 	if rep.StoreErrors > 0 {
 		fmt.Fprintf(stderr, "deepbench: %d store writes failed (results above are still fresh)\n", rep.StoreErrors)
 	}
-	if *traceFlag != "" {
-		if err := writeFile(*traceFlag, stderr, rep.WriteChromeTrace); err != nil {
+	if fl.Trace != "" {
+		if err := cli.WriteFile(fl.Trace, stderr, rep.WriteChromeTrace); err != nil {
 			return fail("%v", err)
 		}
 	}
-	if *metricsFlag != "" {
-		if err := writeFile(*metricsFlag, stderr, rep.WriteMetricsCSV); err != nil {
+	if fl.Metrics != "" {
+		if err := cli.WriteFile(fl.Metrics, stderr, rep.WriteMetricsCSV); err != nil {
 			return fail("%v", err)
 		}
 	}

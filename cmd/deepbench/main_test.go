@@ -2,19 +2,38 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/deep"
 )
 
 // TestRun drives the CLI body the way a shell would: the default
-// table rendering is held to the golden file, every usage error exits
-// 1 with its diagnostic, and the flags of the retired bench mode are
-// unknown to flag parsing (exit 2) rather than silently accepted.
+// table rendering is held to the golden file, every output format and
+// export writes what it names, a stored sweep resumes byte-identically,
+// every usage error exits 1 with its diagnostic, and the flags of the
+// retired bench mode are unknown to flag parsing (exit 2) rather than
+// silently accepted.
 func TestRun(t *testing.T) {
 	golden, err := os.ReadFile("../../deep/testdata/E01.golden")
 	if err != nil {
 		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	storeDir := filepath.Join(dir, "results")
+	tracePath, metricsPath := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.csv")
+	unsampled := filepath.Join(dir, "unsampled.csv")
+	nonEmpty := func(t *testing.T, paths ...string) {
+		for _, p := range paths {
+			if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+				t.Errorf("%s missing or empty (%v)", p, err)
+			}
+		}
 	}
 	cases := []struct {
 		name   string
@@ -22,17 +41,68 @@ func TestRun(t *testing.T) {
 		code   int
 		stdout string // exact, when non-empty
 		stderr string // substring
+		// check, when set, inspects the run's output further.
+		check func(t *testing.T, stdout string)
 	}{
-		{"golden", []string{"-run", "E01"}, 0, string(golden), ""},
-		{"csv and json", []string{"-csv", "-json"}, 1, "", "-csv and -json are mutually exclusive"},
-		{"resume without store", []string{"-resume"}, 1, "", "-resume needs -store"},
-		{"store with trace", []string{"-store", "unused", "-trace", "unused.json"}, 1, "", "-store cannot be combined with -trace/-metrics"},
-		{"empty run list", []string{"-run", ","}, 1, "", `-run "," names no experiments`},
-		{"unknown id", []string{"-run", "E99"}, 1, "", `unknown experiment "E99" (try -list)`},
-		{"bad fidelity", []string{"-fidelity", "exact"}, 1, "", "exact"},
-		{"removed -bench", []string{"-bench", "3"}, 2, "", "flag provided but not defined: -bench"},
-		{"removed -speedup", []string{"-speedup", "1,2,4"}, 2, "", "flag provided but not defined: -speedup"},
-		{"renamed -window", []string{"-window", "8"}, 2, "", "flag provided but not defined: -window"},
+		{"golden", []string{"-run", "E01"}, 0, string(golden), "", nil},
+		{"list", []string{"-list"}, 0, "", "", func(t *testing.T, stdout string) {
+			lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
+			exps := deep.Experiments()
+			if len(lines) != len(exps) {
+				t.Fatalf("-list printed %d lines for %d experiments:\n%s", len(lines), len(exps), stdout)
+			}
+			for i, e := range exps {
+				if !strings.HasPrefix(lines[i], e.ID+"  ") {
+					t.Errorf("-list line %d is %q, want %s first", i, lines[i], e.ID)
+				}
+			}
+		}},
+		{"csv", []string{"-csv", "-run", "E04"}, 0, "", "", func(t *testing.T, stdout string) {
+			if !strings.Contains(stdout, "nodes,regular@booster,") {
+				t.Errorf("-csv printed no CSV header:\n%s", stdout)
+			}
+		}},
+		{"json", []string{"-json", "-run", "E04"}, 0, "", "", func(t *testing.T, stdout string) {
+			var results []struct {
+				ID    string          `json:"id"`
+				Table json.RawMessage `json:"table"`
+			}
+			if err := json.Unmarshal([]byte(stdout), &results); err != nil {
+				t.Fatalf("-json output does not decode: %v\n%s", err, stdout)
+			}
+			if len(results) != 1 || results[0].ID != "E04" || len(results[0].Table) == 0 {
+				t.Errorf("-json holds %+v, want one E04 result with a table", results)
+			}
+		}},
+		{"store then resume", []string{"-run", "E04", "-store", storeDir}, 0, "", "", func(t *testing.T, stdout string) {
+			var out, errOut strings.Builder
+			if code := run(context.Background(), []string{"-run", "E04", "-store", storeDir, "-resume"}, &out, &errOut); code != 0 {
+				t.Fatalf("resume exit %d; stderr:\n%s", code, errOut.String())
+			}
+			if !strings.Contains(errOut.String(), "resumed 1 of 1") {
+				t.Errorf("resume did not answer from the store:\n%s", errOut.String())
+			}
+			if out.String() != stdout {
+				t.Errorf("resumed output differs:\n--- fresh ---\n%s--- resumed ---\n%s", stdout, out.String())
+			}
+		}},
+		{"trace and metrics", []string{"-run", "E16", "-trace", tracePath, "-metrics", metricsPath, "-sample", "0.5"}, 0, "", "wrote " + metricsPath,
+			func(t *testing.T, _ string) { nonEmpty(t, tracePath, metricsPath) }},
+		{"metrics without sampling", []string{"-run", "E04", "-metrics", unsampled, "-sample", "0"}, 1, "", "-metrics needs a positive -sample",
+			func(t *testing.T, _ string) {
+				if _, err := os.Stat(unsampled); !os.IsNotExist(err) {
+					t.Errorf("refused export left %s behind (%v)", unsampled, err)
+				}
+			}},
+		{"csv and json", []string{"-csv", "-json"}, 1, "", "-csv and -json are mutually exclusive", nil},
+		{"resume without store", []string{"-resume"}, 1, "", "-resume needs -store", nil},
+		{"store with trace", []string{"-store", "unused", "-trace", "unused.json"}, 1, "", "-store cannot be combined with -trace/-metrics", nil},
+		{"empty run list", []string{"-run", ","}, 1, "", `-run "," names no experiments`, nil},
+		{"unknown id", []string{"-run", "E99"}, 1, "", `unknown experiment "E99" (try -list)`, nil},
+		{"bad fidelity", []string{"-fidelity", "exact"}, 1, "", "exact", nil},
+		{"removed -bench", []string{"-bench", "3"}, 2, "", "flag provided but not defined: -bench", nil},
+		{"removed -speedup", []string{"-speedup", "1,2,4"}, 2, "", "flag provided but not defined: -speedup", nil},
+		{"renamed -window", []string{"-window", "8"}, 2, "", "flag provided but not defined: -window", nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -49,6 +119,43 @@ func TestRun(t *testing.T) {
 			if !strings.Contains(errOut.String(), c.stderr) {
 				t.Errorf("stderr lacks %q:\n%s", c.stderr, errOut.String())
 			}
+			if c.check != nil {
+				c.check(t, out.String())
+			}
 		})
+	}
+}
+
+// TestFlagTableMatchesExperimentsDoc: the flag table in EXPERIMENTS.md
+// lists exactly the flags deepbench registers, so neither side can
+// gain or lose a flag alone.
+func TestFlagTableMatchesExperimentsDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "## Running the registry: deepbench flags\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no deepbench flag section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var documented []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z]+)").FindAllStringSubmatch(section, -1) {
+		documented = append(documented, m[1])
+	}
+
+	var out, usage strings.Builder
+	if code := run(context.Background(), []string{"-h"}, &out, &usage); code != 2 {
+		t.Fatalf("-h exit %d, want 2", code)
+	}
+	var registered []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z]+)`).FindAllStringSubmatch(usage.String(), -1) {
+		registered = append(registered, m[1])
+	}
+
+	slices.Sort(documented)
+	slices.Sort(registered)
+	if len(registered) == 0 || !slices.Equal(documented, registered) {
+		t.Fatalf("EXPERIMENTS.md documents %v\ndeepbench registers     %v", documented, registered)
 	}
 }

@@ -5,6 +5,7 @@
 // cache instead of re-simulated.
 //
 //	deepd -addr localhost:8080
+//	deepd -addr 127.0.0.1:0        # any free port; the log names it
 //	curl -s -X POST localhost:8080/v1/jobs -d '{"experiment": "E01"}'
 //	curl -s localhost:8080/v1/jobs/j-000001
 //	curl -s localhost:8080/v1/jobs/j-000001/result
@@ -38,10 +39,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -53,19 +55,31 @@ import (
 	"repro/internal/store"
 )
 
-func main() {
+// run is the testable body of main: parses args (without the program
+// name), serves until ctx is cancelled, drains, and returns the process
+// exit code — 2 for a flag-parsing error, 1 for any other failure.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("deepd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr         = flag.String("addr", "localhost:8080", "listen address")
-		workers      = flag.Int("workers", 0, "concurrently running jobs (0: GOMAXPROCS)")
-		queue        = flag.Int("queue", 256, "admission queue depth")
-		cacheMB      = flag.Int64("cache-mb", 256, "result cache byte budget in MiB (-1: unbounded)")
-		cacheEntries = flag.Int("cache-entries", 4096, "result cache entry budget (-1: unbounded)")
-		deadline     = flag.Duration("deadline", 10*time.Minute, "default per-job wall-clock deadline")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
-		storeDir     = flag.String("store", "", "persist results to an append-only store in this directory (empty: memory only)")
-		domains      = flag.Int("domains", 0, "default parallel-kernel domain count for specs that set none (0: sequential); part of the content address of experiment and traffic jobs, ignored by MPI, cholesky and jobs workloads")
+		addr         = fs.String("addr", "localhost:8080", "listen address (port 0: any free port, named in the log)")
+		workers      = fs.Int("workers", 0, "concurrently running jobs (0: GOMAXPROCS)")
+		queue        = fs.Int("queue", 256, "admission queue depth")
+		cacheMB      = fs.Int64("cache-mb", 256, "result cache byte budget in MiB (-1: unbounded)")
+		cacheEntries = fs.Int("cache-entries", 4096, "result cache entry budget (-1: unbounded)")
+		deadline     = fs.Duration("deadline", 10*time.Minute, "default per-job wall-clock deadline")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
+		storeDir     = fs.String("store", "", "persist results to an append-only store in this directory (empty: memory only)")
+		domains      = fs.Int("domains", 0, "default parallel-kernel domain count for specs that set none (0: sequential); part of the content address of experiment and traffic jobs, ignored by MPI, cholesky and jobs workloads")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "deepd: "+format+"\n", a...)
+		return 1
+	}
 
 	if *workers <= 0 {
 		*workers = runtime.GOMAXPROCS(0)
@@ -78,18 +92,20 @@ func main() {
 	if *storeDir != "" {
 		var err error
 		if st, err = store.Open(*storeDir, store.Options{}); err != nil {
-			fmt.Fprintf(os.Stderr, "deepd: opening store: %v\n", err)
-			os.Exit(1)
+			return fail("opening store: %v", err)
 		}
 		defer st.Close()
 		epoch, err := st.AdvanceEpoch()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "deepd: advancing store epoch: %v\n", err)
-			os.Exit(1)
+			return fail("advancing store epoch: %v", err)
 		}
 		s := st.Stats()
-		log.Printf("deepd: store %s: %d entries, %d segments, %.0f%% live, epoch %d",
+		logger.Printf("deepd: store %s: %d entries, %d segments, %.0f%% live, epoch %d",
 			*storeDir, s.Entries, s.Segments, 100*s.LiveRatio, epoch)
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fail("%v", err)
 	}
 	srv := serve.New(serve.Options{
 		Workers:         *workers,
@@ -100,37 +116,35 @@ func main() {
 		DefaultDomains:  *domains,
 		Store:           st,
 	})
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("deepd: serving on http://%s (workers=%d, queue=%d)", *addr, *workers, *queue)
+	go func() { errCh <- httpSrv.Serve(ln) }()
+	logger.Printf("deepd: serving on http://%s (workers=%d, queue=%d)", ln.Addr(), *workers, *queue)
 
 	select {
 	case <-ctx.Done():
-		log.Printf("deepd: draining (budget %v)", *drainTimeout)
+		logger.Printf("deepd: draining (budget %v)", *drainTimeout)
 		if srv.Drain(*drainTimeout) {
-			log.Printf("deepd: drained cleanly")
+			logger.Printf("deepd: drained cleanly")
 		} else {
-			log.Printf("deepd: drain timed out; in-flight jobs cancelled")
+			logger.Printf("deepd: drain timed out; in-flight jobs cancelled")
 		}
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("deepd: shutdown: %v", err)
+			logger.Printf("deepd: shutdown: %v", err)
 		}
-		<-errCh // ListenAndServe has returned
+		<-errCh // Serve has returned
+		return 0
 	case err := <-errCh:
-		if !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "deepd: %v\n", err)
-			os.Exit(1)
-		}
+		srv.Drain(*drainTimeout)
+		return fail("%v", err)
 	}
+}
+
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stderr))
 }

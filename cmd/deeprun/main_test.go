@@ -2,10 +2,18 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 // TestRunVerifiedWorkloadExitsZero: the happy path prints VERIFIED
@@ -179,5 +187,108 @@ func TestRunWritesArtifacts(t *testing.T) {
 		} else if fi.Size() == 0 {
 			t.Errorf("%s is empty", p)
 		}
+	}
+}
+
+// TestRunRefusesUnsampledMetrics: -metrics with a sampling interval
+// that samples nothing is refused before the run, and leaves no empty
+// export behind.
+func TestRunRefusesUnsampledMetrics(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.csv")
+	var out, errOut strings.Builder
+	if code := run(context.Background(), []string{"-app", "jobs", "-metrics", path, "-sample", "0"}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "-metrics needs a positive -sample") {
+		t.Errorf("stderr does not name the bad -sample:\n%s", errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused run printed a result:\n%s", out.String())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("refused export left %s behind (%v)", path, err)
+	}
+}
+
+// TestRunSharesDeepdRecords: deeprun stores deepd's record of its spec,
+// so a daemon over the same store answers the equivalent deepd spec
+// from it, byte-identical to deeprun's output, and deeprun -resume
+// replays a record the daemon computed.
+func TestRunSharesDeepdRecords(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "results")
+	var fresh, freshErr strings.Builder
+	if code := run(context.Background(), []string{"-app", "spmv", "-store", dir}, &fresh, &freshErr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, freshErr.String())
+	}
+
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Options{Workers: 1, Store: st})
+	ts := httptest.NewServer(srv.Handler())
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v: %s", path, resp.StatusCode, err, body)
+		}
+		return body
+	}
+	submit := func(spec string) serve.SubmitResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sub serve.SubmitResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: %d %v", spec, resp.StatusCode, err)
+		}
+		for deadline := time.Now().Add(30 * time.Second); sub.State == serve.StateQueued || sub.State == serve.StateRunning; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s did not finish", sub.ID)
+			}
+			if err := json.Unmarshal(get("/v1/jobs/"+sub.ID), &sub.JobStatus); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sub.State != serve.StateDone {
+			t.Fatalf("job %s %s: %s", sub.ID, sub.State, sub.Error)
+		}
+		return sub
+	}
+
+	const machine = `"machine":{"cluster_nodes":4,"booster_nodes":4,"cluster_ranks":4},"seed":42`
+	hit := submit(`{"workload":{"kind":"spmv"},` + machine + `}`)
+	if !hit.CacheHit {
+		t.Fatal("deepd re-simulated the spmv run deeprun stored")
+	}
+	if text := get("/v1/jobs/" + hit.ID + "/text"); string(text) != fresh.String() {
+		t.Fatalf("deepd /text differs from deeprun's output:\n--- deeprun ---\n%s--- deepd ---\n%s", fresh.String(), text)
+	}
+	computed := submit(`{"workload":{"kind":"nbody"},` + machine + `}`)
+	if computed.CacheHit {
+		t.Fatal("nbody was answered before anything computed it")
+	}
+	daemonText := get("/v1/jobs/" + computed.ID + "/text")
+	ts.Close()
+	srv.Drain(5 * time.Second)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var replay, replayErr strings.Builder
+	if code := run(context.Background(), []string{"-app", "nbody", "-store", dir, "-resume"}, &replay, &replayErr); code != 0 {
+		t.Fatalf("replay exit %d, stderr:\n%s", code, replayErr.String())
+	}
+	if !strings.Contains(replayErr.String(), "replayed stored run") || replay.String() != string(daemonText) {
+		t.Fatalf("deeprun did not replay deepd's nbody record; stderr:\n%s", replayErr.String())
 	}
 }

@@ -5,24 +5,8 @@ import (
 	"sync"
 )
 
-// Entry is one cached job outcome: the structured result payload
-// exactly as first marshalled (so cache hits are byte-identical to
-// the fresh computation), the rendered text form, and the optional
-// trace / metrics attachments.
-type Entry struct {
-	// Key is the content address of the spec that produced the entry.
-	Key string
-	// Result is the JSON result payload; Text the rendered text form.
-	Result, Text []byte
-	// Trace and Metrics are the Chrome-trace / metrics-CSV
-	// attachments; nil when the spec did not request them.
-	Trace, Metrics []byte
-	// Verified is false when a checked workload failed verification.
-	Verified bool
-}
-
-// size is the entry's byte-budget footprint.
-func (e *Entry) size() int64 {
+// size is an entry's byte-budget footprint.
+func size(e *Entry) int64 {
 	return int64(len(e.Key) + len(e.Result) + len(e.Text) + len(e.Trace) + len(e.Metrics))
 }
 
@@ -89,17 +73,17 @@ func (c *Cache) Get(key string) *Entry {
 func (c *Cache) Put(e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.maxBytes > 0 && e.size() > c.maxBytes {
+	if c.maxBytes > 0 && size(e) > c.maxBytes {
 		c.rejected++
 		return
 	}
 	if el, ok := c.items[e.Key]; ok {
-		c.bytes += e.size() - el.Value.(*Entry).size()
+		c.bytes += size(e) - size(el.Value.(*Entry))
 		el.Value = e
 		c.ll.MoveToFront(el)
 	} else {
 		c.items[e.Key] = c.ll.PushFront(e)
-		c.bytes += e.size()
+		c.bytes += size(e)
 	}
 	for (c.maxBytes > 0 && c.bytes > c.maxBytes) ||
 		(c.maxEntries > 0 && c.ll.Len() > c.maxEntries) {
@@ -116,7 +100,7 @@ func (c *Cache) evict(el *list.Element) {
 	ev := el.Value.(*Entry)
 	c.ll.Remove(el)
 	delete(c.items, ev.Key)
-	c.bytes -= ev.size()
+	c.bytes -= size(ev)
 	c.evictions++
 }
 

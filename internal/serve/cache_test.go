@@ -78,7 +78,7 @@ func TestCacheReplaceUpdatesBytes(t *testing.T) {
 	if st.Entries != 1 {
 		t.Fatalf("entries = %d", st.Entries)
 	}
-	want := entry("a", 300).size()
+	want := size(entry("a", 300))
 	if st.Bytes != want {
 		t.Fatalf("bytes = %d, want %d", st.Bytes, want)
 	}
@@ -88,8 +88,8 @@ func TestCacheReplaceShrinkReleasesBudget(t *testing.T) {
 	c := NewCache(300, 0)
 	c.Put(entry("a", 250))
 	c.Put(entry("a", 10)) // shrink: budget headroom must come back
-	if st := c.Stats(); st.Bytes != entry("a", 10).size() {
-		t.Fatalf("bytes after shrink = %d, want %d", st.Bytes, entry("a", 10).size())
+	if st := c.Stats(); st.Bytes != size(entry("a", 10)) {
+		t.Fatalf("bytes after shrink = %d, want %d", st.Bytes, size(entry("a", 10)))
 	}
 	// The freed headroom is real: another entry now fits un-evicted.
 	c.Put(entry("b", 250))
@@ -97,7 +97,7 @@ func TestCacheReplaceShrinkReleasesBudget(t *testing.T) {
 	if st.Entries != 2 || st.Evictions != 0 {
 		t.Fatalf("shrink did not release budget: %+v", st)
 	}
-	if want := entry("a", 10).size() + entry("b", 250).size(); st.Bytes != want {
+	if want := size(entry("a", 10)) + size(entry("b", 250)); st.Bytes != want {
 		t.Fatalf("bytes = %d, want %d", st.Bytes, want)
 	}
 }
@@ -113,10 +113,10 @@ func TestCacheReplaceGrowEvictsAcrossBudget(t *testing.T) {
 	if c.Get("b") != nil {
 		t.Fatal("grow-replacement did not evict the LRU entry")
 	}
-	if e := c.Get("a"); e == nil || e.size() != entry("a", 250).size() {
+	if e := c.Get("a"); e == nil || size(e) != size(entry("a", 250)) {
 		t.Fatal("replacement lost the new value")
 	}
-	if st.Bytes != entry("a", 250).size() || st.Entries != 1 || st.Evictions != 1 {
+	if st.Bytes != size(entry("a", 250)) || st.Entries != 1 || st.Evictions != 1 {
 		t.Fatalf("ledger after grow-replacement: %+v", st)
 	}
 }
@@ -126,7 +126,7 @@ func TestCacheReplaceGrowNeverEvictsItself(t *testing.T) {
 	c.Put(entry("a", 100))
 	c.Put(entry("a", 290)) // still within budget alone; must survive
 	st := c.Stats()
-	if st.Entries != 1 || st.Evictions != 0 || st.Bytes != entry("a", 290).size() {
+	if st.Entries != 1 || st.Evictions != 0 || st.Bytes != size(entry("a", 290)) {
 		t.Fatalf("self-eviction guard: %+v", st)
 	}
 	if c.Get("a") == nil {
@@ -160,7 +160,7 @@ func TestCacheBytesLedgerInvariant(t *testing.T) {
 	var want int64
 	c.mu.Lock()
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		want += el.Value.(*Entry).size()
+		want += size(el.Value.(*Entry))
 	}
 	got := c.bytes
 	c.mu.Unlock()

@@ -16,7 +16,7 @@ import (
 func TestDrainHardStopSkipsQueuedJobs(t *testing.T) {
 	h := newHarness(t, Options{Workers: 1})
 	var execs atomic.Int32
-	h.srv.exec = func(ctx context.Context, key string, spec *JobSpec, progress func(string)) (*Entry, error) {
+	h.srv.exec = func(ctx context.Context, spec *JobSpec, progress func(string)) (*Entry, error) {
 		execs.Add(1)
 		<-ctx.Done() // park until the hard stop cancels the base context
 		return nil, ctx.Err()

@@ -15,8 +15,8 @@
 //     Because simulations are deterministic for a fixed spec, an
 //     identical resubmission is served from cache byte-identically,
 //     without re-running the simulation.
-//   - Pool — a bounded worker pool over the context-aware deep.Runner
-//     and deep.Run, with per-job cancellation, deadlines and graceful
+//   - Pool — a bounded worker pool over deep.Spec.Run, the SDK's one
+//     run path, with per-job cancellation, deadlines and graceful
 //     drain.
 //   - Server — the HTTP surface: submit, status, SSE progress events,
 //     cancel, structured result plus Chrome-trace / metrics-CSV

@@ -93,7 +93,7 @@ type Server struct {
 
 	// exec runs one normalized spec; it is execute in production and a
 	// seam for deterministic lifecycle tests.
-	exec func(ctx context.Context, key string, spec *JobSpec, progress func(string)) (*Entry, error)
+	exec func(ctx context.Context, spec *JobSpec, progress func(string)) (*Entry, error)
 }
 
 // ServerStats is the /v1/stats payload.
@@ -368,7 +368,7 @@ func (s *Server) runJob(base context.Context, j *job) {
 		return
 	default:
 	}
-	entry, err := s.exec(ctx, j.key, j.spec, func(label string) { j.emit("progress", label) })
+	entry, err := s.exec(ctx, j.spec, func(label string) { j.emit("progress", label) })
 	s.release(j)
 	if err != nil {
 		switch {

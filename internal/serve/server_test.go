@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/deep"
 )
 
 // harness wires a Server behind an httptest listener.
@@ -143,8 +145,12 @@ func (h *harness) stats() ServerStats {
 // gives lifecycle tests deterministic control over "running".
 func (h *harness) blockingExec() (release func()) {
 	gate := make(chan struct{})
-	h.srv.exec = func(ctx context.Context, key string, spec *JobSpec, progress func(string)) (*Entry, error) {
+	h.srv.exec = func(ctx context.Context, spec *JobSpec, progress func(string)) (*Entry, error) {
 		progress("blocked")
+		key, err := spec.Key()
+		if err != nil {
+			return nil, err
+		}
 		select {
 		case <-gate:
 			return &Entry{Key: key, Result: []byte(`{"kind":"test"}`), Text: []byte("test\n"), Verified: true}, nil
@@ -178,7 +184,7 @@ func TestSubmitCacheHitE2E(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("result: %d: %s", code, freshResult)
 	}
-	var payload ResultPayload
+	var payload deep.ResultPayload
 	if err := json.Unmarshal(freshResult, &payload); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +247,7 @@ func TestWorkloadJob(t *testing.T) {
 		t.Fatalf("spmv text lacks VERIFIED:\n%s", text)
 	}
 	_, body := h.get("/v1/jobs/" + ok.ID + "/result")
-	var payload ResultPayload
+	var payload deep.ResultPayload
 	if err := json.Unmarshal(body, &payload); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +276,7 @@ func TestExperimentJobHonoursMaxWindow(t *testing.T) {
 		t.Fatalf("E15 job: %+v", st)
 	}
 	_, body := h.get("/v1/jobs/" + st.ID + "/result")
-	var payload ResultPayload
+	var payload deep.ResultPayload
 	if err := json.Unmarshal(body, &payload); err != nil {
 		t.Fatal(err)
 	}
@@ -549,11 +555,11 @@ func TestRetentionKeepsRunningOldest(t *testing.T) {
 	release := h.blockingExec()
 	defer release()
 	blocked, fast := h.srv.exec, execute
-	h.srv.exec = func(ctx context.Context, key string, spec *JobSpec, progress func(string)) (*Entry, error) {
+	h.srv.exec = func(ctx context.Context, spec *JobSpec, progress func(string)) (*Entry, error) {
 		if spec.Experiment == "E01" {
-			return blocked(ctx, key, spec, progress)
+			return blocked(ctx, spec, progress)
 		}
-		return fast(ctx, key, spec, progress)
+		return fast(ctx, spec, progress)
 	}
 	slow := h.submit(`{"experiment": "E01"}`)
 	h.waitState(slow.ID, StateRunning)

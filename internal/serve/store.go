@@ -9,18 +9,6 @@ import "repro/internal/store"
 // share the content key, so a byte stored is a byte served — the
 // byte-identical guarantee survives a daemon restart.
 
-// specMeta tags a persisted record with its queryable label: the
-// experiment id, or "workload:<kind>" for custom workload jobs.
-func specMeta(spec *JobSpec) string {
-	if spec.Experiment != "" {
-		return spec.Experiment
-	}
-	if spec.Workload != nil {
-		return "workload:" + spec.Workload.Kind
-	}
-	return ""
-}
-
 // toStoreEntry converts a finished cache entry into its persisted
 // form. Byte slices are shared, not copied: both sides treat entries
 // as immutable after construction.
@@ -59,7 +47,7 @@ func (s *Server) primeCache() {
 		}
 		entry := fromStoreEntry(e)
 		s.cache.Put(entry)
-		loaded += entry.size()
+		loaded += size(entry)
 		s.warmed++
 	}
 }
@@ -88,7 +76,7 @@ func (s *Server) storeWrite(entry *Entry, spec *JobSpec) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.Put(toStoreEntry(entry, specMeta(spec))); err != nil {
+	if err := s.store.Put(toStoreEntry(entry, spec.Meta())); err != nil {
 		s.mu.Lock()
 		s.storeErrors++
 		s.mu.Unlock()

@@ -56,7 +56,7 @@ func TestStoreWarmStartRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2 := newHarness(t, Options{Workers: 1, Store: st2})
-	h2.srv.exec = func(ctx context.Context, key string, spec *JobSpec, progress func(string)) (*Entry, error) {
+	h2.srv.exec = func(ctx context.Context, spec *JobSpec, progress func(string)) (*Entry, error) {
 		t.Error("executor ran despite a warm-started store")
 		return nil, ctx.Err()
 	}
@@ -100,9 +100,9 @@ func TestStoreFallbackOnLRUMiss(t *testing.T) {
 	h := newHarness(t, Options{Workers: 1, CacheEntries: 1, Store: st})
 	var execs atomic.Int32
 	inner := h.srv.exec
-	h.srv.exec = func(ctx context.Context, key string, spec *JobSpec, progress func(string)) (*Entry, error) {
+	h.srv.exec = func(ctx context.Context, spec *JobSpec, progress func(string)) (*Entry, error) {
 		execs.Add(1)
-		return inner(ctx, key, spec, progress)
+		return inner(ctx, spec, progress)
 	}
 
 	first := h.submit(`{"experiment": "E01"}`)
