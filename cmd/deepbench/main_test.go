@@ -3,10 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -157,5 +159,71 @@ func TestFlagTableMatchesExperimentsDoc(t *testing.T) {
 	slices.Sort(registered)
 	if len(registered) == 0 || !slices.Equal(documented, registered) {
 		t.Fatalf("EXPERIMENTS.md documents %v\ndeepbench registers     %v", documented, registered)
+	}
+}
+
+// TestExperimentsTableMatchesRegistry: the registry table in
+// EXPERIMENTS.md and the registry deepbench runs name the same
+// experiments, with the same titles and the same leading paper
+// reference (the part before any parenthesis). A row "A01–A04" stands
+// for four experiments whose titles all read "<title>: …".
+func TestExperimentsTableMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## Registry\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no registry section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	leadingRef := func(ref string) string {
+		ref, _, _ = strings.Cut(strings.ReplaceAll(ref, "–", "-"), " (")
+		return strings.TrimSpace(ref)
+	}
+	type row struct{ title, ref string }
+	rows := map[string]row{}
+	ranged := map[string]bool{}
+	rowRE := regexp.MustCompile(`(?m)^\| ([AE]\d\d)(?:–([AE]\d\d))? \| ([^|]+) \| ([^|]+) \|`)
+	for _, m := range rowRE.FindAllStringSubmatch(section, -1) {
+		first, last := m[1], m[2]
+		if last == "" {
+			last = first
+		}
+		lo, _ := strconv.Atoi(first[1:])
+		hi, _ := strconv.Atoi(last[1:])
+		if last[0] != first[0] || hi < lo {
+			t.Fatalf("bad id range %s–%s", first, last)
+		}
+		for i := lo; i <= hi; i++ {
+			id := fmt.Sprintf("%c%02d", first[0], i)
+			if _, dup := rows[id]; dup {
+				t.Errorf("%s is listed twice", id)
+			}
+			rows[id] = row{strings.TrimSpace(m[3]), leadingRef(m[4])}
+			ranged[id] = hi > lo
+		}
+	}
+	seen := map[string]bool{}
+	for _, e := range deep.Experiments() {
+		seen[e.ID] = true
+		r, ok := rows[e.ID]
+		switch {
+		case !ok:
+			t.Errorf("%s (%s) is registered but not in the EXPERIMENTS.md table", e.ID, e.Title)
+			continue
+		case ranged[e.ID] && !strings.HasPrefix(e.Title, r.title+": "):
+			t.Errorf("%s: registry title %q does not start with the table's %q", e.ID, e.Title, r.title+": ")
+		case !ranged[e.ID] && e.Title != r.title:
+			t.Errorf("%s: table title %q, registry title %q", e.ID, r.title, e.Title)
+		}
+		if want := leadingRef(e.PaperRef); r.ref != want {
+			t.Errorf("%s: table paper ref %q, registry %q", e.ID, r.ref, want)
+		}
+	}
+	for id := range rows {
+		if !seen[id] {
+			t.Errorf("%s is in the EXPERIMENTS.md table but not registered", id)
+		}
 	}
 }

@@ -78,3 +78,58 @@ func ExampleJSONSink() {
 	// Output:
 	// [{"id":"E12","title":"Technology scaling trajectories","paper_ref":"slides 2-4","table":{"title":"E12 Technology scaling: multi-core vs many-core trajectories","headers":["year","scalar_GF","multicore_node_GF","manycore_node_GF","system_x_per_decade"],"rows":[["2008","4.000","80.000","80.000","1.000"]]}}]
 }
+
+// ExampleOffload ships one kernel from the Cluster to the spawned
+// Booster worker group — the machine and kernel of
+// examples/quickstart — and prints the verified result with its
+// modelled makespan.
+func ExampleOffload() {
+	m, err := deep.NewMachine(
+		deep.WithClusterNodes(8),
+		deep.WithBoosterTorus(3, 3, 3),
+		deep.WithClusterRanks(2),
+		deep.WithBoosterWorkers(8),
+		deep.WithModelCompute(),
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(m)
+	data := make([]float64, 16)
+	want := make([]float64, 16)
+	for i := range data {
+		data[i] = float64(i)
+		want[i] = data[i] * data[i]
+	}
+	square := deep.Offload{
+		Kernel:       "square",
+		Data:         data,
+		FlopsPerRank: 1e6,
+		Fn: func(rank, size int, in []float64) ([]float64, error) {
+			lo, hi := deep.ShardRange(len(in), rank, size)
+			out := make([]float64, hi-lo)
+			for i := lo; i < hi; i++ {
+				out[i-lo] = in[i] * in[i]
+			}
+			return out, nil
+		},
+		Want: want,
+	}
+	res, err := deep.Run(context.Background(), m.NewEnv(), square)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := res.WriteText(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("modelled makespan on the DEEP machine: %v\n", res.ModelTime)
+	// Output:
+	// deep machine: 8 cluster nodes (fat tree) + 27 booster nodes (torus), 2 ranks, 8 workers
+	// offload kernel=square workers=8 n=16
+	//   modelled time = 6.013ms
+	//   outputs = 16
+	//   note: output: [0 1 4 9 16 25 36 49]
+	//   max error = 0.000e+00 (tol 0.0e+00)
+	//   VERIFIED
+	// modelled makespan on the DEEP machine: 6.013ms
+}

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/mpi"
 	"repro/internal/offload"
 )
 
@@ -53,7 +54,8 @@ type Offload struct {
 	// Services are the cluster-side functions Reverse may call.
 	Services map[string]ClusterService
 	// Want, when non-nil, is the expected gathered output; the run
-	// verifies against it within Tol (0 = exact).
+	// verifies against it within Tol (0 = exact), or within Env.Tol
+	// when that is set.
 	Want []float64
 	// Tol is the admissible absolute error per element.
 	Tol float64
@@ -73,54 +75,57 @@ func (o Offload) Run(ctx context.Context, env *Env) (*Result, error) {
 	if (o.Fn == nil) == (o.Reverse == nil) {
 		return nil, fmt.Errorf("deep: offload workload needs exactly one of Fn and Reverse")
 	}
+	if env.PlaceOnBooster {
+		return nil, fmt.Errorf("deep: offload ranks live on the cluster; Env.PlaceOnBooster is not supported")
+	}
 	name := o.Kernel
 	if name == "" {
 		name = "kernel"
 	}
-	m := env.Machine
-	cfg := core.Config{
-		ClusterRanks:   env.Ranks,
-		ClusterNodes:   m.clusterNodes,
-		BoosterNodes:   m.boosterNodes,
-		BoosterWorkers: m.boosterWorkers,
-		ModelCompute:   m.modelCompute,
+	kernel := func(e *offload.Env, data []float64) ([]float64, error) {
+		return o.Fn(e.Rank, e.Size, data)
 	}
-	if o.Fn != nil {
-		fn := o.Fn
-		cfg.Registry = offload.Registry{
-			name: func(rank, size int, req offload.Request) ([]float64, error) {
-				return fn(rank, size, req.Data)
-			},
+	var services map[string]offload.Service
+	if o.Reverse != nil {
+		kernel = func(e *offload.Env, data []float64) ([]float64, error) {
+			return o.Reverse(e.CallCluster, e.Rank, e.Size, data)
 		}
-	} else {
-		rev := o.Reverse
-		cfg.EnvKernels = map[string]offload.EnvKernel{
-			name: func(e *offload.Env, req offload.Request) ([]float64, error) {
-				return rev(e.CallCluster, e.Rank, e.Size, req.Data)
-			},
-		}
-		cfg.Services = make(map[string]offload.Service, len(o.Services))
+		services = make(map[string]offload.Service, len(o.Services))
 		for sname, svc := range o.Services {
-			cfg.Services[sname] = offload.Service(svc)
+			services[sname] = offload.Service(svc)
 		}
+	}
+	m := env.Machine
+	// The Global-MPI world: cluster ranks spread over the cluster
+	// nodes; the spawned workers get booster placement.
+	tr := m.transport()
+	world := mpi.NewWorld(tr, mpi.WithPlacement(func(ep int) int { return ep % m.clusterNodes }))
+	cfg := offload.Config{
+		Workers:  m.boosterWorkers,
+		Spawn:    mpi.DefaultSpawnConfig(),
+		Kernel:   kernel,
+		Services: services,
+	}
+	cfg.Spawn.Place = tr.BoosterNode
+	if m.modelCompute {
+		knc := machine.KNC
+		cfg.Model = &knc
 	}
 	var out []float64
 	var reverseCalls uint64
-	makespan, err := core.Run(cfg, func(d *core.Deep) error {
-		if d.Comm.Rank() != 0 {
-			return nil // rank 0 drives the invocation
+	makespan, err := world.Run(env.Ranks, func(c *mpi.Comm) error {
+		boost := offload.NewManager(c, cfg)
+		var err error
+		if c.Rank() == 0 { // rank 0 drives the invocation
+			out, err = boost.Invoke(offload.Request{Kernel: name, Data: o.Data, FlopsPerRank: o.FlopsPerRank})
+			reverseCalls = boost.ReverseCalls
 		}
-		res, err := d.Boost.Invoke(offload.Request{
-			Kernel:       name,
-			Data:         o.Data,
-			FlopsPerRank: o.FlopsPerRank,
-		})
-		if err != nil {
-			return err
+		// Quiesce before stopping the workers.
+		c.Barrier()
+		if c.Rank() == 0 {
+			boost.Shutdown()
 		}
-		out = res
-		reverseCalls = d.Boost.ReverseCalls
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -166,7 +171,7 @@ func (o Offload) Run(ctx context.Context, env *Env) (*Result, error) {
 				maxDiff = d
 			}
 		}
-		res.verify(maxDiff, o.Tol)
+		res.verify(maxDiff, env.tol(o.Tol))
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf("output: %v", headOf(out, 8)))
 	return res, nil

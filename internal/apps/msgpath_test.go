@@ -70,12 +70,12 @@ func pinRing(c *mpi.Comm, _ func(int) int, slots []pinSlot) error {
 		acc[0] += got[len(got)-1]
 		switch it % 4 {
 		case 0:
-			iv, _ := c.Sendrecv(left, 1000, []int{r, it}, right, 1000)
+			c.Send(left, 1000, []int{r, it})
+			iv, _ := c.Recv(right, 1000)
 			acc[1] += float64(iv.([]int)[0])
 		case 1:
-			req := c.Irecv(left, 1001)
-			c.Isend(right, 1001, mpi.Sized{Data: r, Bytes: 4096})
-			sv, sst := req.Wait()
+			c.Send(right, 1001, mpi.Sized{Data: r, Bytes: 4096})
+			sv, sst := c.Recv(left, 1001)
 			acc[1] += float64(mpi.Unwrap(sv).(int) + sst.Bytes)
 		case 2:
 			c.Send(right, 1002, nil)
@@ -128,7 +128,8 @@ func pinInter(c *mpi.Comm, place func(int) int, slots []pinSlot) error {
 		cr := child.Rank()
 		mine := []float64{float64(100 + cr)}
 		for it := 0; it < 10; it++ {
-			v, _ := child.Parent().Sendrecv(cr, mpi.Tag(it), mine, (cr+1)%n, mpi.Tag(it))
+			child.Parent().Send(cr, mpi.Tag(it), mine)
+			v, _ := child.Parent().Recv((cr+1)%n, mpi.Tag(it))
 			mine = append(mine, v.([]float64)[0])
 		}
 		child.Parent().Barrier()
@@ -137,7 +138,8 @@ func pinInter(c *mpi.Comm, place func(int) int, slots []pinSlot) error {
 	})
 	mine := []float64{float64(r)}
 	for it := 0; it < 10; it++ {
-		v, _ := inter.Sendrecv((r-1+n)%n, mpi.Tag(it), mine, r, mpi.Tag(it))
+		inter.Send((r-1+n)%n, mpi.Tag(it), mine)
+		v, _ := inter.Recv(r, mpi.Tag(it))
 		mine = append(mine, v.([]float64)[it])
 	}
 	inter.Barrier()

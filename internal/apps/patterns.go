@@ -14,39 +14,6 @@ type Message struct {
 	Bytes    int
 }
 
-// NearestNeighbor3D generates the +X/+Y/+Z neighbour exchange of every
-// node of a torus (each node sends to 3 neighbours; with wraparound the
-// full 6-neighbour exchange is covered by symmetry), bytes each — the
-// "highly regular" pattern of the scalable application class.
-func NearestNeighbor3D(t *topology.Torus3D, bytes int) []Message {
-	var msgs []Message
-	for id := 0; id < t.Nodes(); id++ {
-		x, y, z := t.Coord(topology.NodeID(id))
-		for _, nb := range []topology.NodeID{
-			t.ID(x+1, y, z), t.ID(x, y+1, z), t.ID(x, y, z+1),
-		} {
-			if nb != topology.NodeID(id) {
-				msgs = append(msgs, Message{Src: topology.NodeID(id), Dst: nb, Bytes: bytes})
-			}
-		}
-	}
-	return msgs
-}
-
-// AllToAll generates the complete exchange over n nodes — the
-// "complicated communication pattern" end of the spectrum.
-func AllToAll(n, bytes int) []Message {
-	var msgs []Message
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s != d {
-				msgs = append(msgs, Message{Src: topology.NodeID(s), Dst: topology.NodeID(d), Bytes: bytes})
-			}
-		}
-	}
-	return msgs
-}
-
 // UniformRandom generates count messages between uniformly random
 // distinct node pairs.
 func UniformRandom(n, count, bytes int, src *rng.Source) []Message {

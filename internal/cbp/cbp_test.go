@@ -27,9 +27,9 @@ func TestGatewayForwardsBothWays(t *testing.T) {
 		t1 = at
 	})
 	eng.Run()
-	gw.ToCluster(7, 3, 1<<20, func(at sim.Time, err error) {
+	toCluster(gw, 7, 3, 1<<20, func(at sim.Time, err error) {
 		if err != nil {
-			t.Errorf("ToCluster: %v", err)
+			t.Errorf("toCluster: %v", err)
 		}
 		t2 = at
 	})
@@ -147,4 +147,19 @@ func TestDeepTransportOverheads(t *testing.T) {
 		t.Fatalf("overheads %v/%v, want InfiniBand FDR's %v/%v", tr.SendOverhead(), tr.RecvOverhead(),
 			fabric.InfiniBandFDR.SendOverhead, fabric.InfiniBandFDR.RecvOverhead)
 	}
+}
+
+// toCluster delivers size bytes from booster node src to cluster node
+// dst through the bridge: ToBooster's mirror image.
+func toCluster(g *Gateway, src topology.NodeID, dst topology.NodeID, size int,
+	done func(at sim.Time, err error)) {
+	g.Booster.Send(src, g.BoosterNode, size, func(_ sim.Time, err error) {
+		if err != nil {
+			done(g.eng().Now(), err)
+			return
+		}
+		g.relay(size, func() {
+			g.Cluster.Send(g.ClusterNode, dst, size, done)
+		})
+	})
 }

@@ -66,21 +66,6 @@ func (g *Gateway) ToBooster(src topology.NodeID, dst topology.NodeID, size int,
 	})
 }
 
-// ToCluster delivers size bytes from booster node src to cluster node
-// dst through the bridge.
-func (g *Gateway) ToCluster(src topology.NodeID, dst topology.NodeID, size int,
-	done func(at sim.Time, err error)) {
-	g.Booster.Send(src, g.BoosterNode, size, func(_ sim.Time, err error) {
-		if err != nil {
-			done(g.eng().Now(), err)
-			return
-		}
-		g.relay(size, func() {
-			g.Cluster.Send(g.ClusterNode, dst, size, done)
-		})
-	})
-}
-
 // relay charges the SMFU store-and-forward cost: protocol delay plus a
 // pass through gateway memory, serialised on the gateway buffer (all
 // bridge traffic shares it — the bridging bottleneck the DEEP

@@ -204,12 +204,10 @@ type NodeGroup struct {
 	// 1 means full peak.
 	util float64
 
-	last        sim.Time
-	joules      float64
-	stateJ      [machine.NumPowerStates]float64
-	stateNodeS  [machine.NumPowerStates]float64 // node-seconds per state
-	flops       float64
-	transitions uint64
+	last       sim.Time
+	joules     float64
+	stateNodeS [machine.NumPowerStates]float64 // node-seconds per state
+	flops      float64
 
 	// Obs, when non-nil, receives every power-state transition as an
 	// instant trace event on the ObsTid thread (typically obs.LanePower
@@ -250,7 +248,6 @@ func (g *NodeGroup) settle() {
 		}
 		j := g.watts(machine.PowerState(s)) * float64(n) * dt
 		g.joules += j
-		g.stateJ[s] += j
 		g.stateNodeS[s] += float64(n) * dt
 	}
 	g.last = now
@@ -275,7 +272,6 @@ func (g *NodeGroup) Transition(n int, from, to machine.PowerState) {
 	}
 	g.counts[from] -= n
 	g.counts[to] += n
-	g.transitions++
 	if g.Obs.Enabled() {
 		g.Obs.Instant(g.ObsTid, "power", from.String()+"->"+to.String(), g.rec.now(),
 			obs.KV{K: "n", V: n}, obs.KV{K: "busy", V: g.counts[machine.PowerBusy]})
@@ -323,15 +319,6 @@ func (g *NodeGroup) Joules() float64 {
 	return g.joules
 }
 
-// StateJoules returns the energy attributed to one power state.
-func (g *NodeGroup) StateJoules(s machine.PowerState) float64 {
-	if g == nil {
-		return 0
-	}
-	g.settle()
-	return g.stateJ[s]
-}
-
 // StateNodeSeconds returns the node-seconds spent in one power state.
 func (g *NodeGroup) StateNodeSeconds(s machine.PowerState) float64 {
 	if g == nil {
@@ -348,14 +335,6 @@ func (g *NodeGroup) Flops() float64 {
 	}
 	g.settle()
 	return g.flops
-}
-
-// Transitions returns how many state transitions were published.
-func (g *NodeGroup) Transitions() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.transitions
 }
 
 // BusyFraction returns busy node-seconds over total node-seconds.

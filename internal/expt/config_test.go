@@ -37,7 +37,7 @@ func TestSpecCanonicalises(t *testing.T) {
 	zero := resolve(nil)
 	for name, c := range map[string]*Config{
 		"empty config":       {},
-		"default config":     DefaultConfig(),
+		"default config":     defaultConfig(),
 		"one domain":         {Domains: 1},
 		"fixed windows":      {MaxWindow: 1},
 		"negative window":    {MaxWindow: -2},

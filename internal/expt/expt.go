@@ -19,7 +19,7 @@ import (
 
 // Config carries the cross-cutting run-time overrides an experiment
 // run accepts. The zero-value semantics are chosen so that
-// DefaultConfig() reproduces the published tables byte-for-byte.
+// &Config{Scale: 1} reproduces the published tables byte-for-byte.
 type Config struct {
 	// Seed, when non-zero, overrides the published RNG seed of every
 	// seeded experiment (E02, E09, E13, E14, ...). Zero keeps each
@@ -67,10 +67,6 @@ type Config struct {
 	// byte-identical.
 	Obs *obs.Observer
 }
-
-// DefaultConfig returns the configuration that reproduces the
-// published tables exactly.
-func DefaultConfig() *Config { return &Config{Scale: 1} }
 
 // seed resolves the effective seed given an experiment's default.
 func (c *Config) seed(def uint64) uint64 {
@@ -183,7 +179,7 @@ type Experiment struct {
 	PaperRef string
 	// Run generates the table. Runs are deterministic for a fixed
 	// Config; ctx cancellation aborts between sweep points. A nil cfg
-	// is treated as DefaultConfig().
+	// is treated as &Config{Scale: 1}.
 	Run func(ctx context.Context, cfg *Config) (*stats.Table, error)
 }
 

@@ -49,7 +49,7 @@ func run(t *testing.T, id string) map[string][]string {
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
-	tab, err := e.Run(context.Background(), DefaultConfig())
+	tab, err := e.Run(context.Background(), defaultConfig())
 	if err != nil {
 		t.Fatalf("%s failed: %v", id, err)
 	}
@@ -351,7 +351,7 @@ func TestE14DalyIntervalNearOptimal(t *testing.T) {
 func TestAllExperimentsRenderAndAreDeterministic(t *testing.T) {
 	ctx := context.Background()
 	for _, e := range All() {
-		t1, err1 := e.Run(ctx, DefaultConfig())
+		t1, err1 := e.Run(ctx, defaultConfig())
 		t2, err2 := e.Run(ctx, nil) // nil cfg must behave like DefaultConfig
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s failed: %v / %v", e.ID, err1, err2)
@@ -377,7 +377,7 @@ func TestRunHonoursCancellation(t *testing.T) {
 	cancel()
 	for _, id := range []string{"E01", "E04", "E13"} {
 		e, _ := Get(id)
-		if _, err := e.Run(ctx, DefaultConfig()); err == nil {
+		if _, err := e.Run(ctx, defaultConfig()); err == nil {
 			t.Fatalf("%s ignored a cancelled context", id)
 		}
 	}
@@ -385,7 +385,7 @@ func TestRunHonoursCancellation(t *testing.T) {
 
 func TestConfigSeedOverrideChangesSeededExperiments(t *testing.T) {
 	e, _ := Get("E02")
-	def, err := e.Run(context.Background(), DefaultConfig())
+	def, err := e.Run(context.Background(), defaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestE16EnergyToSolutionShape(t *testing.T) {
 	// The machine-readable total is deterministic to the last bit; any
 	// change to the energy model moves it and must re-pin it here.
 	e, _ := Get("E16")
-	tab, err := e.Run(context.Background(), DefaultConfig())
+	tab, err := e.Run(context.Background(), defaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestE16EnergyToSolutionShape(t *testing.T) {
 func TestEnergyColumnsAppendEverywhere(t *testing.T) {
 	ctx := context.Background()
 	for _, e := range All() {
-		off, err := e.Run(ctx, DefaultConfig())
+		off, err := e.Run(ctx, defaultConfig())
 		if err != nil {
 			t.Fatalf("%s (energy off): %v", e.ID, err)
 		}
@@ -519,3 +519,7 @@ func TestEnergyDeterministicAcrossFidelity(t *testing.T) {
 		t.Fatalf("E16 joules vary with fidelity: %v", totals)
 	}
 }
+
+// defaultConfig returns the configuration that reproduces the
+// published tables exactly.
+func defaultConfig() *Config { return &Config{Scale: 1} }

@@ -17,7 +17,7 @@ import (
 // stops at the sequential ceiling, MaxNodes extends it, and the
 // million-node point is refused without the partitioned kernel.
 func TestE15SweepSelection(t *testing.T) {
-	def, err := e15Sweep(DefaultConfig())
+	def, err := e15Sweep(defaultConfig())
 	if err != nil || !reflect.DeepEqual(def, []int{10, 16, 25, 40, 47}) {
 		t.Fatalf("default sweep = %v, %v", def, err)
 	}

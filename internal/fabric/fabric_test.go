@@ -376,7 +376,7 @@ func TestLinkOutageDelaysThenDelivers(t *testing.T) {
 	eng, net := newTestNet(t, topo, p)
 	route := topo.Route(0, 2)
 	net.LinkFailed(int(route[0]))
-	if !net.LinkDown(route[0]) {
+	if !net.down[net.li(route[0])] {
 		t.Fatal("link not marked down")
 	}
 	eng.At(50*sim.Microsecond, func() { net.LinkRepaired(int(route[0])) })

@@ -97,7 +97,7 @@ func runFlowScenario(t *testing.T, fid Fidelity, k int, tor *topology.Torus3D, i
 		doms.SetFidelity(fid)
 		doms.SetEnergyModel(ExtollEnergy)
 		for i := range items {
-			sh := doms.ShardOf(items[i].src)
+			sh := doms.Shard(doms.Owner(items[i].src))
 			inject(sh.Eng, sh, i)
 		}
 		last := doms.Run()

@@ -112,9 +112,6 @@ type Network struct {
 // before injecting traffic.
 func (n *Network) SetEnergyModel(e EnergyModel) { n.energy = e }
 
-// EnergyModelOf returns the configured electrical model.
-func (n *Network) EnergyModelOf() EnergyModel { return n.energy }
-
 // EnergyJoules returns the fabric's accumulated energy: transfer
 // energy charged as deliveries fired plus the static draw of every
 // owned link up to the current virtual time. Zero when no model is
@@ -521,9 +518,6 @@ func (n *Network) LinkRepaired(l int) {
 		n.Obs.Instant(obs.LaneLinks+l, "fault", "link-up", n.Eng.Now(), obs.KV{K: "link", V: l})
 	}
 }
-
-// LinkDown reports whether link l is currently failed.
-func (n *Network) LinkDown(l topology.LinkID) bool { return n.down[n.li(l)] }
 
 // ObsLinkUtil emits one link-util instant per link with non-zero
 // occupancy at the current time — the per-link hotspot markers

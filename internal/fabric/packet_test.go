@@ -114,7 +114,7 @@ func runPacketScenario(t *testing.T, c packetCase) packetOutcome {
 	for i, it := range items {
 		net := shards[0]
 		if doms != nil {
-			net = doms.ShardOf(it.src)
+			net = doms.Shard(doms.Owner(it.src))
 		}
 		net.Eng.At(it.start, func() {
 			net.Send(it.src, it.dst, it.size, func(when sim.Time, err error) {
@@ -503,7 +503,7 @@ func TestFlowFabricsMakeNoLinkTable(t *testing.T) {
 		for i, it := range halo {
 			sh := shards[0]
 			if k > 1 {
-				sh = sh.part.ShardOf(it.src)
+				sh = sh.part.Shard(sh.part.Owner(it.src))
 			}
 			sh.Send(it.src, it.dst, it.size, func(sim.Time, error) { delivered[i] = true })
 		}

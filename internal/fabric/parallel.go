@@ -155,10 +155,6 @@ func (d *Domains) Owner(node topology.NodeID) int {
 // Shard returns domain i's shard network.
 func (d *Domains) Shard(i int) *Network { return d.shards[i] }
 
-// ShardOf returns the shard that owns node. Sends from node must be
-// issued on this shard, from its own engine's events.
-func (d *Domains) ShardOf(node topology.NodeID) *Network { return d.shards[d.Owner(node)] }
-
 // SetFidelity selects the transfer model on every shard.
 func (d *Domains) SetFidelity(f Fidelity) {
 	for _, sh := range d.shards {

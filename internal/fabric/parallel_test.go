@@ -87,7 +87,7 @@ func runParallelBounded(topo topology.Topology, p Params, fid Fidelity, bounds [
 	out := make([]sim.Time, len(items))
 	for i, it := range items {
 		i, it := i, it
-		sh := doms.ShardOf(it.src)
+		sh := doms.Shard(doms.Owner(it.src))
 		sh.Eng.At(it.start, func() {
 			sh.Send(it.src, it.dst, it.size, func(at sim.Time, err error) {
 				if err != nil {
@@ -194,7 +194,7 @@ func TestDomainsContendedConservesTraffic(t *testing.T) {
 	doms := MustDomains(topo, Extoll, 1, evenBounds(topo.Nodes(), 3))
 	for _, it := range items {
 		it := it
-		sh := doms.ShardOf(it.src)
+		sh := doms.Shard(doms.Owner(it.src))
 		sh.Eng.At(it.start, func() {
 			sh.Send(it.src, it.dst, it.size, func(sim.Time, error) {})
 		})
@@ -239,14 +239,14 @@ func TestNewDomainsValidation(t *testing.T) {
 	if _, err := NewDomains(ft, InfiniBandFDR, 1, []int{0, 8, 16}); err != nil {
 		t.Fatalf("fat tree (owner-mapped links) rejected: %v", err)
 	}
-	// A crossbar has neither layout and stays unpartitionable at K>1;
-	// at K=1 the one shard is the plain network, faults included.
-	xb := topology.NewCrossbar(16)
-	if _, err := NewDomains(xb, InfiniBandFDR, 1, []int{0, 8, 16}); err == nil {
-		t.Fatal("crossbar (no link ownership) accepted")
+	// A topology with neither layout stays unpartitionable at K>1; at
+	// K=1 the one shard is the plain network, faults included.
+	bare := struct{ topology.Topology }{topology.NewTorus3D(16, 1, 1)}
+	if _, err := NewDomains(bare, InfiniBandFDR, 1, []int{0, 8, 16}); err == nil {
+		t.Fatal("topology without link ownership accepted")
 	}
-	if _, err := NewDomains(xb, bad, 1, []int{0, 16}); err != nil {
-		t.Fatalf("K=1 crossbar with error injection rejected: %v", err)
+	if _, err := NewDomains(bare, bad, 1, []int{0, 16}); err != nil {
+		t.Fatalf("K=1 unpartitionable topology with error injection rejected: %v", err)
 	}
 	// The error-rate rejection is a typed error callers can match.
 	bad2 := Extoll
@@ -270,7 +270,7 @@ func TestFatTreeDomainsConservesTraffic(t *testing.T) {
 	doms := MustDomains(topo, InfiniBandFDR, 1, evenBounds(topo.Nodes(), 4))
 	for _, it := range items {
 		it := it
-		sh := doms.ShardOf(it.src)
+		sh := doms.Shard(doms.Owner(it.src))
 		sh.Eng.At(it.start, func() {
 			sh.Send(it.src, it.dst, it.size, func(sim.Time, error) {})
 		})
@@ -322,7 +322,7 @@ func TestFatTreeLinkOwnerPartition(t *testing.T) {
 			if len(route) == 0 {
 				continue
 			}
-			local := doms.ShardOf(src).routeLocal(route)
+			local := doms.Shard(doms.Owner(src)).routeLocal(route)
 			if want := doms.Owner(src) == doms.Owner(dst); local != want {
 				t.Fatalf("route %d->%d local=%v, want %v", s, d, local, want)
 			}
@@ -337,9 +337,6 @@ func TestDomainsOwnerAndShardOf(t *testing.T) {
 	for node, want := range cases {
 		if got := doms.Owner(node); got != want {
 			t.Fatalf("Owner(%d) = %d, want %d", node, got, want)
-		}
-		if doms.ShardOf(node) != doms.Shard(want) {
-			t.Fatalf("ShardOf(%d) is not shard %d", node, want)
 		}
 	}
 	sorted := sort.IntsAreSorted(doms.Bounds())

@@ -205,33 +205,3 @@ func SPDMatrix(n int, uniform func() float64) *Matrix {
 	}
 	return m
 }
-
-// MaxAbsDiff returns the largest absolute elementwise difference.
-func MaxAbsDiff(a, b *Matrix) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("linalg: MaxAbsDiff shape mismatch")
-	}
-	max := 0.0
-	for i := range a.Data {
-		if d := math.Abs(a.Data[i] - b.Data[i]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func FrobeniusNorm(m *Matrix) float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// CholeskyFlops returns the flop count of an n x n Cholesky
-// factorisation, n^3/3 to leading order.
-func CholeskyFlops(n int) float64 {
-	fn := float64(n)
-	return fn * fn * fn / 3
-}

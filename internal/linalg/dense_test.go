@@ -176,12 +176,6 @@ func TestSPDAlwaysFactors(t *testing.T) {
 	}
 }
 
-func TestCholeskyFlops(t *testing.T) {
-	if f := CholeskyFlops(10); math.Abs(f-1000.0/3) > 1e-9 {
-		t.Fatalf("flops = %v", f)
-	}
-}
-
 func BenchmarkPotrf64(b *testing.B) {
 	r := rng.New(1)
 	src := SPDMatrix(64, r.Float64)
@@ -204,4 +198,27 @@ func BenchmarkGemm64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Gemm(a, bb, c)
 	}
+}
+
+// MaxAbsDiff returns the largest absolute elementwise difference.
+func MaxAbsDiff(a, b *Matrix) float64 {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic("linalg: MaxAbsDiff shape mismatch")
+	}
+	max := 0.0
+	for i := range a.Data {
+		if d := math.Abs(a.Data[i] - b.Data[i]); d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// FrobeniusNorm returns the Frobenius norm of m.
+func FrobeniusNorm(m *Matrix) float64 {
+	s := 0.0
+	for _, v := range m.Data {
+		s += v * v
+	}
+	return math.Sqrt(s)
 }

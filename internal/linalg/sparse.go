@@ -12,24 +12,6 @@ type CSR struct {
 	Val        []float64
 }
 
-// NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.Val) }
-
-// NewCSRFromDense converts a dense matrix, dropping exact zeros.
-func NewCSRFromDense(d *Matrix) *CSR {
-	m := &CSR{Rows: d.Rows, Cols: d.Cols, RowPtr: make([]int, d.Rows+1)}
-	for i := 0; i < d.Rows; i++ {
-		for j := 0; j < d.Cols; j++ {
-			if v := d.At(i, j); v != 0 {
-				m.ColIdx = append(m.ColIdx, j)
-				m.Val = append(m.Val, v)
-			}
-		}
-		m.RowPtr[i+1] = len(m.Val)
-	}
-	return m
-}
-
 // Validate checks structural invariants: monotone row pointers and
 // in-range column indices.
 func (m *CSR) Validate() error {
@@ -90,26 +72,6 @@ func (m *CSR) RowSlice(lo, hi int) *CSR {
 	return s
 }
 
-// Laplacian1D returns the n x n tridiagonal Laplacian (2 on the
-// diagonal, -1 off), a standard regular sparse test matrix.
-func Laplacian1D(n int) *CSR {
-	m := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			m.ColIdx = append(m.ColIdx, i-1)
-			m.Val = append(m.Val, -1)
-		}
-		m.ColIdx = append(m.ColIdx, i)
-		m.Val = append(m.Val, 2)
-		if i < n-1 {
-			m.ColIdx = append(m.ColIdx, i+1)
-			m.Val = append(m.Val, -1)
-		}
-		m.RowPtr[i+1] = len(m.Val)
-	}
-	return m
-}
-
 // Laplacian2D returns the 5-point stencil Laplacian on an nx x ny grid
 // (dimension nx*ny), the communication structure of the paper's
 // "highly regular" application class.
@@ -141,32 +103,3 @@ func Laplacian2D(nx, ny int) *CSR {
 	}
 	return m
 }
-
-// RandomSparse returns an n x n matrix with about nnzPerRow random
-// off-diagonal entries per row plus a dominant diagonal; uniform
-// supplies randomness. It models the irregular communication pattern
-// of the "complex" application class.
-func RandomSparse(n, nnzPerRow int, uniform func() float64) *CSR {
-	m := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	for i := 0; i < n; i++ {
-		cols := map[int]bool{i: true}
-		m.ColIdx = append(m.ColIdx, i)
-		m.Val = append(m.Val, float64(nnzPerRow)+1)
-		for len(cols) < nnzPerRow+1 && len(cols) < n {
-			j := int(uniform() * float64(n))
-			if j >= n {
-				j = n - 1
-			}
-			if !cols[j] {
-				cols[j] = true
-				m.ColIdx = append(m.ColIdx, j)
-				m.Val = append(m.Val, uniform()-0.5)
-			}
-		}
-		m.RowPtr[i+1] = len(m.Val)
-	}
-	return m
-}
-
-// SpMVFlops returns the flop count of one CSR multiply: 2 per entry.
-func (m *CSR) SpMVFlops() float64 { return 2 * float64(m.NNZ()) }

@@ -141,9 +141,6 @@ func (m *NodeModel) StateWatts(s PowerState) float64 {
 	}
 }
 
-// EnergyEfficiency returns the node's peak GFlop/W.
-func (m *NodeModel) EnergyEfficiency() float64 { return m.PeakGFlops / m.PeakWatts }
-
 // Kernel characterises one unit of computational work for the model.
 type Kernel struct {
 	// Flops is the floating-point operation count.

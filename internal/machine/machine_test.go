@@ -30,13 +30,13 @@ func TestValidateRejectsBadModels(t *testing.T) {
 
 func TestKNCEnergyClaim(t *testing.T) {
 	// Paper slide 15: Xeon Phi is "energy efficient: 5 GFlop/W".
-	eff := KNC.EnergyEfficiency()
+	eff := KNC.PeakGFlops / KNC.PeakWatts
 	if eff < 3.5 || eff > 6 {
 		t.Fatalf("KNC efficiency %.2f GFlop/W, want about 5", eff)
 	}
 	// And it must beat the Xeon by a wide margin.
-	if eff < 3*Xeon.EnergyEfficiency() {
-		t.Fatalf("KNC %.2f not >> Xeon %.2f GFlop/W", eff, Xeon.EnergyEfficiency())
+	if xeon := Xeon.PeakGFlops / Xeon.PeakWatts; eff < 3*xeon {
+		t.Fatalf("KNC %.2f not >> Xeon %.2f GFlop/W", eff, xeon)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestSystemConfigsValid(t *testing.T) {
 	if d.PeakGFlops() <= c.PeakGFlops() {
 		t.Fatal("DEEP peak should exceed cluster-only peak")
 	}
-	if b.EnergyEfficiency() <= c.EnergyEfficiency() {
+	if b.PeakGFlops()/b.PeakWatts() <= c.PeakGFlops()/c.PeakWatts() {
 		t.Fatal("booster should be more energy efficient than cluster")
 	}
 }

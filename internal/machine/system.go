@@ -56,9 +56,6 @@ func (s *System) PeakWatts() float64 {
 		float64(s.BoosterNodes)*s.Booster.PeakWatts
 }
 
-// EnergyEfficiency returns system GFlop/W at peak.
-func (s *System) EnergyEfficiency() float64 { return s.PeakGFlops() / s.PeakWatts() }
-
 // AppClass characterises an application for the scalability model, per
 // the paper's discussion: few codes are "highly scalable" (sparse
 // matrix-vector, regular communication); most are "more complex"
@@ -228,13 +225,4 @@ func BoosterFabricPar(x, y, z, k int, fid fabric.Fidelity, seed uint64) (*fabric
 	doms := fabric.MustDomains(tor, fabric.Extoll, seed, bounds)
 	doms.SetFidelity(fid)
 	return doms, tor
-}
-
-// KernelTime is a convenience that evaluates k on the system's booster
-// or cluster node model.
-func (s *System) KernelTime(k Kernel, onBooster bool, procs int) sim.Time {
-	if onBooster {
-		return s.Booster.Time(k, procs)
-	}
-	return s.Cluster.Time(k, procs)
 }

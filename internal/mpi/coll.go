@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Collective operations. All members of the communicator must call the
@@ -18,12 +17,7 @@ const (
 	tagBcast
 	tagReduce
 	tagGather
-	tagScatter
-	tagAlltoall
 	tagScan
-	tagSplit
-	tagSpawn
-	tagMerge
 )
 
 // Op combines src into dst elementwise; len(dst) == len(src).
@@ -108,19 +102,10 @@ func (c *Comm) Bcast(root int, data any) any {
 	return data
 }
 
-// Reduce combines every rank's []float64 contribution with op; the
-// result lands on root (binomial tree). Other ranks receive nil. The
-// caller's slice is not modified.
-func (c *Comm) Reduce(root int, data []float64, op Op) []float64 {
-	acc := c.reduce(root, data, op)
-	if c.rank != root {
-		return nil
-	}
-	return acc
-}
-
-// reduce is Reduce returning every rank's accumulator: the result on
-// root, elsewhere the partial the rank sent up the tree.
+// reduce combines every rank's []float64 contribution with op up a
+// binomial tree rooted at root and returns every rank's accumulator:
+// the result on root, elsewhere the partial the rank sent up the tree.
+// The caller's slice is not modified.
 func (c *Comm) reduce(root int, data []float64, op Op) []float64 {
 	n := len(c.group)
 	c.checkRoot(root, n)
@@ -144,7 +129,7 @@ func (c *Comm) reduce(root int, data []float64, op Op) []float64 {
 	return acc
 }
 
-// Allreduce is Reduce to rank 0 followed by a broadcast of the result
+// Allreduce is reduce to rank 0 followed by a broadcast of the result
 // down the same tree Bcast walks, received into the accumulator each
 // rank already owns; every rank gets the combined result.
 func (c *Comm) Allreduce(data []float64, op Op) []float64 {
@@ -181,50 +166,11 @@ func (c *Comm) Gather(root int, data any) []any {
 	return out
 }
 
-// Scatter distributes parts[i] to rank i from root and returns the
-// local part. Non-root callers pass nil.
-func (c *Comm) Scatter(root int, parts []any) any {
-	n := len(c.group)
-	c.checkRoot(root, n)
-	if c.rank == root {
-		if len(parts) != n {
-			panic(fmt.Sprintf("mpi: Scatter with %d parts for %d ranks", len(parts), n))
-		}
-		for i := 0; i < n; i++ {
-			if i != root {
-				c.sendInternal(i, tagScatter, parts[i])
-			}
-		}
-		return parts[root]
-	}
-	v, _ := c.Recv(root, tagScatter)
-	return v
-}
-
 // Allgather collects every rank's payload on every rank.
 func (c *Comm) Allgather(data any) []any {
 	all := c.Gather(0, data)
 	out := c.Bcast(0, wrapAnySlice(all))
 	return unwrapAnySlice(out)
-}
-
-// Alltoall sends parts[i] to rank i and returns the payloads received
-// from every rank (pairwise exchange, n-1 rounds).
-func (c *Comm) Alltoall(parts []any) []any {
-	n := len(c.group)
-	if len(parts) != n {
-		panic(fmt.Sprintf("mpi: Alltoall with %d parts for %d ranks", len(parts), n))
-	}
-	out := make([]any, n)
-	out[c.rank] = parts[c.rank]
-	for round := 1; round < n; round++ {
-		dst := (c.rank + round) % n
-		src := (c.rank - round + n) % n
-		c.sendInternal(dst, tagAlltoall, parts[dst])
-		v, _ := c.Recv(src, tagAlltoall)
-		out[src] = v
-	}
-	return out
 }
 
 // Scan computes the inclusive prefix reduction: rank r receives
@@ -273,70 +219,4 @@ func unwrapAnySlice(v any) []any {
 		panic(fmt.Sprintf("mpi: expected gathered slice, got %T", v))
 	}
 	return s.vals
-}
-
-// CommSplit partitions the communicator by color; within each new
-// communicator ranks are ordered by (key, old rank), as in
-// MPI_Comm_split. Every member must call it. The returned communicator
-// contains all callers that passed the same color.
-func (c *Comm) CommSplit(color, key int) *Comm {
-	if c.remote != nil {
-		panic("mpi: CommSplit on inter-communicator")
-	}
-	n := len(c.group)
-	triple := []int{color, key, c.rank}
-	all := c.Gather(0, triple)
-	type member struct{ color, key, rank int }
-	var assignment []any // per old rank: the new communicator, less its endpoint
-	if c.rank == 0 {
-		groups := map[int][]member{}
-		for _, v := range all {
-			t := v.([]int)
-			groups[t[0]] = append(groups[t[0]], member{t[0], t[1], t[2]})
-		}
-		colors := make([]int, 0, len(groups))
-		for col := range groups {
-			colors = append(colors, col)
-		}
-		sort.Ints(colors)
-		assignment = make([]any, n)
-		for _, col := range colors {
-			ms := groups[col]
-			sort.Slice(ms, func(i, j int) bool {
-				if ms[i].key != ms[j].key {
-					return ms[i].key < ms[j].key
-				}
-				return ms[i].rank < ms[j].rank
-			})
-			sub := Comm{world: c.world, ctx: c.world.newContext(), group: make([]*endpoint, len(ms))}
-			for i, m := range ms {
-				sub.group[i] = c.group[m.rank]
-			}
-			for i, m := range ms {
-				sub.rank = i
-				// On the wire: context, new rank and the member list.
-				assignment[m.rank] = Sized{Data: sub, Bytes: 8 * (2 + len(ms))}
-			}
-		}
-	}
-	my := Unwrap(c.Scatter(0, assignment)).(Comm)
-	my.ep, my.parent = c.ep, c.parent
-	return &my
-}
-
-// CommDup returns a communicator with the same group but a fresh
-// context, isolating its message traffic (MPI_Comm_dup).
-func (c *Comm) CommDup() *Comm {
-	if c.remote != nil {
-		panic("mpi: CommDup on inter-communicator")
-	}
-	var ctx int32
-	if c.rank == 0 {
-		ctx = c.world.newContext()
-	}
-	v := c.Bcast(0, int64(ctx))
-	return &Comm{
-		world: c.world, ep: c.ep, ctx: int32(v.(int64)),
-		group: c.group, rank: c.rank, parent: c.parent,
-	}
 }

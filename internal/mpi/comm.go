@@ -28,13 +28,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the local group size.
 func (c *Comm) Size() int { return len(c.group) }
 
-// RemoteSize returns the remote group size (zero for
-// intra-communicators).
-func (c *Comm) RemoteSize() int { return len(c.remote) }
-
-// IsInter reports whether c is an inter-communicator.
-func (c *Comm) IsInter() bool { return c.remote != nil }
-
 // Parent returns the inter-communicator to the processes that spawned
 // this world, or nil for the initial world (MPI_Comm_get_parent).
 func (c *Comm) Parent() *Comm { return c.parent }
@@ -210,69 +203,4 @@ func (c *Comm) RecvFloat64s(src int, tag Tag, into []float64) (int, Status) {
 			c.rank, env.srcRank, env.tag, len(env.f64), len(into)))
 	}
 	return len(env.f64), env.status()
-}
-
-// Probe reports whether a matching message is available without
-// receiving it.
-func (c *Comm) Probe(src int, tag Tag) (Status, bool) {
-	ep := c.ep
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if i := ep.match(c.ctx, src, tag); i >= 0 {
-		return ep.box[i].status(), true
-	}
-	return Status{}, false
-}
-
-// Sendrecv performs a combined send and receive, safe against the
-// head-to-head exchange deadlock (sends here are buffered anyway, but
-// the combined call keeps application code close to its MPI shape).
-func (c *Comm) Sendrecv(dst int, sendTag Tag, data any, src int, recvTag Tag) (any, Status) {
-	c.Send(dst, sendTag, data)
-	return c.Recv(src, recvTag)
-}
-
-// Request represents a pending nonblocking operation.
-type Request struct {
-	wait func() (any, Status)
-	data any
-	st   Status
-	done bool
-}
-
-// Wait completes the operation, returning the payload (nil for sends).
-func (r *Request) Wait() (any, Status) {
-	if !r.done {
-		r.data, r.st = r.wait()
-		r.done = true
-	}
-	return r.data, r.st
-}
-
-// Isend starts a nonblocking send. Sends are buffered, so the request
-// completes immediately; the call exists for source compatibility with
-// MPI-shaped application code.
-func (c *Comm) Isend(dst int, tag Tag, data any) *Request {
-	c.Send(dst, tag, data)
-	return &Request{done: true}
-}
-
-// Irecv posts a nonblocking receive. The matching work happens in
-// Wait; posting order still determines matching order between multiple
-// Irecvs of the same signature only if Waits are issued in post order.
-func (c *Comm) Irecv(src int, tag Tag) *Request {
-	return &Request{wait: func() (any, Status) { return c.Recv(src, tag) }}
-}
-
-// WaitAll completes all given requests.
-func WaitAll(reqs ...*Request) {
-	for _, r := range reqs {
-		r.Wait()
-	}
-}
-
-// Abort panics the calling rank with a diagnosable error; the world
-// collects it as a failure of this rank.
-func (c *Comm) Abort(reason string) {
-	panic(fmt.Sprintf("mpi: rank %d aborted: %s", c.rank, reason))
 }

@@ -98,6 +98,18 @@ func TestRecvAnyKeepsItsSlice(t *testing.T) {
 	})
 }
 
+// probe reports whether a message matching src and tag is queued on c,
+// without receiving it.
+func probe(c *Comm, src int, tag Tag) (Status, bool) {
+	ep := c.ep
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if i := ep.match(c.ctx, src, tag); i >= 0 {
+		return ep.box[i].status(), true
+	}
+	return Status{}, false
+}
+
 func TestEmptyNilAndProbedPayloads(t *testing.T) {
 	runN(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -118,14 +130,14 @@ func TestEmptyNilAndProbedPayloads(t *testing.T) {
 			return fmt.Errorf("nil SendFloat64s arrived as %d floats, %d bytes", n, st.Bytes)
 		}
 		for {
-			if st, ok := c.Probe(AnySource, AnyTag); ok {
+			if st, ok := probe(c, AnySource, AnyTag); ok {
 				if st != (Status{Source: 0, Tag: 4, Bytes: 24}) {
 					return fmt.Errorf("probe of a typed message: %+v", st)
 				}
 				break
 			}
 		}
-		if _, ok := c.Probe(0, 5); ok {
+		if _, ok := probe(c, 0, 5); ok {
 			return fmt.Errorf("probe matched a tag nobody sent")
 		}
 		into := make([]float64, 8)

@@ -1,10 +1,9 @@
 // Package mpi implements the message-passing runtime that plays the
 // role of ParaStation MPI in the DEEP software stack: communicators
-// with ranks, tagged point-to-point messaging, the standard
-// collectives, communicator split/dup, and — centrally for the paper —
-// CommSpawn, which starts a new group of processes and connects it to
-// the parents through an inter-communicator ("Global MPI", paper
-// slides 24-29).
+// with ranks, tagged point-to-point messaging, the collectives the
+// model uses, and — centrally for the paper — CommSpawn, which starts a
+// new group of processes and connects it to the parents through an
+// inter-communicator ("Global MPI", paper slides 24-29).
 //
 // Ranks are goroutines; messages are delivered through in-process
 // mailboxes with MPI matching semantics (communicator context, source,
@@ -24,8 +23,8 @@
 // owns, under the mailbox mutex both sides take anyway (no sync.Pool,
 // no package state). RecvFloat64s copies it out and puts the buffer
 // back inside the critical section that matched the message, so a
-// typed receive takes the mailbox lock once; Reduce puts its operands
-// back too, and Recv hands the buffer to its caller for good. A steady
+// typed receive takes the mailbox lock once; the reduction tree puts
+// its operands back too, and Recv hands the buffer to its caller for good. A steady
 // SendFloat64s/RecvFloat64s exchange thus allocates nothing, and a
 // mailbox never owns more buffers than its deepest queue so far.
 //
@@ -83,6 +82,27 @@ func (ZeroTransport) SendOverhead() sim.Time { return 0 }
 
 // RecvOverhead implements Transport.
 func (ZeroTransport) RecvOverhead() sim.Time { return 0 }
+
+// ConstTransport charges a fixed alpha plus beta per byte, the textbook
+// alpha-beta machine model; useful in tests and closed-form
+// experiments.
+type ConstTransport struct {
+	Alpha    sim.Time
+	BetaPerB sim.Time
+	OSend    sim.Time
+	ORecv    sim.Time
+}
+
+// Cost implements Transport.
+func (t ConstTransport) Cost(_, _ int, bytes int) sim.Time {
+	return t.Alpha + sim.Time(bytes)*t.BetaPerB
+}
+
+// SendOverhead implements Transport.
+func (t ConstTransport) SendOverhead() sim.Time { return t.OSend }
+
+// RecvOverhead implements Transport.
+func (t ConstTransport) RecvOverhead() sim.Time { return t.ORecv }
 
 // envelope is one in-flight message. A []float64 payload travels
 // unboxed in f64, a copy held in a buffer of the destination mailbox;
@@ -166,10 +186,9 @@ type World struct {
 	endpoints []*endpoint
 	nextCtx   int32
 
-	wg     sync.WaitGroup
-	errMu  sync.Mutex
-	errs   []error
-	spawns uint64
+	wg    sync.WaitGroup
+	errMu sync.Mutex
+	errs  []error
 }
 
 // Option configures a World.
@@ -215,9 +234,6 @@ func (w *World) recordErr(err error) {
 	w.errs = append(w.errs, err)
 	w.errMu.Unlock()
 }
-
-// Spawns reports how many CommSpawn operations completed in this world.
-func (w *World) Spawns() uint64 { return atomic.LoadUint64(&w.spawns) }
 
 // Run starts n ranks executing fn and blocks until every rank in the
 // world — including ranks created later via CommSpawn — has returned.

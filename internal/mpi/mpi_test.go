@@ -99,71 +99,6 @@ func TestTagSelectivity(t *testing.T) {
 	}
 }
 
-func TestProbe(t *testing.T) {
-	_, err := Run(2, ZeroTransport{}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 1, []byte("hi"))
-			return nil
-		}
-		// Wait for availability via blocking recv on a dup channel:
-		// poll Probe until it reports the message.
-		for {
-			if st, ok := c.Probe(0, 1); ok {
-				if st.Bytes != 2 {
-					return fmt.Errorf("probe bytes %d", st.Bytes)
-				}
-				break
-			}
-		}
-		v, _ := c.Recv(0, 1)
-		if string(v.([]byte)) != "hi" {
-			return fmt.Errorf("payload %v", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIsendIrecv(t *testing.T) {
-	_, err := Run(2, ZeroTransport{}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			r := c.Isend(1, 2, []float64{42})
-			r.Wait()
-			return nil
-		}
-		req := c.Irecv(0, 2)
-		v, st := req.Wait()
-		if v.([]float64)[0] != 42 || st.Source != 0 {
-			return fmt.Errorf("irecv got %v %+v", v, st)
-		}
-		// Waiting twice is idempotent.
-		v2, _ := req.Wait()
-		if v2.([]float64)[0] != 42 {
-			return fmt.Errorf("double wait changed payload")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendrecvExchange(t *testing.T) {
-	_, err := Run(2, ZeroTransport{}, func(c *Comm) error {
-		other := 1 - c.Rank()
-		v, _ := c.Sendrecv(other, 4, []int{c.Rank()}, other, 4)
-		if v.([]int)[0] != other {
-			return fmt.Errorf("rank %d exchanged %v", c.Rank(), v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRankFailurePropagates(t *testing.T) {
 	_, err := Run(2, ZeroTransport{}, func(c *Comm) error {
 		if c.Rank() == 1 {

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -71,51 +70,10 @@ func (c *Comm) Spawn(n int, cfg SpawnConfig, fn func(*Comm) error) *Comm {
 			childComm.parent = &Comm{world: w, ep: ep, ctx: inter.ctx, group: children, remote: c.group, rank: i}
 			w.launch(childComm, fn)
 		}
-		atomic.AddUint64(&w.spawns, 1)
 	}
 	// Distribute the inter-communicator description to all parents: on
 	// the wire, its context and the child list.
 	inter = Unwrap(c.Bcast(0, Sized{Data: inter, Bytes: 8 * (1 + n)})).(Comm)
 	inter.ep, inter.rank = c.ep, c.rank
 	return &inter
-}
-
-// Merge is MPI_Intercomm_merge: it fuses the two sides of the
-// inter-communicator into one intra-communicator. local must be the
-// caller's local intra-communicator (the communicator Spawn was called
-// on for parents; the world communicator for children). When high is
-// false the caller's group gets the low ranks; exactly one side must
-// pass high=true.
-func (inter *Comm) Merge(local *Comm, high bool) *Comm {
-	if inter.remote == nil {
-		panic("mpi: Merge on intra-communicator")
-	}
-	var ctx int32
-	if !high {
-		// Low side allocates the context and tells the other side.
-		if local.rank == 0 {
-			ctx = inter.world.newContext()
-			inter.sendInternal(0, tagMerge, int64(ctx))
-		}
-	} else {
-		if local.rank == 0 {
-			v, _ := inter.Recv(0, tagMerge)
-			ctx = int32(v.(int64))
-		}
-	}
-	v := local.Bcast(0, int64(ctx))
-	ctx = int32(v.(int64))
-	var group []*endpoint
-	var rank int
-	if !high {
-		group = append(append([]*endpoint(nil), inter.group...), inter.remote...)
-		rank = local.rank
-	} else {
-		group = append(append([]*endpoint(nil), inter.remote...), inter.group...)
-		rank = len(inter.remote) + local.rank
-	}
-	return &Comm{
-		world: inter.world, ep: inter.ep, ctx: ctx,
-		group: group, rank: rank, parent: local.parent,
-	}
 }

@@ -21,8 +21,8 @@ func TestSpawnBasic(t *testing.T) {
 			if p == nil {
 				return fmt.Errorf("child has no parent intercomm")
 			}
-			if !p.IsInter() || p.RemoteSize() != 2 {
-				return fmt.Errorf("parent intercomm remote size %d", p.RemoteSize())
+			if len(p.remote) != 2 {
+				return fmt.Errorf("parent intercomm remote size %d", len(p.remote))
 			}
 			// Child rank 0 reports to parent rank 0.
 			if child.Rank() == 0 {
@@ -30,8 +30,8 @@ func TestSpawnBasic(t *testing.T) {
 			}
 			return nil
 		})
-		if !inter.IsInter() || inter.RemoteSize() != 3 {
-			return fmt.Errorf("parent side intercomm remote %d", inter.RemoteSize())
+		if len(inter.remote) != 3 {
+			return fmt.Errorf("parent side intercomm remote %d", len(inter.remote))
 		}
 		if c.Rank() == 0 {
 			v, _ := inter.Recv(0, 1)
@@ -46,9 +46,6 @@ func TestSpawnBasic(t *testing.T) {
 	}
 	if childRan != 3 {
 		t.Fatalf("children ran %d times", childRan)
-	}
-	if w.Spawns() != 1 {
-		t.Fatalf("spawns = %d", w.Spawns())
 	}
 }
 
@@ -155,39 +152,6 @@ func TestNestedSpawn(t *testing.T) {
 	}
 	if grand != 2 {
 		t.Fatalf("grandchildren = %d, want 2 (one collective spawn)", grand)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	w := NewWorld(ZeroTransport{})
-	_, err := w.Run(2, func(c *Comm) error {
-		inter := c.Spawn(3, DefaultSpawnConfig(), func(child *Comm) error {
-			merged := child.Parent().Merge(child, true)
-			if merged.Size() != 5 {
-				return fmt.Errorf("merged size %d", merged.Size())
-			}
-			wantRank := 2 + child.Rank()
-			if merged.Rank() != wantRank {
-				return fmt.Errorf("child merged rank %d, want %d", merged.Rank(), wantRank)
-			}
-			sum := merged.Allreduce([]float64{1}, OpSum)
-			if sum[0] != 5 {
-				return fmt.Errorf("merged allreduce %v", sum)
-			}
-			return nil
-		})
-		merged := inter.Merge(c, false)
-		if merged.Rank() != c.Rank() || merged.Size() != 5 {
-			return fmt.Errorf("parent merged rank %d size %d", merged.Rank(), merged.Size())
-		}
-		sum := merged.Allreduce([]float64{1}, OpSum)
-		if sum[0] != 5 {
-			return fmt.Errorf("merged allreduce %v", sum)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

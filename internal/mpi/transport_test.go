@@ -1,5 +1,9 @@
 package mpi
 
+// FabricTransport is a test transport: one fabric's per-hop costs over
+// one topology. The model's own worlds use cbp.DeepTransport (cluster
+// fat tree, booster torus, Booster Interface).
+
 import (
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -48,24 +52,3 @@ func (t *FabricTransport) SendOverhead() sim.Time { return t.P.SendOverhead }
 
 // RecvOverhead implements Transport.
 func (t *FabricTransport) RecvOverhead() sim.Time { return t.P.RecvOverhead }
-
-// ConstTransport charges a fixed alpha plus beta per byte, the textbook
-// alpha-beta machine model; useful in tests and closed-form
-// experiments.
-type ConstTransport struct {
-	Alpha    sim.Time
-	BetaPerB sim.Time
-	OSend    sim.Time
-	ORecv    sim.Time
-}
-
-// Cost implements Transport.
-func (t ConstTransport) Cost(_, _ int, bytes int) sim.Time {
-	return t.Alpha + sim.Time(bytes)*t.BetaPerB
-}
-
-// SendOverhead implements Transport.
-func (t ConstTransport) SendOverhead() sim.Time { return t.OSend }
-
-// RecvOverhead implements Transport.
-func (t ConstTransport) RecvOverhead() sim.Time { return t.ORecv }

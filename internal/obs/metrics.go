@@ -59,9 +59,6 @@ func (c *Counter) Add(d float64) {
 	}
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the accumulated total.
 func (c *Counter) Value() float64 {
 	if c == nil {
@@ -171,14 +168,6 @@ func (r *Registry) Name() string {
 		return ""
 	}
 	return r.name
-}
-
-// Every returns the sampling cadence (0 when periodic sampling off).
-func (r *Registry) Every() sim.Time {
-	if r == nil {
-		return 0
-	}
-	return r.every
 }
 
 // Gauge registers a sampled read function. Series registered after

@@ -20,8 +20,6 @@ func TestNilInert(t *testing.T) {
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil trace not empty")
 	}
-	tr.SetEventLimit(1)
-
 	var s *Scope
 	if s.Enabled() {
 		t.Fatal("nil scope Enabled")
@@ -35,7 +33,7 @@ func TestNilInert(t *testing.T) {
 
 	var r *Registry
 	r.Gauge("g", "", func() float64 { return 1 })
-	r.Counter("c", "").Inc()
+	r.Counter("c", "").Add(1)
 	r.Histogram("h", "", 1, 2).Observe(3)
 	r.Close()
 	if r.Times() != nil || r.Series() != nil || r.Histograms() != nil {
@@ -47,7 +45,6 @@ func TestNilInert(t *testing.T) {
 
 	var c *Counter
 	c.Add(2)
-	c.Inc()
 	if c.Value() != 0 {
 		t.Fatal("nil counter has a value")
 	}
@@ -160,7 +157,7 @@ func TestSpanClamp(t *testing.T) {
 // counted as dropped, not buffered.
 func TestEventCap(t *testing.T) {
 	tr := NewTrace()
-	tr.SetEventLimit(3)
+	tr.limit = 3
 	s := tr.Process("p")
 	for i := 0; i < 10; i++ {
 		s.Instant(0, "c", "e", sim.Time(i)*sim.Second)
@@ -259,7 +256,7 @@ func TestCounterAndHistogram(t *testing.T) {
 	reg := NewRegistry("run", eng, 0)
 	c := reg.Counter("requeues", "")
 	h := reg.Histogram("wait", "s", 1, 10)
-	c.Inc()
+	c.Add(1)
 	c.Add(2)
 	for _, v := range []float64{0.5, 5, 50, 10} {
 		h.Observe(v)

@@ -70,17 +70,6 @@ type Trace struct {
 // NewTrace returns an empty trace with the default per-scope cap.
 func NewTrace() *Trace { return &Trace{limit: DefaultEventLimit} }
 
-// SetEventLimit changes the per-scope event cap for scopes created
-// afterwards; n <= 0 removes the cap.
-func (t *Trace) SetEventLimit(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.limit = n
-	t.mu.Unlock()
-}
-
 // Process returns the scope named name, creating it on first use.
 // Scope names become Chrome process names; reusing a name returns the
 // same scope. Nil-safe: a nil trace returns a nil (inert) scope.

@@ -1,67 +1,52 @@
 // Package offload implements the DEEP offload model on top of the
 // Global MPI runtime: a Cluster-side Manager spawns a group of worker
 // processes on Booster nodes via CommSpawn (paper slides 21, 25-29),
-// ships named kernels with their input data across the resulting
-// inter-communicator, and collects results. It also provides the data
-// layout transformations ("how the data layout has to be transformed",
-// slide 25) between row-major matrices and the tile layout the
-// OmpSs kernels consume.
+// ships its kernel with the input data across the resulting
+// inter-communicator, and collects the results.
 //
 // The paper's low-level offloading semantics map directly:
 //
-//   - "which code is to run on the Booster nodes" — the kernel
-//     registry, shared by construction between both sides;
+//   - "which code is to run on the Booster nodes" — Config.Kernel,
+//     shared by construction between both sides;
 //   - "where on the Booster it should run" — the spawn placement
 //     function (booster node ids);
 //   - "which data is to be copied before/after" — Request.Data and
-//     Response.Data;
-//   - "how the data layout has to be transformed" — PackTiles /
-//     UnpackTiles.
+//     the gathered result.
 package offload
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
 )
 
-// Request names a kernel and carries its inputs to the booster group.
+// Request carries one kernel invocation's inputs to the booster group.
 type Request struct {
-	// Kernel is the registry name of the code to run.
+	// Kernel names the invocation (error messages, shipped bytes).
 	Kernel string
-	// Params are small integer parameters (sizes, strides).
-	Params []int
-	// Data is the bulk input, scattered or broadcast per the kernel's
-	// convention (each kernel sees the full input plus its rank/size).
+	// Data is the bulk input; each worker sees all of it plus its
+	// rank and group size.
 	Data []float64
-	// FlopsPerRank and BytesPerRank, when non-zero, model the kernel's
-	// per-worker computational weight on the booster node model.
+	// FlopsPerRank, when non-zero, models the kernel's per-worker
+	// computational weight on the booster node model.
 	FlopsPerRank float64
-	BytesPerRank float64
 }
 
-// Response returns a kernel's gathered output.
-type Response struct {
-	// Data is the concatenation of the per-rank partial results in
-	// rank order.
-	Data []float64
-	// Err carries a kernel failure, empty on success.
-	Err string
+// Kernel is a parallel booster kernel: it receives the worker's
+// environment and the request's data and returns its partial result.
+// Kernels must be deterministic functions of (rank, size, data) and of
+// what their reverse calls return.
+type Kernel func(env *Env, data []float64) ([]float64, error)
+
+// result is one worker's partial result, or the gathered one: the
+// partials concatenated in rank order. err carries a kernel failure,
+// empty on success.
+type result struct {
+	data []float64
+	err  string
 }
-
-// Kernel is a parallel booster kernel: it receives the caller's
-// request plus the worker's rank and group size and returns its
-// partial result. Kernels must be deterministic functions of
-// (rank, size, request).
-type Kernel func(rank, size int, req Request) ([]float64, error)
-
-// Registry maps kernel names to implementations. Both sides share it
-// by construction (same binary), mirroring how DEEP ships one
-// application binary compiled for both ISAs.
-type Registry map[string]Kernel
 
 // Tags used on the inter-communicator.
 const (
@@ -71,7 +56,7 @@ const (
 )
 
 func requestBytes(r Request) int {
-	return 8*len(r.Data) + 8*len(r.Params) + len(r.Kernel) + 32
+	return 8*len(r.Data) + len(r.Kernel) + 32
 }
 
 // Config tunes a Manager.
@@ -84,150 +69,127 @@ type Config struct {
 	// time of its kernel share on this node model (typically
 	// machine.KNC).
 	Model *machine.NodeModel
-	// EnvKernels are kernels that need the worker environment
-	// (reverse calls to the cluster). Names are looked up here first,
-	// then in the plain registry.
-	EnvKernels map[string]EnvKernel
-	// Services are the cluster-side functions booster kernels may
-	// invoke through Env.CallCluster while an Invoke is in flight.
+	// Kernel is the code the booster workers run on every Invoke.
+	Kernel Kernel
+	// Services are the cluster-side functions the kernel may invoke
+	// through Env.CallCluster while an Invoke is in flight.
 	Services map[string]Service
 }
 
 // Manager is the cluster side of the offload bridge. Create it
-// collectively on the cluster communicator with NewManager; invoke
-// kernels from any cluster rank; shut it down collectively.
+// collectively on the cluster communicator with NewManager, invoke the
+// kernel from rank 0, and shut it down from rank 0 once every rank is
+// done with it.
 type Manager struct {
 	inter    *mpi.Comm
-	workers  int
 	services map[string]Service
-
-	mu sync.Mutex
-	// Invocations counts kernels shipped from this rank.
-	Invocations uint64
 	// ReverseCalls counts cluster-side services executed on behalf of
 	// booster kernels.
 	ReverseCalls uint64
 }
 
-// ErrNoKernel is wrapped in responses to unknown kernel names.
-var ErrNoKernel = errors.New("offload: unknown kernel")
-
 // NewManager collectively spawns the booster worker group. Every rank
-// of comm must call it with identical arguments. The registry is
-// captured by the worker processes.
-func NewManager(comm *mpi.Comm, cfg Config, reg Registry) *Manager {
+// of comm must call it with identical arguments.
+func NewManager(comm *mpi.Comm, cfg Config) *Manager {
 	if cfg.Workers <= 0 {
 		panic(fmt.Sprintf("offload: %d workers", cfg.Workers))
 	}
 	inter := comm.Spawn(cfg.Workers, cfg.Spawn, func(w *mpi.Comm) error {
-		return workerLoop(w, reg, cfg.EnvKernels, cfg.Model)
+		return workerLoop(w, cfg.Kernel, cfg.Model)
 	})
-	return &Manager{inter: inter, workers: cfg.Workers, services: cfg.Services}
+	return &Manager{inter: inter, services: cfg.Services}
 }
 
-// Workers returns the booster group size.
-func (m *Manager) Workers() int { return m.workers }
-
-// Inter exposes the inter-communicator (for advanced callers such as
-// the reverse-offload example).
-func (m *Manager) Inter() *mpi.Comm { return m.inter }
-
 // Invoke ships the request to the booster group, blocks for the
-// gathered response, and returns its data. Any cluster rank may call
-// Invoke; concurrent invocations from different ranks are serialised
-// by the booster-side root.
+// gathered response, and returns its data. Only rank 0 of the spawning
+// communicator may invoke: it is the one parent the booster root
+// listens to.
 func (m *Manager) Invoke(req Request) ([]float64, error) {
-	m.mu.Lock()
-	m.Invocations++
-	m.mu.Unlock()
 	m.inter.Send(0, tagRequest, mpi.Sized{Data: req, Bytes: requestBytes(req)})
 	// While the kernel runs, the invoking rank doubles as the
 	// reverse-offload service host: booster workers may call back.
-	var resp Response
+	var resp result
 	for {
 		v, st := m.inter.Recv(mpi.AnySource, mpi.AnyTag)
 		if st.Tag == tagReverse {
-			m.mu.Lock()
 			m.ReverseCalls++
-			m.mu.Unlock()
 			handleReverse(m.inter, m.services, st.Source, v)
 			continue
 		}
-		resp = mpi.Unwrap(v).(Response)
+		resp = mpi.Unwrap(v).(result)
 		break
 	}
-	if resp.Err != "" {
-		if resp.Err == errNoKernelMarker(req.Kernel) {
-			return nil, fmt.Errorf("%w: %q", ErrNoKernel, req.Kernel)
-		}
-		return nil, fmt.Errorf("offload: kernel %q failed: %s", req.Kernel, resp.Err)
+	if resp.err != "" {
+		return nil, fmt.Errorf("offload: kernel %q failed: %s", req.Kernel, resp.err)
 	}
-	return resp.Data, nil
+	return resp.data, nil
 }
 
-// Shutdown stops the booster workers. Call exactly once, from one
-// cluster rank, after all invocations completed.
+// Shutdown stops the booster workers. Call exactly once, from rank 0,
+// after all invocations completed.
 func (m *Manager) Shutdown() {
 	m.inter.Send(0, tagStop, nil)
 }
 
-func errNoKernelMarker(name string) string { return "no kernel " + name }
-
 // workerLoop is the booster-side main: rank 0 receives requests from
-// any parent rank, broadcasts them to the group, everyone computes its
+// parent rank 0, broadcasts them to the group, everyone computes its
 // partial, partials are gathered at rank 0 and the concatenated result
-// returns to the requesting parent.
-func workerLoop(w *mpi.Comm, reg Registry, envKernels map[string]EnvKernel, model *machine.NodeModel) error {
+// returns to the parent.
+func workerLoop(w *mpi.Comm, kernel Kernel, model *machine.NodeModel) error {
 	parent := w.Parent()
 	if parent == nil {
 		return errors.New("offload: worker without parent inter-communicator")
 	}
 	for {
 		var req Request
-		var src int
 		stop := false
 		if w.Rank() == 0 {
-			v, st := parent.Recv(mpi.AnySource, mpi.AnyTag)
+			v, st := parent.Recv(0, mpi.AnyTag)
 			if st.Tag == tagStop {
 				stop = true
 			} else {
 				req = mpi.Unwrap(v).(Request)
-				src = st.Source
 			}
 		}
 		// Distribute the request (or the stop signal) to the group.
 		ctl := w.Bcast(0, mpi.Sized{
-			Data:  ctlMsg{req: req, src: src, stop: stop},
+			Data:  ctlMsg{req: req, stop: stop},
 			Bytes: requestBytes(req) + 16,
 		})
 		c := mpi.Unwrap(ctl).(ctlMsg)
 		if c.stop {
 			return nil
 		}
-		partial, err := runKernel(w, reg, envKernels, c.req, c.src, model)
+		if model != nil && c.req.FlopsPerRank > 0 {
+			w.Advance(model.Time(machine.Kernel{
+				Flops:            c.req.FlopsPerRank,
+				ParallelFraction: 1,
+			}, model.Cores))
+		}
+		partial, err := kernel(newEnv(w), c.req.Data)
 		// Gather partials; rank 0 assembles in rank order.
 		errStr := ""
 		if err != nil {
 			errStr = err.Error()
 		}
 		gathered := w.Gather(0, mpi.Sized{
-			Data:  partMsg{data: partial, err: errStr},
+			Data:  result{data: partial, err: errStr},
 			Bytes: 8*len(partial) + 16,
 		})
 		if w.Rank() == 0 {
-			resp := Response{}
+			resp := result{}
 			for _, g := range gathered {
-				p := mpi.Unwrap(g).(partMsg)
-				if p.err != "" && resp.Err == "" {
-					resp.Err = p.err
+				p := mpi.Unwrap(g).(result)
+				if p.err != "" && resp.err == "" {
+					resp.err = p.err
 				}
-				resp.Data = append(resp.Data, p.data...)
+				resp.data = append(resp.data, p.data...)
 			}
-			if resp.Err != "" {
-				resp.Data = nil
+			if resp.err != "" {
+				resp.data = nil
 			}
-			parent.Send(c.src, tagResponse, mpi.Sized{
-				Data: resp, Bytes: 8*len(resp.Data) + 16,
+			parent.Send(0, tagResponse, mpi.Sized{
+				Data: resp, Bytes: 8*len(resp.data) + 16,
 			})
 		}
 	}
@@ -235,32 +197,7 @@ func workerLoop(w *mpi.Comm, reg Registry, envKernels map[string]EnvKernel, mode
 
 type ctlMsg struct {
 	req  Request
-	src  int
 	stop bool
-}
-
-type partMsg struct {
-	data []float64
-	err  string
-}
-
-func runKernel(w *mpi.Comm, reg Registry, envKernels map[string]EnvKernel,
-	req Request, invoker int, model *machine.NodeModel) ([]float64, error) {
-	if model != nil && (req.FlopsPerRank > 0 || req.BytesPerRank > 0) {
-		w.Advance(model.Time(machine.Kernel{
-			Flops:            req.FlopsPerRank,
-			Bytes:            req.BytesPerRank,
-			ParallelFraction: 1,
-		}, model.Cores))
-	}
-	if ek, ok := envKernels[req.Kernel]; ok {
-		return ek(newEnv(w, invoker), req)
-	}
-	k, ok := reg[req.Kernel]
-	if !ok {
-		return nil, errors.New(errNoKernelMarker(req.Kernel))
-	}
-	return k(w.Rank(), w.Size(), req)
 }
 
 // ShardRange splits n items over size workers and returns rank's

@@ -3,53 +3,46 @@ package offload
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cbp"
-	"repro/internal/linalg"
 	"repro/internal/machine"
 	"repro/internal/mpi"
-	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
-// testRegistry returns kernels used across the tests.
-func testRegistry() Registry {
-	return Registry{
-		// scale multiplies its shard by params[0].
-		"scale": func(rank, size int, req Request) ([]float64, error) {
-			lo, hi := ShardRange(len(req.Data), rank, size)
-			out := make([]float64, hi-lo)
-			f := float64(req.Params[0])
-			for i := lo; i < hi; i++ {
-				out[i-lo] = req.Data[i] * f
-			}
-			return out, nil
-		},
-		// sum reduces the shard to one partial sum per rank.
-		"sum": func(rank, size int, req Request) ([]float64, error) {
-			lo, hi := ShardRange(len(req.Data), rank, size)
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += req.Data[i]
-			}
-			return []float64{s}, nil
-		},
-		// fail always errors.
-		"fail": func(rank, size int, req Request) ([]float64, error) {
-			return nil, errors.New("synthetic kernel failure")
-		},
+// scale multiplies its shard of data[1:] by data[0]; a negative factor
+// fails the kernel.
+func scale(env *Env, data []float64) ([]float64, error) {
+	f, in := data[0], data[1:]
+	if f < 0 {
+		return nil, errors.New("synthetic kernel failure")
 	}
+	lo, hi := ShardRange(len(in), env.Rank, env.Size)
+	out := make([]float64, hi-lo)
+	for i := lo; i < hi; i++ {
+		out[i-lo] = in[i] * f
+	}
+	return out, nil
 }
 
-func withManager(t *testing.T, workers int, fn func(m *Manager) error) {
+// sum reduces the shard to one partial sum per rank.
+func sum(env *Env, data []float64) ([]float64, error) {
+	lo, hi := ShardRange(len(data), env.Rank, env.Size)
+	s := 0.0
+	for i := lo; i < hi; i++ {
+		s += data[i]
+	}
+	return []float64{s}, nil
+}
+
+func withManager(t *testing.T, workers int, k Kernel, fn func(m *Manager) error) {
 	t.Helper()
 	w := mpi.NewWorld(mpi.ZeroTransport{})
 	_, err := w.Run(1, func(c *mpi.Comm) error {
-		m := NewManager(c, Config{Workers: workers, Spawn: mpi.DefaultSpawnConfig()}, testRegistry())
+		m := NewManager(c, Config{Workers: workers, Spawn: mpi.DefaultSpawnConfig(), Kernel: k})
 		defer m.Shutdown()
 		return fn(m)
 	})
@@ -59,9 +52,9 @@ func withManager(t *testing.T, workers int, fn func(m *Manager) error) {
 }
 
 func TestInvokeScale(t *testing.T) {
-	withManager(t, 4, func(m *Manager) error {
+	withManager(t, 4, scale, func(m *Manager) error {
 		data := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-		out, err := m.Invoke(Request{Kernel: "scale", Params: []int{3}, Data: data})
+		out, err := m.Invoke(Request{Kernel: "scale", Data: append([]float64{3}, data...)})
 		if err != nil {
 			return err
 		}
@@ -78,7 +71,7 @@ func TestInvokeScale(t *testing.T) {
 }
 
 func TestInvokeSumReduction(t *testing.T) {
-	withManager(t, 3, func(m *Manager) error {
+	withManager(t, 3, sum, func(m *Manager) error {
 		data := make([]float64, 100)
 		want := 0.0
 		for i := range data {
@@ -101,9 +94,9 @@ func TestInvokeSumReduction(t *testing.T) {
 }
 
 func TestMultipleSequentialInvocations(t *testing.T) {
-	withManager(t, 2, func(m *Manager) error {
+	withManager(t, 2, scale, func(m *Manager) error {
 		for i := 1; i <= 5; i++ {
-			out, err := m.Invoke(Request{Kernel: "scale", Params: []int{i}, Data: []float64{10}})
+			out, err := m.Invoke(Request{Kernel: "scale", Data: []float64{float64(i), 10}})
 			if err != nil {
 				return err
 			}
@@ -111,31 +104,18 @@ func TestMultipleSequentialInvocations(t *testing.T) {
 				return fmt.Errorf("iter %d got %v", i, out)
 			}
 		}
-		if m.Invocations != 5 {
-			return fmt.Errorf("invocations %d", m.Invocations)
-		}
-		return nil
-	})
-}
-
-func TestUnknownKernel(t *testing.T) {
-	withManager(t, 2, func(m *Manager) error {
-		_, err := m.Invoke(Request{Kernel: "nope"})
-		if !errors.Is(err, ErrNoKernel) {
-			return fmt.Errorf("err = %v, want ErrNoKernel", err)
-		}
 		return nil
 	})
 }
 
 func TestKernelFailurePropagates(t *testing.T) {
-	withManager(t, 2, func(m *Manager) error {
-		_, err := m.Invoke(Request{Kernel: "fail"})
+	withManager(t, 2, scale, func(m *Manager) error {
+		_, err := m.Invoke(Request{Kernel: "scale", Data: []float64{-1, 1}})
 		if err == nil || !strings.Contains(err.Error(), "synthetic kernel failure") {
 			return fmt.Errorf("err = %v", err)
 		}
 		// The manager must still work afterwards.
-		out, err := m.Invoke(Request{Kernel: "scale", Params: []int{2}, Data: []float64{21}})
+		out, err := m.Invoke(Request{Kernel: "scale", Data: []float64{2, 21}})
 		if err != nil {
 			return err
 		}
@@ -146,39 +126,14 @@ func TestKernelFailurePropagates(t *testing.T) {
 	})
 }
 
-func TestInvokeFromMultipleClusterRanks(t *testing.T) {
-	w := mpi.NewWorld(mpi.ZeroTransport{})
-	_, err := w.Run(3, func(c *mpi.Comm) error {
-		m := NewManager(c, Config{Workers: 2, Spawn: mpi.DefaultSpawnConfig()}, testRegistry())
-		out, err := m.Invoke(Request{
-			Kernel: "scale", Params: []int{c.Rank() + 1},
-			Data: []float64{100},
-		})
-		if err != nil {
-			return err
-		}
-		if out[0] != float64(100*(c.Rank()+1)) {
-			return fmt.Errorf("rank %d got %v", c.Rank(), out)
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			m.Shutdown()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestModeledKernelAdvancesClock(t *testing.T) {
 	tr := cbp.NewDeepTransport(4, 8)
 	w := mpi.NewWorld(tr)
 	knc := machine.KNC
 	makespan, err := w.Run(1, func(c *mpi.Comm) error {
-		cfg := Config{Workers: 4, Spawn: mpi.DefaultSpawnConfig(), Model: &knc}
+		cfg := Config{Workers: 4, Spawn: mpi.DefaultSpawnConfig(), Model: &knc, Kernel: sum}
 		cfg.Spawn.Place = tr.BoosterNode
-		m := NewManager(c, cfg, testRegistry())
+		m := NewManager(c, cfg)
 		defer m.Shutdown()
 		before := c.Time()
 		_, err := m.Invoke(Request{
@@ -218,109 +173,6 @@ func TestShardRangeCoversExactly(t *testing.T) {
 		return covered == n && prevHi == n
 	}
 	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPackUnpackTilesRoundTrip(t *testing.T) {
-	r := rng.New(11)
-	m := linalg.NewMatrix(12, 12)
-	for i := range m.Data {
-		m.Data[i] = r.Float64()
-	}
-	tiles, err := PackTiles(m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tiles) != 9 {
-		t.Fatalf("tiles = %d", len(tiles))
-	}
-	back, err := UnpackTiles(tiles, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := linalg.MaxAbsDiff(m, back); d != 0 {
-		t.Fatalf("round trip diff %v", d)
-	}
-}
-
-func TestPackTilesValidation(t *testing.T) {
-	m := linalg.NewMatrix(10, 10)
-	if _, err := PackTiles(m, 3); err == nil {
-		t.Fatal("non-dividing tile size accepted")
-	}
-	rect := linalg.NewMatrix(4, 6)
-	if _, err := PackTiles(rect, 2); err == nil {
-		t.Fatal("non-square matrix accepted")
-	}
-}
-
-func TestFlattenUnflattenTiles(t *testing.T) {
-	r := rng.New(3)
-	tiles := make([]*linalg.Tile, 4)
-	for i := range tiles {
-		tiles[i] = linalg.NewTile(3)
-		for j := range tiles[i].Data {
-			tiles[i].Data[j] = r.Float64()
-		}
-	}
-	flat := FlattenTiles(tiles)
-	if len(flat) != 4*9 {
-		t.Fatalf("flat len %d", len(flat))
-	}
-	back, err := UnflattenTiles(flat, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tiles {
-		for j := range tiles[i].Data {
-			if tiles[i].Data[j] != back[i].Data[j] {
-				t.Fatalf("tile %d differs", i)
-			}
-		}
-	}
-	if _, err := UnflattenTiles(flat, 5, 3); err == nil {
-		t.Fatal("bad shape accepted")
-	}
-}
-
-func TestTileShipmentThroughKernel(t *testing.T) {
-	// End-to-end: pack a matrix, ship tiles to the booster, scale them
-	// there, unpack, compare. Exercises the full transform+offload path.
-	reg := testRegistry()
-	w := mpi.NewWorld(mpi.ZeroTransport{})
-	_, err := w.Run(1, func(c *mpi.Comm) error {
-		m := NewManager(c, Config{Workers: 3, Spawn: mpi.DefaultSpawnConfig()}, reg)
-		defer m.Shutdown()
-		r := rng.New(7)
-		mat := linalg.NewMatrix(8, 8)
-		for i := range mat.Data {
-			mat.Data[i] = r.Float64()
-		}
-		tiles, err := PackTiles(mat, 4)
-		if err != nil {
-			return err
-		}
-		out, err := m.Invoke(Request{Kernel: "scale", Params: []int{2}, Data: FlattenTiles(tiles)})
-		if err != nil {
-			return err
-		}
-		outTiles, err := UnflattenTiles(out, 4, 4)
-		if err != nil {
-			return err
-		}
-		back, err := UnpackTiles(outTiles, 2, 4)
-		if err != nil {
-			return err
-		}
-		for i := range mat.Data {
-			if math.Abs(back.Data[i]-2*mat.Data[i]) > 1e-15 {
-				return fmt.Errorf("element %d: %v vs %v", i, back.Data[i], 2*mat.Data[i])
-			}
-		}
-		return nil
-	})
-	if err != nil {
 		t.Fatal(err)
 	}
 }

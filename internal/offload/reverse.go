@@ -16,8 +16,8 @@ import (
 // Service is a cluster-side function callable from booster kernels.
 type Service func(args []float64) ([]float64, error)
 
-// Env gives an environment-aware kernel its group position and the
-// reverse-call channel to the invoking cluster rank.
+// Env gives a kernel its group position and the reverse-call channel
+// to the invoking cluster rank.
 type Env struct {
 	Rank, Size int
 	call       func(service string, args []float64) ([]float64, error)
@@ -28,9 +28,6 @@ type Env struct {
 func (e *Env) CallCluster(service string, args []float64) ([]float64, error) {
 	return e.call(service, args)
 }
-
-// EnvKernel is a kernel that can reach back to the cluster.
-type EnvKernel func(env *Env, req Request) ([]float64, error)
 
 // Reverse-offload message types carried on the inter-communicator.
 const (
@@ -71,18 +68,18 @@ func handleReverse(inter *mpi.Comm, services map[string]Service, src int, v any)
 }
 
 // newEnv builds the worker-side environment whose CallCluster routes
-// through the parent inter-communicator to the invoking rank.
-func newEnv(w *mpi.Comm, invoker int) *Env {
+// through the parent inter-communicator to the invoking rank 0.
+func newEnv(w *mpi.Comm) *Env {
 	parent := w.Parent()
 	return &Env{
 		Rank: w.Rank(),
 		Size: w.Size(),
 		call: func(service string, args []float64) ([]float64, error) {
-			parent.Send(invoker, tagReverse, mpi.Sized{
+			parent.Send(0, tagReverse, mpi.Sized{
 				Data:  reverseReq{service: service, args: args},
 				Bytes: 8*len(args) + len(service) + 16,
 			})
-			v, _ := parent.Recv(invoker, tagReverseResp)
+			v, _ := parent.Recv(0, tagReverseResp)
 			resp := mpi.Unwrap(v).(reverseResp)
 			if resp.err != "" {
 				return nil, errors.New(resp.err)

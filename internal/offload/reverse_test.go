@@ -9,31 +9,28 @@ import (
 	"repro/internal/mpi"
 )
 
-// reverseConfig builds a manager whose kernels can call cluster-side
+// lookupScale multiplies the shard by a factor fetched from the
+// cluster-side "config" service.
+func lookupScale(env *Env, data []float64) ([]float64, error) {
+	factor, err := env.CallCluster("config", []float64{float64(env.Rank)})
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := ShardRange(len(data), env.Rank, env.Size)
+	out := make([]float64, hi-lo)
+	for i := lo; i < hi; i++ {
+		out[i-lo] = data[i] * factor[0]
+	}
+	return out, nil
+}
+
+// reverseConfig builds a manager whose kernel can call cluster-side
 // services.
-func reverseConfig(workers int) Config {
+func reverseConfig(workers int, k Kernel) Config {
 	return Config{
 		Workers: workers,
 		Spawn:   mpi.DefaultSpawnConfig(),
-		EnvKernels: map[string]EnvKernel{
-			// lookup multiplies the shard by a factor fetched from the
-			// cluster-side "config" service.
-			"lookup-scale": func(env *Env, req Request) ([]float64, error) {
-				factor, err := env.CallCluster("config", []float64{float64(env.Rank)})
-				if err != nil {
-					return nil, err
-				}
-				lo, hi := ShardRange(len(req.Data), env.Rank, env.Size)
-				out := make([]float64, hi-lo)
-				for i := lo; i < hi; i++ {
-					out[i-lo] = req.Data[i] * factor[0]
-				}
-				return out, nil
-			},
-			"bad-service": func(env *Env, req Request) ([]float64, error) {
-				return env.CallCluster("nonexistent", nil)
-			},
-		},
+		Kernel:  k,
 		Services: map[string]Service{
 			// config returns 10 + the asking worker's rank.
 			"config": func(args []float64) ([]float64, error) {
@@ -49,7 +46,7 @@ func reverseConfig(workers int) Config {
 func TestReverseCallFromEveryWorker(t *testing.T) {
 	w := mpi.NewWorld(mpi.ZeroTransport{})
 	_, err := w.Run(1, func(c *mpi.Comm) error {
-		m := NewManager(c, reverseConfig(4), nil)
+		m := NewManager(c, reverseConfig(4, lookupScale))
 		defer m.Shutdown()
 		data := []float64{1, 1, 1, 1, 1, 1, 1, 1}
 		out, err := m.Invoke(Request{Kernel: "lookup-scale", Data: data})
@@ -76,7 +73,12 @@ func TestReverseCallFromEveryWorker(t *testing.T) {
 func TestReverseUnknownService(t *testing.T) {
 	w := mpi.NewWorld(mpi.ZeroTransport{})
 	_, err := w.Run(1, func(c *mpi.Comm) error {
-		m := NewManager(c, reverseConfig(2), nil)
+		m := NewManager(c, reverseConfig(2, func(env *Env, data []float64) ([]float64, error) {
+			if len(data) == 1 {
+				return env.CallCluster("nonexistent", nil)
+			}
+			return lookupScale(env, data)
+		}))
 		defer m.Shutdown()
 		_, err := m.Invoke(Request{Kernel: "bad-service", Data: []float64{1}})
 		if err == nil || !strings.Contains(err.Error(), "unknown reverse service") {
@@ -98,13 +100,12 @@ func TestReverseUnknownService(t *testing.T) {
 }
 
 func TestReverseServiceErrorPropagates(t *testing.T) {
-	cfg := reverseConfig(2)
-	cfg.EnvKernels["call-failing"] = func(env *Env, req Request) ([]float64, error) {
+	cfg := reverseConfig(2, func(env *Env, _ []float64) ([]float64, error) {
 		return env.CallCluster("failing", nil)
-	}
+	})
 	w := mpi.NewWorld(mpi.ZeroTransport{})
 	_, err := w.Run(1, func(c *mpi.Comm) error {
-		m := NewManager(c, cfg, nil)
+		m := NewManager(c, cfg)
 		defer m.Shutdown()
 		_, err := m.Invoke(Request{Kernel: "call-failing"})
 		if err == nil || !strings.Contains(err.Error(), "service exploded") {
@@ -117,38 +118,8 @@ func TestReverseServiceErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestEnvKernelsCoexistWithPlainRegistry(t *testing.T) {
-	cfg := reverseConfig(2)
-	w := mpi.NewWorld(mpi.ZeroTransport{})
-	_, err := w.Run(1, func(c *mpi.Comm) error {
-		m := NewManager(c, cfg, testRegistry())
-		defer m.Shutdown()
-		// Plain kernel still reachable.
-		out, err := m.Invoke(Request{Kernel: "scale", Params: []int{2}, Data: []float64{5}})
-		if err != nil {
-			return err
-		}
-		if out[0] != 10 {
-			return fmt.Errorf("plain kernel %v", out)
-		}
-		// Env kernel reachable too.
-		out, err = m.Invoke(Request{Kernel: "lookup-scale", Data: []float64{1, 1}})
-		if err != nil {
-			return err
-		}
-		if out[0] != 10 || out[1] != 11 {
-			return fmt.Errorf("env kernel %v", out)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReverseMultipleCallsPerKernel(t *testing.T) {
-	cfg := reverseConfig(2)
-	cfg.EnvKernels["chatty"] = func(env *Env, req Request) ([]float64, error) {
+	cfg := reverseConfig(2, func(env *Env, _ []float64) ([]float64, error) {
 		sum := 0.0
 		for i := 0; i < 5; i++ {
 			v, err := env.CallCluster("config", []float64{float64(i)})
@@ -158,10 +129,10 @@ func TestReverseMultipleCallsPerKernel(t *testing.T) {
 			sum += v[0]
 		}
 		return []float64{sum}, nil
-	}
+	})
 	w := mpi.NewWorld(mpi.ZeroTransport{})
 	_, err := w.Run(1, func(c *mpi.Comm) error {
-		m := NewManager(c, cfg, nil)
+		m := NewManager(c, cfg)
 		defer m.Shutdown()
 		out, err := m.Invoke(Request{Kernel: "chatty"})
 		if err != nil {

@@ -23,7 +23,6 @@ package ompss
 
 import (
 	"container/heap"
-	"fmt"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -130,20 +129,6 @@ func (g *GraphBuilder) Edges() int {
 	return n
 }
 
-// CheckAcyclic returns an error if the graph has a cycle (it never
-// should: dependences only point backwards in submission order, so this
-// is a structural self-check used by the property tests).
-func (g *GraphBuilder) CheckAcyclic() error {
-	for i, succ := range g.Succ {
-		for _, s := range succ {
-			if s <= i {
-				return fmt.Errorf("ompss: edge %d -> %d violates submission order", i, s)
-			}
-		}
-	}
-	return nil
-}
-
 // CriticalPath returns the longest cost-weighted path through the
 // graph — the dataflow execution's lower bound at infinite parallelism.
 func (g *GraphBuilder) CriticalPath() sim.Time {
@@ -163,15 +148,6 @@ func (g *GraphBuilder) CriticalPath() sim.Time {
 		}
 	}
 	return max
-}
-
-// TotalWork returns the sum of task costs.
-func (g *GraphBuilder) TotalWork() sim.Time {
-	var t sim.Time
-	for _, c := range g.Costs {
-		t += c
-	}
-	return t
 }
 
 // RandomOrder returns a topological order of the graph drawn with r:

@@ -67,7 +67,7 @@ func TestGraphBuilderDeps(t *testing.T) {
 	if g.Edges() != 5 {
 		t.Fatalf("edges = %d, want 5", g.Edges())
 	}
-	if err := g.CheckAcyclic(); err != nil {
+	if err := checkAcyclic(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -294,7 +294,7 @@ func TestCriticalPathChain(t *testing.T) {
 	if got := g.CriticalPath(); got != 10*sim.Microsecond {
 		t.Fatalf("chain critical path %v", got)
 	}
-	if got := g.TotalWork(); got != 10*sim.Microsecond {
+	if got := totalWork(g); got != 10*sim.Microsecond {
 		t.Fatalf("total work %v", got)
 	}
 }
@@ -326,11 +326,11 @@ func TestMakespanIndependentScalesLinearly(t *testing.T) {
 // critical-path bounds, max(CP, W/w) <= T(w) <= W/w + CP (Graham), with
 // T(1) = W exactly.
 func grahamBounds(g *ompss.GraphBuilder) error {
-	if err := g.CheckAcyclic(); err != nil {
+	if err := checkAcyclic(g); err != nil {
 		return err
 	}
 	cp := g.CriticalPath()
-	work := g.TotalWork()
+	work := totalWork(g)
 	for _, w := range []int{1, 2, 4, 16} {
 		m := g.Makespan(w)
 		switch lower := work / sim.Time(w); {
@@ -437,4 +437,26 @@ func ExampleGraphBuilder() {
 	g.Add("log", ompss.Deps{In: []any{a}, Cost: sim.Microsecond})
 	fmt.Println(g.Edges(), g.CriticalPath(), g.Makespan(1), g.Makespan(2))
 	// Output: 2 5.000us 6.000us 5.000us
+}
+
+// checkAcyclic returns an error if the graph has a cycle. It never
+// should: dependences only point backwards in submission order.
+func checkAcyclic(g *ompss.GraphBuilder) error {
+	for i, succ := range g.Succ {
+		for _, s := range succ {
+			if s <= i {
+				return fmt.Errorf("edge %d -> %d violates submission order", i, s)
+			}
+		}
+	}
+	return nil
+}
+
+// totalWork returns the sum of task costs.
+func totalWork(g *ompss.GraphBuilder) sim.Time {
+	var t sim.Time
+	for _, c := range g.Costs {
+		t += c
+	}
+	return t
 }

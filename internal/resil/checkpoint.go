@@ -110,9 +110,6 @@ func (c *Checkpoint) RunWall(work sim.Time) sim.Time {
 	return wall
 }
 
-// Overhead returns RunWall(work) - work.
-func (c *Checkpoint) Overhead(work sim.Time) sim.Time { return c.RunWall(work) - work }
-
 // IOEnergyJ returns the checkpoint/restore I/O energy of io wall time
 // spent writing or restoring on nodes nodes: the extra joules the
 // resilience layer charges into an energy.Recorder on top of the

@@ -213,7 +213,7 @@ func TestCheckpointRunWall(t *testing.T) {
 	if got := c.RunWall(30 * sim.Second); got != 34*sim.Second {
 		t.Fatalf("RunWall(30 s) = %v", got)
 	}
-	if got := c.Overhead(35 * sim.Second); got != 6*sim.Second {
+	if got := c.RunWall(35*sim.Second) - 35*sim.Second; got != 6*sim.Second {
 		t.Fatalf("Overhead = %v", got)
 	}
 	// Multi-level: every 2nd checkpoint also global.

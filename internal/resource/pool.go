@@ -86,16 +86,6 @@ func (p *Pool) State(id int) NodeState {
 // Free returns the number of free nodes.
 func (p *Pool) Free() int { return p.free }
 
-// SetOwner statically assigns node ids to an owner group (e.g. the
-// cluster node that "owns" these accelerators in the baseline
-// architecture).
-func (p *Pool) SetOwner(owner int, ids ...int) {
-	for _, id := range ids {
-		p.checkID(id)
-		p.owner[id] = owner
-	}
-}
-
 // PartitionOwners splits the pool evenly into groups of k consecutive
 // nodes owned by owners 0, 1, 2, ... — the static accelerated-cluster
 // wiring (each host owns its PCIe cards).

@@ -124,37 +124,6 @@ func (r *Source) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Norm returns a normally distributed value with mean mu and standard
-// deviation sigma, via the Marsaglia polar method.
-func (r *Source) Norm(mu, sigma float64) float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return mu + sigma*u*math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes xs in place using the Fisher-Yates algorithm.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // Zipf samples from a Zipf distribution over [0, n) with exponent s >= 0
 // using inverse-CDF over precomputed weights. For repeated sampling
 // build a ZipfSampler instead.

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -105,25 +104,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
-	r := New(13)
-	const mu, sigma, n = 2.0, 0.5, 200000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Norm(mu, sigma)
-		sum += v
-		sumsq += v * v
-	}
-	gotMu := sum / n
-	gotVar := sumsq/n - gotMu*gotMu
-	if math.Abs(gotMu-mu) > 0.02 {
-		t.Fatalf("Norm mean = %v, want about %v", gotMu, mu)
-	}
-	if math.Abs(gotVar-sigma*sigma) > 0.02 {
-		t.Fatalf("Norm variance = %v, want about %v", gotVar, sigma*sigma)
-	}
-}
-
 func TestBoolEdges(t *testing.T) {
 	r := New(17)
 	for i := 0; i < 100; i++ {
@@ -133,27 +113,6 @@ func TestBoolEdges(t *testing.T) {
 		if !r.Bool(1) {
 			t.Fatal("Bool(1) returned false")
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	check := func(seed uint64, n8 uint8) bool {
-		n := int(n8%64) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

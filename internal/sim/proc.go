@@ -43,9 +43,6 @@ func NewResource(eng *Engine, name string) *Resource {
 // Name returns the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// Busy reports whether the resource is currently serving a request.
-func (r *Resource) Busy() bool { return r.busy }
-
 // QueueLen returns the number of waiting requests.
 func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
 
@@ -140,32 +137,4 @@ func (l *Latch) Done() {
 		l.fired = true
 		l.fn()
 	}
-}
-
-// Fired reports whether the latch has completed.
-func (l *Latch) Fired() bool { return l.fired }
-
-// Sequence runs a list of (delay, action) steps one after another,
-// starting at the current time. It returns immediately; the steps play
-// out in virtual time.
-func Sequence(eng *Engine, steps ...Step) {
-	runSteps(eng, steps, 0)
-}
-
-// Step is one stage of a Sequence: wait Delay, then run Do.
-type Step struct {
-	Delay Time
-	Do    func()
-}
-
-func runSteps(eng *Engine, steps []Step, i int) {
-	if i >= len(steps) {
-		return
-	}
-	eng.After(steps[i].Delay, func() {
-		if steps[i].Do != nil {
-			steps[i].Do()
-		}
-		runSteps(eng, steps, i+1)
-	})
 }

@@ -136,11 +136,10 @@ type Stats struct {
 // deterministic per engine — the same event sequence reuses the same
 // indices whatever the host, the GC or other goroutines do.
 type Engine struct {
-	now     Time
-	seq     uint64
-	cal     calendar
-	stopped bool
-	fed     int // events Feed has scheduled but not yet queued
+	now Time
+	seq uint64
+	cal calendar
+	fed int // events Feed has scheduled but not yet queued
 
 	executed  uint64
 	cancelled uint64
@@ -375,10 +374,6 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	return 0, false
 }
 
-// Stop makes Run return after the current event completes. Pending
-// events stay queued; Run can be called again to continue.
-func (e *Engine) Stop() { e.stopped = true }
-
 // SetProbe installs fn as the clock-advance observer (nil removes
 // it). The probe fires once per dispatched event, after the clock
 // moves to the event's time and before its callback runs. With no
@@ -404,7 +399,7 @@ func (e *Engine) dispatch(i int32, ev *Event) {
 	}
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 // It returns the final virtual time.
 func (e *Engine) Run() Time {
 	e.RunWindow(math.MaxInt64)
@@ -416,7 +411,7 @@ func (e *Engine) Run() Time {
 // periodic models can be stepped at a fixed cadence.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.RunWindow(deadline)
-	if !e.stopped && e.now < deadline {
+	if e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
@@ -429,9 +424,8 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // the window — the contract the conservative parallel Cluster needs.
 // Every run form ends here, where an idle engine trims its pages.
 func (e *Engine) RunWindow(deadline Time) uint64 {
-	e.stopped = false
 	var n uint64
-	for !e.stopped {
+	for {
 		i, ev := e.cal.popMin(deadline, true)
 		if i == 0 {
 			break

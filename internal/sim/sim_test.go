@@ -63,30 +63,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestStop(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i)*Nanosecond, func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-	e.Run() // resume
-	if count != 10 {
-		t.Fatalf("resume ran to %d, want 10", count)
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := New()
 	count := 0
@@ -229,26 +205,6 @@ func TestLatchZero(t *testing.T) {
 	NewLatch(0, func() { fired = true })
 	if !fired {
 		t.Fatal("zero latch did not fire immediately")
-	}
-}
-
-func TestSequence(t *testing.T) {
-	e := New()
-	var marks []Time
-	Sequence(e,
-		Step{Delay: 5 * Nanosecond, Do: func() { marks = append(marks, e.Now()) }},
-		Step{Delay: 10 * Nanosecond, Do: func() { marks = append(marks, e.Now()) }},
-		Step{Delay: 1 * Nanosecond, Do: func() { marks = append(marks, e.Now()) }},
-	)
-	e.Run()
-	want := []Time{5 * Nanosecond, 15 * Nanosecond, 16 * Nanosecond}
-	if len(marks) != 3 {
-		t.Fatalf("marks = %v", marks)
-	}
-	for i := range want {
-		if marks[i] != want[i] {
-			t.Fatalf("marks = %v, want %v", marks, want)
-		}
 	}
 }
 

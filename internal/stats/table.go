@@ -1,3 +1,5 @@
+// Package stats renders the experiment harness's per-figure
+// reproduction output as plain text and CSV tables.
 package stats
 
 import (

@@ -58,7 +58,7 @@ func TestTruncatedTailIsRepaired(t *testing.T) {
 	if st.Entries != 7 {
 		t.Fatalf("entries after torn tail = %d, want 7", st.Entries)
 	}
-	if s.Has("k07") {
+	if has(s, "k07") {
 		t.Fatal("torn record still indexed")
 	}
 	for i := range 7 {
@@ -149,7 +149,7 @@ func TestCorruptionInSealedSegment(t *testing.T) {
 	s = openT(t, dir, Options{})
 	defer s.Close()
 	// The newest entries live in later segments and must all survive.
-	if !s.Has("k11") || !s.Has("k10") {
+	if !has(s, "k11") || !has(s, "k10") {
 		t.Fatal("later segments lost to an earlier segment's corruption")
 	}
 	if e := mustGet(t, s, "k11"); !bytes.Equal(e.Result, bytes.Repeat([]byte{12}, 80)) {

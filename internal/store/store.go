@@ -368,14 +368,6 @@ func (s *Store) Get(key string) (e *Entry, ok bool, err error) {
 	return rec.entry, true, nil
 }
 
-// Has reports whether key is live, without disk IO.
-func (s *Store) Has(key string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[key]
-	return ok
-}
-
 // Touch refreshes key's epoch to the current one, keeping it clear of
 // epoch-based pruning. A key already at the current epoch is a no-op
 // (no record is written); unknown keys are ignored.
@@ -391,20 +383,6 @@ func (s *Store) Touch(key string) error {
 	}
 	r.epoch = s.epoch
 	s.index[key] = r
-	return nil
-}
-
-// Delete tombstones key; a no-op for unknown keys.
-func (s *Store) Delete(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index[key]; !ok {
-		return nil
-	}
-	if _, _, err := s.append(encodeRecord(recDelete, s.epoch, key, nil)); err != nil {
-		return err
-	}
-	delete(s.index, key)
 	return nil
 }
 

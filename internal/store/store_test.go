@@ -61,7 +61,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if _, ok, err := s.Get("absent"); ok || err != nil {
 		t.Fatalf("miss: ok=%v err=%v", ok, err)
 	}
-	if !s.Has("k1") || s.Has("absent") {
+	if !has(s, "k1") || has(s, "absent") {
 		t.Fatal("Has disagrees with Get")
 	}
 }
@@ -113,22 +113,45 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
+// has reports whether key is live.
+func has(s *Store, key string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.index[key]
+	return ok
+}
+
+// tombstone deletes key the way Prune does, with a tombstone record;
+// a no-op for unknown keys.
+func tombstone(s *Store, key string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.index[key]; !ok {
+		return nil
+	}
+	if _, _, err := s.append(encodeRecord(recDelete, s.epoch, key, nil)); err != nil {
+		return err
+	}
+	delete(s.index, key)
+	return nil
+}
+
 func TestDeleteTombstonesAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{})
 	mustPut(t, s, &Entry{Key: "gone", Result: []byte("x")})
 	mustPut(t, s, &Entry{Key: "kept", Result: []byte("y")})
-	if err := s.Delete("gone"); err != nil {
+	if err := tombstone(s, "gone"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Has("gone") {
+	if has(s, "gone") {
 		t.Fatal("deleted key still live")
 	}
 	s.Close()
 
 	s = openT(t, dir, Options{})
 	defer s.Close()
-	if s.Has("gone") || !s.Has("kept") {
+	if has(s, "gone") || !has(s, "kept") {
 		t.Fatal("tombstone did not survive reopen")
 	}
 }
@@ -155,16 +178,16 @@ func TestEpochPruneAndTouch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || s.Has("old") || !s.Has("warm") || !s.Has("new") {
-		t.Fatalf("prune removed %d (old=%v warm=%v new=%v)", n, s.Has("old"), s.Has("warm"), s.Has("new"))
+	if n != 1 || has(s, "old") || !has(s, "warm") || !has(s, "new") {
+		t.Fatalf("prune removed %d (old=%v warm=%v new=%v)", n, has(s, "old"), has(s, "warm"), has(s, "new"))
 	}
 	s.Close()
 
 	// Epoch counter, tombstone and the touched epoch survive reopen.
 	s = openT(t, dir, Options{})
 	defer s.Close()
-	if s.Epoch() != 2 || s.Has("old") {
-		t.Fatalf("after reopen: epoch=%d old=%v", s.Epoch(), s.Has("old"))
+	if s.Epoch() != 2 || has(s, "old") {
+		t.Fatalf("after reopen: epoch=%d old=%v", s.Epoch(), has(s, "old"))
 	}
 	if n, _ := s.Prune(s.Epoch()); n != 0 {
 		t.Fatalf("reopened prune removed %d entries", n)
@@ -245,7 +268,7 @@ func TestCompactPreservesEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "old" must still look epoch-1 stale after compaction.
-	if n, _ := s.Prune(s.Epoch()); n != 1 || s.Has("old") || !s.Has("new") {
+	if n, _ := s.Prune(s.Epoch()); n != 1 || has(s, "old") || !has(s, "new") {
 		t.Fatalf("compaction lost the pruning epochs (pruned %d)", n)
 	}
 }
@@ -304,7 +327,7 @@ func TestRandomRoundTripAcrossReopen(t *testing.T) {
 		want[e.Key] = e
 		if i%37 == 0 { // sprinkle deletes
 			victim := fmt.Sprintf("key-%03d", rng.Intn(80))
-			if err := s.Delete(victim); err != nil {
+			if err := tombstone(s, victim); err != nil {
 				t.Fatal(err)
 			}
 			delete(want, victim)

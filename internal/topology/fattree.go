@@ -125,60 +125,3 @@ func (f *FatTree) Hops(src, dst NodeID) int {
 		return 4
 	}
 }
-
-// Crossbar is a single non-blocking switch: every pair of nodes is two
-// hops apart (in via the source port, out via the destination port).
-// It models a PCIe switch / host bus fanout where the shared medium is
-// captured at the fabric layer by the port links themselves.
-type Crossbar struct {
-	N int
-
-	// name memoizes Name(); see Torus3D.
-	name string
-}
-
-// NewCrossbar returns an n-port crossbar.
-func NewCrossbar(n int) *Crossbar {
-	if n < 1 {
-		panic(fmt.Sprintf("topology: invalid crossbar size %d", n))
-	}
-	return &Crossbar{N: n, name: fmt.Sprintf("crossbar-%d", n)}
-}
-
-// Name implements Topology.
-func (c *Crossbar) Name() string {
-	if c.name == "" {
-		c.name = fmt.Sprintf("crossbar-%d", c.N)
-	}
-	return c.name
-}
-
-// Nodes implements Topology.
-func (c *Crossbar) Nodes() int { return c.N }
-
-// Links implements Topology: one ingress and one egress link per node.
-func (c *Crossbar) Links() int { return 2 * c.N }
-
-// Route implements Topology: source egress port, destination ingress
-// port.
-func (c *Crossbar) Route(src, dst NodeID) []LinkID { return c.AppendRoute(nil, src, dst) }
-
-// AppendRoute implements Topology.
-func (c *Crossbar) AppendRoute(buf []LinkID, src, dst NodeID) []LinkID {
-	validateNode(src, c.N, c.Name())
-	validateNode(dst, c.N, c.Name())
-	if src == dst {
-		return buf
-	}
-	return append(buf, LinkID(2*int(src)), LinkID(2*int(dst)+1))
-}
-
-// Hops implements HopCounter.
-func (c *Crossbar) Hops(src, dst NodeID) int {
-	validateNode(src, c.N, c.Name())
-	validateNode(dst, c.N, c.Name())
-	if src == dst {
-		return 0
-	}
-	return 2
-}

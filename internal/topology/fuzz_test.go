@@ -54,7 +54,7 @@ func FuzzTorusRoute(f *testing.F) {
 			if int(l) < 0 || int(l) >= tor.Links() {
 				t.Fatalf("link %d out of bounds [0,%d)", l, tor.Links())
 			}
-			from, to := tor.LinkEndpoints(l)
+			from, to := linkEndpoints(tor, l)
 			if from != cur {
 				t.Fatalf("hop %d starts at %d, expected %d", i, from, cur)
 			}

@@ -1,6 +1,6 @@
 // Package topology models the interconnect topologies of the DEEP
 // system: the EXTOLL 3D torus of the Booster, the InfiniBand fat tree
-// of the Cluster, and a flat crossbar used for PCIe-style buses.
+// of the Cluster.
 //
 // A Topology enumerates nodes (compute endpoints) and provides routing:
 // the ordered list of links a packet traverses from one node to
@@ -82,24 +82,6 @@ func Diameter(t Topology) int {
 		}
 	}
 	return max
-}
-
-// AvgHops returns the mean hop count over all ordered pairs of
-// distinct nodes.
-func AvgHops(t Topology) float64 {
-	n := t.Nodes()
-	if n < 2 {
-		return 0
-	}
-	total := 0
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s != d {
-				total += Hops(t, NodeID(s), NodeID(d))
-			}
-		}
-	}
-	return float64(total) / float64(n*(n-1))
 }
 
 // validateNode panics when id is outside [0, n); routing with a bad

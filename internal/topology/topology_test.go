@@ -72,7 +72,7 @@ func TestTorusRouteConnectivity(t *testing.T) {
 		dst := NodeID(int(d8) % n)
 		cur := src
 		for _, l := range tor.Route(src, dst) {
-			from, to := tor.LinkEndpoints(l)
+			from, to := linkEndpoints(tor, l)
 			if from != cur {
 				return false
 			}
@@ -128,18 +128,6 @@ func TestTorusDimensionOrdered(t *testing.T) {
 			t.Fatalf("route not dimension ordered: %v", route)
 		}
 		phase = p
-	}
-}
-
-func TestTorusBisection(t *testing.T) {
-	if got := NewTorus3D(4, 4, 4).BisectionLinks(); got != 64 {
-		t.Fatalf("4x4x4 bisection links = %d, want 64", got)
-	}
-	if got := NewTorus3D(2, 4, 4).BisectionLinks(); got != 32 {
-		t.Fatalf("2x4x4 bisection links = %d, want 32", got)
-	}
-	if got := NewTorus3D(1, 4, 4).BisectionLinks(); got != 0 {
-		t.Fatalf("1x4x4 bisection links = %d, want 0", got)
 	}
 }
 
@@ -207,30 +195,6 @@ func TestFatTreeSpineSpreading(t *testing.T) {
 	}
 }
 
-func TestCrossbar(t *testing.T) {
-	cb := NewCrossbar(8)
-	if h := Hops(cb, 2, 5); h != 2 {
-		t.Fatalf("crossbar hops = %d, want 2", h)
-	}
-	if r := cb.Route(3, 3); len(r) != 0 {
-		t.Fatalf("self route: %v", r)
-	}
-	if d := Diameter(cb); d != 2 {
-		t.Fatalf("crossbar diameter = %d", d)
-	}
-	checkAppendRoute(t, cb, 2, 5)
-	checkAppendRoute(t, cb, 3, 3)
-}
-
-func TestAvgHopsTorusVsCrossbar(t *testing.T) {
-	tor := NewTorus3D(4, 4, 4)
-	cb := NewCrossbar(64)
-	if AvgHops(tor) <= AvgHops(cb) {
-		t.Fatalf("torus avg hops %.2f should exceed crossbar %.2f",
-			AvgHops(tor), AvgHops(cb))
-	}
-}
-
 func TestValidatePanics(t *testing.T) {
 	tor := NewTorus3D(2, 2, 2)
 	for _, fn := range []func(){
@@ -258,4 +222,27 @@ func BenchmarkTorusRoute(b *testing.B) {
 		dst := NodeID(r.Intn(512))
 		_ = tor.Route(src, dst)
 	}
+}
+
+// linkEndpoints returns the (from, to) nodes of torus link l, the
+// reference the routing tests walk routes against.
+func linkEndpoints(t *Torus3D, l LinkID) (from, to NodeID) {
+	from = NodeID(int(l) / torusDegree)
+	d := int(l) % torusDegree
+	x, y, z := t.Coord(from)
+	switch d {
+	case DirXPlus:
+		to = t.ID(x+1, y, z)
+	case DirXMinus:
+		to = t.ID(x-1, y, z)
+	case DirYPlus:
+		to = t.ID(x, y+1, z)
+	case DirYMinus:
+		to = t.ID(x, y-1, z)
+	case DirZPlus:
+		to = t.ID(x, y, z+1)
+	case DirZMinus:
+		to = t.ID(x, y, z-1)
+	}
+	return
 }

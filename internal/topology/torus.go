@@ -156,42 +156,3 @@ func absStep(a int) int {
 	}
 	return a
 }
-
-// LinkEndpoints returns the (from, to) nodes of link l, for diagnostics
-// and contention analysis.
-func (t *Torus3D) LinkEndpoints(l LinkID) (from, to NodeID) {
-	from = NodeID(int(l) / torusDegree)
-	d := int(l) % torusDegree
-	x, y, z := t.Coord(from)
-	switch d {
-	case DirXPlus:
-		to = t.ID(x+1, y, z)
-	case DirXMinus:
-		to = t.ID(x-1, y, z)
-	case DirYPlus:
-		to = t.ID(x, y+1, z)
-	case DirYMinus:
-		to = t.ID(x, y-1, z)
-	case DirZPlus:
-		to = t.ID(x, y, z+1)
-	case DirZMinus:
-		to = t.ID(x, y, z-1)
-	}
-	return
-}
-
-// BisectionLinks returns the number of unidirectional links crossing
-// the X-midplane bisection, a proxy for bisection bandwidth.
-func (t *Torus3D) BisectionLinks() int {
-	if t.X < 2 {
-		return 0
-	}
-	// Each YZ-plane column contributes wrap and midplane crossings in
-	// both directions: 2 cut points x 2 directions when X > 2, else 1
-	// cut (the single pair of opposing links counted once per node).
-	cuts := 2
-	if t.X == 2 {
-		cuts = 1
-	}
-	return t.Y * t.Z * cuts * 2
-}
