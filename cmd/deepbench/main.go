@@ -14,6 +14,12 @@
 //	deepbench -list                # show the registry
 //	deepbench -run E13 -trace t.json -metrics m.csv   # observability exports
 //	deepbench -store results -resume   # resumable sweep: skip stored points
+//
+// -store keeps each point as deepd's record of the same experiment spec
+// (deep.Spec.Run's Output under deep.Spec.Key), so a deepbench point, a
+// deeprun run and a deepd job are one record and answer each other.
+// Points stored by an older deepbench, under its own key scheme, miss
+// once and are simulated again.
 package main
 
 import (
@@ -33,12 +39,9 @@ import (
 // writeOnlyStore records finished points without ever answering a
 // lookup: -store without -resume persists a sweep for later resumption
 // but still recomputes everything this time.
-type writeOnlyStore struct{ inner deep.RunStore }
+type writeOnlyStore struct{ *store.Store }
 
-func (w writeOnlyStore) LookupRun(string) ([]byte, bool) { return nil, false }
-func (w writeOnlyStore) StoreRun(key, experiment string, payload, text []byte) error {
-	return w.inner.StoreRun(key, experiment, payload, text)
-}
+func (writeOnlyStore) Get(string) (*store.Entry, bool, error) { return nil, false, nil }
 
 // run is the testable body of main: parses args (without the program
 // name), runs the selected experiments and returns the process exit
@@ -101,9 +104,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return fail("opening store: %v", err)
 		}
 		defer st.Close()
-		runner.Store = store.RunView{Store: st}
+		runner.Store = st
 		if !fl.Resume {
-			runner.Store = writeOnlyStore{inner: runner.Store}
+			runner.Store = writeOnlyStore{st}
 		}
 	}
 

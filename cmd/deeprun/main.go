@@ -126,8 +126,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	// A stored run is deepd's record of the same spec: its key, its
-	// meta, its result and text.
+	// A stored run is deepd's record of the same spec: the Output
+	// under its content key.
 	var st *store.Store
 	if fl.Store != "" {
 		var err error
@@ -142,6 +142,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		if e, ok, gerr := st.Get(key); gerr == nil && ok && len(e.Text) > 0 {
+			st.Touch(key) //nolint:errcheck // advisory epoch refresh, as deepd's store hits
 			if _, werr := stdout.Write(e.Text); werr != nil {
 				return fail(werr)
 			}
@@ -161,8 +162,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if st != nil {
-		if perr := st.Put(&store.Entry{Key: out.Key, Meta: spec.Meta(), Verified: out.Verified,
-			Result: out.Result, Text: out.Text}); perr != nil {
+		if perr := st.Put(out); perr != nil {
 			fmt.Fprintf(stderr, "deeprun: store write failed: %v (run output above is unaffected)\n", perr)
 		}
 	}

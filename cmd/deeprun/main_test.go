@@ -125,6 +125,44 @@ func TestRunStoreReplay(t *testing.T) {
 	}
 }
 
+// TestRunReplayKeepsRecordLive: a -resume replay touches the record it
+// serves, as a deepd store hit and a resumed deepbench point do, so
+// pruning the epochs before the replay keeps it.
+func TestRunReplayKeepsRecordLive(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "results")
+	var out, errOut strings.Builder
+	if code := run(context.Background(), []string{"-app", "spmv", "-store", dir}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, errOut.String())
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch, err := st.AdvanceEpoch()
+	if err == nil {
+		err = st.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var replayErr strings.Builder
+	if code := run(context.Background(), []string{"-app", "spmv", "-store", dir, "-resume"}, &out, &replayErr); code != 0 ||
+		!strings.Contains(replayErr.String(), "replayed stored run") {
+		t.Fatalf("replay exit %d, stderr:\n%s", code, replayErr.String())
+	}
+	if st, err = store.Open(dir, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if n, err := st.Prune(epoch); err != nil || n != 0 {
+		t.Fatalf("prune before epoch %d removed %d records (%v); the replayed one must survive", epoch, n, err)
+	}
+	if got := st.Query("workload:spmv"); len(got) != 1 {
+		t.Fatalf("store holds %d spmv records after the prune, want 1", len(got))
+	}
+}
+
 // TestRunAgreesWithDeepd: deeprun normalises its flags into the spec
 // deepd would normalise, so the two give one answer. A jobs run drops
 // -domains as a jobs spec does, so faults under -domains run, and

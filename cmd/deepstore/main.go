@@ -32,7 +32,7 @@ const usage = `usage: deepstore [-dir DIR] <command>
 commands:
   stats            store size, segments, live ratio, epoch (JSON)
   query <meta>     stored points tagged <meta> (an experiment id or
-                   "workload:<kind>", from deepd or deeprun)
+                   "workload:<kind>", from deepd, deeprun or deepbench)
   get <key>        print the stored text result under a content key
   advance          advance the store epoch
   prune <epochs>   tombstone entries untouched for at least <epochs> epochs

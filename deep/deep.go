@@ -21,7 +21,9 @@
 //
 // Spec is the serialisable description of one run — an experiment id,
 // or a Workload on a Machine, plus the run knobs — that deepd decodes,
-// deeprun's flags fill, and Spec.Key content-addresses.
+// deeprun's flags fill, and Spec.Key content-addresses. Spec.Run
+// encodes a run as an Output, the one record deepd, deeprun and a
+// Runner's resumable sweep store under that key.
 //
 // A minimal session:
 //

@@ -6,23 +6,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/store"
 )
 
-// Output is everything one run of a Spec produces, encoded: the bytes
-// deepd caches, stores and serves, and the bytes deeprun prints and
-// stores. Encoding once, at the source, is what makes a cache hit, a
-// store replay and a fresh run byte-identical.
-type Output struct {
-	// Key is the content address of the spec that produced the output.
-	Key string
-	// Result is the JSON ResultPayload; Text the rendered text form.
-	Result, Text []byte
-	// Trace and Metrics are the Chrome-trace / metrics-CSV
-	// attachments; nil when the spec did not request them.
-	Trace, Metrics []byte
-	// Verified is false when a checked workload failed verification.
-	Verified bool
-}
+// Output is everything one run of a Spec produces, encoded: the record
+// deepd caches, stores and serves, deeprun prints and stores, and a
+// Runner's resumable sweep keeps per point. Encoding once, at the
+// source, is what makes a cache hit, a store replay and a fresh run
+// byte-identical. It is the store's record type: Key is the spec's
+// content address, Meta the experiment id or "workload:<kind>", Result
+// the JSON ResultPayload, Text the rendered text, Trace and Metrics the
+// Chrome-trace and metrics-CSV attachments (nil unless requested), and
+// Verified is false when a checked workload failed verification.
+type Output = store.Entry
 
 // ResultPayload is the structured result of one spec run — the body
 // of deepd's GET /v1/jobs/{id}/result. Exactly one of Experiment or
@@ -41,15 +38,6 @@ type ExperimentResult struct {
 	Title    string `json:"title"`
 	PaperRef string `json:"paper_ref"`
 	Table    *Table `json:"table"`
-}
-
-// Meta is the label a stored record of the spec carries, for query
-// surfaces: the experiment id, or "workload:<kind>".
-func (s *Spec) Meta() string {
-	if s.Workload != nil {
-		return "workload:" + s.Workload.Kind
-	}
-	return s.Experiment
 }
 
 // Runner returns a Runner set to the spec's run knobs and exports. It
@@ -75,9 +63,8 @@ func (s *Spec) Run(ctx context.Context, progress func(string)) (*Output, error) 
 	if err != nil {
 		return nil, err
 	}
-	out := &Output{Key: key, Verified: true}
-	payload := &ResultPayload{Key: key}
-	var text, trace, metrics func(io.Writer) error
+	var out *Output
+	var trace, metrics func(io.Writer) error
 	if s.Experiment != "" {
 		r, err := s.Runner()
 		if err != nil {
@@ -88,10 +75,9 @@ func (s *Spec) Run(ctx context.Context, progress func(string)) (*Output, error) 
 		if err != nil {
 			return nil, err
 		}
-		res := rep.Results[0]
-		payload.Kind = "experiment"
-		payload.Experiment = &ExperimentResult{ID: res.ID, Title: res.Title, PaperRef: res.PaperRef, Table: res.Table}
-		text = func(w io.Writer) error { return TableSink{}.Write(w, rep) }
+		if out, err = experimentOutput(key, rep.Results[0]); err != nil {
+			return nil, err
+		}
 		trace, metrics = rep.WriteChromeTrace, rep.WriteMetricsCSV
 	} else {
 		env, wl, err := s.Build()
@@ -108,15 +94,14 @@ func (s *Spec) Run(ctx context.Context, progress func(string)) (*Output, error) 
 		case s.MetricsEveryS > 0 && res.Series == nil:
 			return nil, fmt.Errorf("workload %q samples no metrics (only engine-backed workloads do)", wl.Name())
 		}
-		out.Verified = res.Verified
-		payload.Kind, payload.Workload = "workload", res
-		text, trace, metrics = res.WriteText, res.Trace.WriteChrome, res.Series.WriteCSV
-	}
-	if out.Result, err = json.Marshal(payload); err != nil {
-		return nil, err
-	}
-	if out.Text, err = encode(text); err != nil {
-		return nil, err
+		out = &Output{Key: key, Meta: "workload:" + s.Workload.Kind, Verified: res.Verified}
+		if out.Result, err = json.Marshal(&ResultPayload{Kind: "workload", Key: key, Workload: res}); err != nil {
+			return nil, err
+		}
+		if out.Text, err = encode(res.WriteText); err != nil {
+			return nil, err
+		}
+		trace, metrics = res.Trace.WriteChrome, res.Series.WriteCSV
 	}
 	if s.Trace {
 		if out.Trace, err = encode(trace); err != nil {
@@ -129,6 +114,21 @@ func (s *Spec) Run(ctx context.Context, progress func(string)) (*Output, error) 
 		}
 	}
 	return out, nil
+}
+
+// experimentOutput encodes one finished registry run as the record
+// stored under key: the ResultPayload JSON and the TableSink text. It
+// is Spec.Run's output for an experiment spec and what a Runner's
+// resumable sweep writes for a point it simulated.
+func experimentOutput(key string, res RunResult) (*Output, error) {
+	out := &Output{Key: key, Meta: res.ID, Verified: true}
+	var err error
+	if out.Result, err = json.Marshal(&ResultPayload{Kind: "experiment", Key: key, Experiment: &ExperimentResult{
+		ID: res.ID, Title: res.Title, PaperRef: res.PaperRef, Table: res.Table}}); err != nil {
+		return nil, err
+	}
+	out.Text, err = encode(func(w io.Writer) error { return TableSink{}.Write(w, &Report{Results: []RunResult{res}}) })
+	return out, err
 }
 
 // encode renders one export into a byte slice.

@@ -181,20 +181,24 @@ type Runner struct {
 	// starts — live progress for long sweeps. Calls may come from
 	// concurrent worker goroutines.
 	Progress func(label string)
-	// Store, when non-nil, makes sweeps resumable: each experiment's
-	// content hash (id + canonical run knobs) is looked up before
-	// simulating, hits are returned from the store (byte-identical to
-	// a fresh run), and fresh results are written through. Traced or
-	// metrics-sampled runs bypass the store — their artifacts live on
-	// the observer, not in the stored payload.
+	// Store, when non-nil, makes sweeps resumable: each experiment is
+	// looked up before simulating under the content key deepd and
+	// deeprun store the same run under (Spec.Key of the untraced
+	// experiment spec), hits are returned from the store (byte-identical
+	// to a fresh run), and fresh results are written through as
+	// Spec.Run's Output. Traced or metrics-sampled runs bypass the
+	// store — their artifacts live on the observer, not in the record.
 	Store RunStore
 }
 
-// settings returns the runner's knobs in the canonical form its store
-// keys hash: the "run" object of a deep.Spec content key.
-func (r *Runner) settings() runSettings {
-	return runSettings{Seed: r.Seed, Scale: r.Scale, Fidelity: r.Fidelity.String(), Energy: r.Energy,
-		Domains: r.Domains, MaxWindow: r.MaxWindow, MaxNodes: r.MaxNodes}.canonical()
+// storeKey returns the content key of experiment id run with the
+// runner's knobs: Spec.Key of the normalised, untraced spec of the
+// same run, so a sweep point and a deepd or deeprun run share a record.
+func (r *Runner) storeKey(id string) (string, error) {
+	s := &Spec{Experiment: id}
+	s.setRun(runSettings{Seed: r.Seed, Scale: r.Scale, Fidelity: r.Fidelity.String(), Energy: r.Energy,
+		Domains: r.Domains, MaxWindow: r.MaxWindow, MaxNodes: r.MaxNodes}.canonical())
+	return s.Key()
 }
 
 // Run executes the named experiments (all of them, in registry order,
@@ -234,10 +238,9 @@ func (r *Runner) Run(ctx context.Context, ids ...string) (*Report, error) {
 	workers := max(r.Parallel, 1)
 
 	// Resumable sweeps: consult the store per experiment under its
-	// canonical run knobs. Traced/sampled runs bypass it (their
-	// artifacts are not in the stored payload).
+	// content key. Traced/sampled runs bypass it (their artifacts are
+	// not in the stored record).
 	useStore := r.Store != nil && !r.Tracing && r.MetricsEvery <= 0
-	canon := r.settings()
 	var storeHits, storeErrors atomic.Int64
 
 	rep := &Report{Results: make([]RunResult, len(exps)), obs: o}
@@ -264,16 +267,14 @@ func (r *Runner) Run(ctx context.Context, ids ...string) (*Report, error) {
 			}
 			var key string
 			if useStore {
-				if k, kerr := runKey(e.ID, canon); kerr == nil {
+				if k, kerr := r.storeKey(e.ID); kerr == nil {
 					key = k
-					if payload, ok := r.Store.LookupRun(key); ok {
-						if tab, ok := decodeStoredRun(payload, e.ID); ok {
-							rep.Results[i].Table = tab
-							rep.Results[i].FromStore = true
-							storeHits.Add(1)
-							finish()
-							return
-						}
+					if tab := storedTable(r.Store, key, e.ID); tab != nil {
+						rep.Results[i].Table = tab
+						rep.Results[i].FromStore = true
+						storeHits.Add(1)
+						finish()
+						return
 					}
 				}
 			}
@@ -290,9 +291,7 @@ func (r *Runner) Run(ctx context.Context, ids ...string) (*Report, error) {
 			} else {
 				rep.Results[i].Table = fromStats(tab)
 				if key != "" {
-					if payload, text, perr := encodeStoredRun(rep.Results[i]); perr != nil {
-						storeErrors.Add(1)
-					} else if serr := r.Store.StoreRun(key, e.ID, payload, text); serr != nil {
+					if out, oerr := experimentOutput(key, rep.Results[i]); oerr != nil || r.Store.Put(out) != nil {
 						storeErrors.Add(1)
 					}
 				}

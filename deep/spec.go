@@ -115,7 +115,8 @@ var (
 )
 
 // runSettings is the "run" object of a content key: the Runner knobs
-// in canonical form, shared by Spec.Key and the Runner's store key.
+// in canonical form, which Normalize and the Runner's store key both
+// write into a spec with setRun.
 type runSettings struct {
 	Seed      uint64  `json:"seed,omitempty"`
 	Scale     float64 `json:"scale,omitempty"`
@@ -156,6 +157,12 @@ func (s *Spec) run() runSettings {
 		Domains: s.Domains, MaxWindow: s.MaxWindow, MaxNodes: s.MaxNodes}
 }
 
+// setRun writes run knobs into the spec's fields.
+func (s *Spec) setRun(r runSettings) {
+	s.Seed, s.Scale, s.Fidelity, s.Energy = r.Seed, r.Scale, r.Fidelity, r.Energy
+	s.Domains, s.MaxWindow, s.MaxNodes = r.Domains, r.MaxWindow, r.MaxNodes
+}
+
 // Normalize validates the spec and rewrites it into canonical form:
 // run knobs canonicalised, workload defaults filled in explicitly, the
 // booster node count filled from the torus. A workload spec's machine
@@ -187,9 +194,7 @@ func (s *Spec) Normalize() error {
 		return fmt.Errorf("deep: negative deadline %v s", s.DeadlineS)
 	}
 	s.Fidelity = fid.String()
-	r := s.run().canonical()
-	s.Seed, s.Scale, s.Fidelity, s.Energy = r.Seed, r.Scale, r.Fidelity, r.Energy
-	s.Domains, s.MaxWindow, s.MaxNodes = r.Domains, r.MaxWindow, r.MaxNodes
+	s.setRun(s.run().canonical())
 
 	if s.Experiment != "" {
 		if _, ok := expt.Get(s.Experiment); !ok {

@@ -147,32 +147,43 @@ func TestContentKeysPinned(t *testing.T) {
 	}
 }
 
-// TestRunKeysPinned holds the Runner's store keys at the values an
-// earlier release computed, so a resumable sweep's store keeps hitting.
-// The last pin spells every default out (and two negatives the Runner
-// tolerates); it must hash like the zero Runner's knobs.
+// TestRunKeysPinned holds a Runner's store keys: each is the content
+// key of the equivalent deepd spec, so a resumable sweep, deepd and
+// deeprun address one run by one record, and pinned so a store filled
+// earlier keeps hitting. The last pin spells every default out (and two
+// negatives the Runner tolerates but a spec refuses); it must hash like
+// the bare spec.
 func TestRunKeysPinned(t *testing.T) {
 	for _, c := range []struct {
-		id  string
-		r   Runner
-		key string
+		id   string
+		r    Runner
+		spec string // the deepd body of the same run
+		key  string
 	}{
-		{"E01", Runner{}, "a4fe008f53c083cc8167d478045de34c38c7609bc58a04f0057e90308fad86dc"},
-		{"E04", Runner{Seed: 7}, "856da04d355d5fb38a22f2cb20578cd662974f33ed0e04c5d7a8136bfd9060d6"},
-		{"E13", Runner{Scale: 2, Fidelity: Flow}, "73909933466b44593b79184c9d33eac49ab7137c19da714b1223a1ebef2d412d"},
-		{"E16", Runner{Energy: true, Scale: 1}, "c0a4aaff5ef4cd809eb90d8c75d67607ad5d8715138a8436c8296edde9fa4678"},
-		{"E15", Runner{Domains: 4, MaxWindow: 8, MaxNodes: 1_000_000}, "af3dd068f2e2b1727fa81f28f01a77f7472161a0223f8414dd4f1566626a0501"},
-		{"E15", Runner{Domains: 1, MaxWindow: 1, Fidelity: Packet}, "b0128681069e4cd5655f3ea8e727f23381d1672fbe41b6a80275f24f151eaf94"},
-		{"E09", Runner{Fidelity: Packet, Scale: 0.5, Seed: 3}, "bf14b5eba67718bc37c84eeb6bd7c15e13e4062073dafda30a80729b73a26431"},
-		{"E10", Runner{Scale: 1, Domains: 1, MaxWindow: -2, MaxNodes: -5}, "4d278e00905f9168fbd6950686a0dcc1899f64d1dbc0d0d7326c8385d3932878"},
+		{"E01", Runner{}, `{"experiment":"E01"}`, "8d68644a200a418417a558e7d088246e7049fee5b1a2ebba8c5fcfc438b0c076"},
+		{"E04", Runner{Seed: 7}, `{"experiment":"E04","seed":7}`, "d217a7c0823abe9ec6ad9d7afbe94439aac4c4ef2ffbffdbda87447e1046cb23"},
+		{"E13", Runner{Scale: 2, Fidelity: Flow}, `{"experiment":"E13","scale":2,"fidelity":"flow"}`, "03222ef316fe3dae590976d9a332d13c313b5109637d1e0e3165e7e139f7e4b2"},
+		{"E16", Runner{Energy: true, Scale: 1}, `{"experiment":"E16","energy":true}`, "e544ccb61bba6f5c5d5c2155bf2dc79e9665a5a7cda41bb181bd11f5b8edc0a1"},
+		{"E15", Runner{Domains: 4, MaxWindow: 8, MaxNodes: 1_000_000}, `{"experiment":"E15","domains":4,"max_window":8,"max_nodes":1000000}`, "88256ac0f5bc8abf50faca2e8ae58cffb7aef06d7b33097b9a569b4e71d5e0e4"},
+		{"E15", Runner{Domains: 1, MaxWindow: 1, Fidelity: Packet}, `{"experiment":"E15","fidelity":"packet"}`, "eb3fad07b0314bf8ba4f533c33a9a383624362d6e1a082508a2c4b74e2b1cffe"},
+		{"E09", Runner{Fidelity: Packet, Scale: 0.5, Seed: 3}, `{"experiment":"E09","fidelity":"packet","scale":0.5,"seed":3}`, "fd0dc0c049eb27cfbdd79b9b557c57227987d248881a5788c7739da975e19610"},
+		{"E10", Runner{Scale: 1, Domains: 1, MaxWindow: -2, MaxNodes: -5}, `{"experiment":"E10"}`, "6e968c709a4959e02a495bf1226dcd3f302a84018d6f0a78e8728be49e15bc23"},
 	} {
-		if got, err := runKey(c.id, c.r.settings()); err != nil || got != c.key {
-			t.Errorf("%s %+v: key %s (%v), pinned %s", c.id, c.r.settings(), got, err, c.key)
+		got, err := c.r.storeKey(c.id)
+		if err != nil || got != c.key {
+			t.Errorf("%s: key %s (%v), pinned %s", c.spec, got, err, c.key)
+		}
+		spec, err := decodeSpec(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := normKey(t, spec); got != want {
+			t.Errorf("%s: Runner key %s, spec key %s", c.spec, got, want)
 		}
 	}
 	// A negative domain count resolves to GOMAXPROCS before hashing.
-	auto, _ := runKey("E15", (&Runner{Domains: -1}).settings())
-	exact, _ := runKey("E15", (&Runner{Domains: runtime.GOMAXPROCS(0)}).settings())
+	auto, _ := (&Runner{Domains: -1}).storeKey("E15")
+	exact, _ := (&Runner{Domains: runtime.GOMAXPROCS(0)}).storeKey("E15")
 	if auto != exact {
 		t.Errorf("domains -1 hashes %s, domains GOMAXPROCS %s", auto, exact)
 	}

@@ -12,37 +12,31 @@ import (
 	"repro/internal/store"
 )
 
-// countingStore wraps a RunStore and counts the traffic.
+// countingStore is an on-disk store that counts the Runner's lookups
+// and writes.
 type countingStore struct {
+	*store.Store
 	mu      sync.Mutex
-	inner   deep.RunStore
 	lookups int
-	hits    int
 	writes  int
 }
 
-func (c *countingStore) LookupRun(key string) ([]byte, bool) {
+func (c *countingStore) Get(key string) (*deep.Output, bool, error) {
 	c.mu.Lock()
 	c.lookups++
 	c.mu.Unlock()
-	p, ok := c.inner.LookupRun(key)
-	if ok {
-		c.mu.Lock()
-		c.hits++
-		c.mu.Unlock()
-	}
-	return p, ok
+	return c.Store.Get(key)
 }
 
-func (c *countingStore) StoreRun(key, experiment string, payload, text []byte) error {
+func (c *countingStore) Put(e *deep.Output) error {
 	c.mu.Lock()
 	c.writes++
 	c.mu.Unlock()
-	return c.inner.StoreRun(key, experiment, payload, text)
+	return c.Store.Put(e)
 }
 
-// openRunStore opens an on-disk store in a temp dir and returns the
-// Runner view over it.
+// openRunStore opens an on-disk store in a temp dir and returns it with
+// a counting view over it.
 func openRunStore(t *testing.T) (*store.Store, *countingStore) {
 	t.Helper()
 	st, err := store.Open(filepath.Join(t.TempDir(), "results"), store.Options{})
@@ -50,7 +44,7 @@ func openRunStore(t *testing.T) (*store.Store, *countingStore) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	return st, &countingStore{inner: store.RunView{Store: st}}
+	return st, &countingStore{Store: st}
 }
 
 // TestResumedSweepSkipsStoredPoints is the resume acceptance test: a
@@ -119,7 +113,7 @@ func TestStoreSurvivesProcessRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&deep.Runner{Store: store.RunView{Store: st}}).Run(context.Background(), "E01"); err != nil {
+	if _, err := (&deep.Runner{Store: st}).Run(context.Background(), "E01"); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := (&deep.Runner{}).Run(context.Background(), "E01")
@@ -135,7 +129,7 @@ func TestStoreSurvivesProcessRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	rep, err := (&deep.Runner{Store: store.RunView{Store: st}}).Run(context.Background(), "E01")
+	rep, err := (&deep.Runner{Store: st}).Run(context.Background(), "E01")
 	if err != nil {
 		t.Fatal(err)
 	}

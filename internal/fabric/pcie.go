@@ -94,12 +94,3 @@ func (b *PCIeBus) Transfer(size int, done func(at sim.Time, err error)) {
 
 // Utilisation returns the busy fraction of the bus.
 func (b *PCIeBus) Utilisation() float64 { return b.bus.Utilisation() }
-
-// ZeroLoadLatency mirrors Transfer on an idle bus.
-func (b *PCIeBus) ZeroLoadLatency(size int) sim.Time {
-	t := b.P.SendOverhead + b.P.serTime(size) + b.P.LinkLatency + b.P.RecvOverhead
-	if b.Staged && size > 0 {
-		t += sim.FromSeconds(float64(size) / b.HostMemBandwidth)
-	}
-	return t
-}

@@ -17,7 +17,6 @@ const (
 	tagBcast
 	tagReduce
 	tagGather
-	tagScan
 )
 
 // Op combines src into dst elementwise; len(dst) == len(src).
@@ -171,24 +170,6 @@ func (c *Comm) Allgather(data any) []any {
 	all := c.Gather(0, data)
 	out := c.Bcast(0, wrapAnySlice(all))
 	return unwrapAnySlice(out)
-}
-
-// Scan computes the inclusive prefix reduction: rank r receives
-// op(data_0, ..., data_r). Linear chain.
-func (c *Comm) Scan(data []float64, op Op) []float64 {
-	acc := append([]float64(nil), data...)
-	if c.rank > 0 {
-		v, _ := c.Recv(c.rank-1, tagScan)
-		prev := AsFloat64s(v)
-		// acc = prev op acc, preserving operand order.
-		tmp := append([]float64(nil), prev...)
-		op(tmp, acc)
-		acc = tmp
-	}
-	if c.rank < len(c.group)-1 {
-		c.sendInternal(c.rank+1, tagScan, acc)
-	}
-	return acc
 }
 
 func (c *Comm) checkRoot(root, n int) {

@@ -192,18 +192,6 @@ func TestAllgather(t *testing.T) {
 	})
 }
 
-func TestScan(t *testing.T) {
-	const n = 6
-	runN(t, n, func(c *Comm) error {
-		got := c.Scan([]float64{float64(c.Rank() + 1)}, OpSum)
-		want := float64((c.Rank() + 1) * (c.Rank() + 2) / 2)
-		if got[0] != want {
-			return fmt.Errorf("rank %d scan %v, want %v", c.Rank(), got, want)
-		}
-		return nil
-	})
-}
-
 func TestBcastClockTree(t *testing.T) {
 	// With a pure-latency transport, a binomial bcast over 8 ranks
 	// should finish in about log2(8)=3 alpha, far below 7 alpha linear.

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -287,35 +285,6 @@ func (r *Registry) Histograms() []*Histogram {
 		return nil
 	}
 	return r.hists
-}
-
-// WriteCSV writes the registry's timeseries in wide form: one t_s
-// column followed by one column per series.
-func (r *Registry) WriteCSV(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	cw := csv.NewWriter(w)
-	header := make([]string, 0, len(r.series)+1)
-	header = append(header, "t_s")
-	for _, s := range r.series {
-		header = append(header, s.Name)
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	row := make([]string, len(header))
-	for i, t := range r.times {
-		row[0] = formatFloat(t.Seconds())
-		for j, s := range r.series {
-			row[j+1] = formatFloat(s.vals[i])
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // formatFloat renders a metric value compactly and deterministically.

@@ -382,7 +382,7 @@ func (s *Server) runJob(base context.Context, j *job) {
 		return
 	}
 	s.cache.Put(entry)
-	s.storeWrite(entry, j.spec)
+	s.storeWrite(entry)
 	j.finish(StateDone, entry, "", false)
 }
 

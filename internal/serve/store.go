@@ -1,32 +1,12 @@
 package serve
 
-import "repro/internal/store"
-
 // This file bridges the in-memory result cache to the persistent
 // content-addressed store: entries written through on completion, the
 // LRU primed from disk on boot (warm start), and LRU misses falling
-// back to disk before any simulation runs. The store and the cache
-// share the content key, so a byte stored is a byte served — the
-// byte-identical guarantee survives a daemon restart.
-
-// toStoreEntry converts a finished cache entry into its persisted
-// form. Byte slices are shared, not copied: both sides treat entries
-// as immutable after construction.
-func toStoreEntry(e *Entry, meta string) *store.Entry {
-	return &store.Entry{
-		Key: e.Key, Meta: meta, Verified: e.Verified,
-		Result: e.Result, Text: e.Text, Trace: e.Trace, Metrics: e.Metrics,
-	}
-}
-
-// fromStoreEntry converts a persisted record back into the cache
-// entry it came from.
-func fromStoreEntry(e *store.Entry) *Entry {
-	return &Entry{
-		Key: e.Key, Verified: e.Verified,
-		Result: e.Result, Text: e.Text, Trace: e.Trace, Metrics: e.Metrics,
-	}
-}
+// back to disk before any simulation runs. A cache entry is the store's
+// record (deep.Output is store.Entry) under the same content key, so a
+// byte stored is a byte served — the byte-identical guarantee survives
+// a daemon restart.
 
 // primeCache warm-starts the LRU from the persistent store on boot:
 // records load most-recently-used first (epoch descending) until
@@ -45,9 +25,8 @@ func (s *Server) primeCache() {
 		if err != nil || !ok {
 			continue
 		}
-		entry := fromStoreEntry(e)
-		s.cache.Put(entry)
-		loaded += size(entry)
+		s.cache.Put(e)
+		loaded += size(e)
 		s.warmed++
 	}
 }
@@ -63,20 +42,19 @@ func (s *Server) storeLookup(key string) *Entry {
 	if err != nil || !ok || len(e.Result) == 0 {
 		return nil
 	}
-	entry := fromStoreEntry(e)
-	s.cache.Put(entry)
+	s.cache.Put(e)
 	s.storeHits++
 	s.store.Touch(key) //nolint:errcheck // advisory liveness marker
-	return entry
+	return e
 }
 
 // storeWrite persists a finished entry; failures are counted, not
 // fatal (the in-memory result already answered the job).
-func (s *Server) storeWrite(entry *Entry, spec *JobSpec) {
+func (s *Server) storeWrite(entry *Entry) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.Put(toStoreEntry(entry, spec.Meta())); err != nil {
+	if err := s.store.Put(entry); err != nil {
 		s.mu.Lock()
 		s.storeErrors++
 		s.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/deep"
 	"repro/internal/store"
 )
 
@@ -156,5 +157,60 @@ func TestStoreWorkloadMetaAndArtifacts(t *testing.T) {
 	}
 	if _, trace := h2.get("/v1/jobs/" + resub.ID + "/trace"); !bytes.Equal(trace, freshTrace) {
 		t.Fatal("trace attachment did not survive the restart byte-identically")
+	}
+}
+
+// TestStoreSharedWithRunner: a resumable sweep's point and a deepd job
+// are one record. E01 written by a deep.Runner is answered as a store
+// hit, byte-identical to a fresh Spec.Run, and a job the daemon
+// computed is a point a Runner sweep resumes.
+func TestStoreSharedWithRunner(t *testing.T) {
+	st := openStore(t, filepath.Join(t.TempDir(), "results"))
+	h := newHarness(t, Options{Workers: 1, Store: st})
+	inner := h.srv.exec
+	h.srv.exec = func(ctx context.Context, spec *JobSpec, progress func(string)) (*Entry, error) {
+		if spec.Experiment == "E01" {
+			t.Error("executor ran E01 despite the Runner's stored record")
+		}
+		return inner(ctx, spec, progress)
+	}
+
+	if _, err := (&deep.Runner{Store: st}).Run(context.Background(), "E01"); err != nil {
+		t.Fatal(err)
+	}
+	sub := h.submit(`{"experiment": "E01"}`)
+	if sub.State != StateDone || !sub.CacheHit || h.stats().StoreHits != 1 {
+		t.Fatalf("the Runner's E01 record was not a store hit: %+v", sub)
+	}
+	spec := &JobSpec{Experiment: "E01"}
+	if _, err := normalize(spec); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := spec.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, result := h.get("/v1/jobs/" + sub.ID + "/result"); !bytes.Equal(result, fresh.Result) {
+		t.Fatalf("stored result differs from a fresh run:\n%s\n%s", result, fresh.Result)
+	}
+	if _, text := h.get("/v1/jobs/" + sub.ID + "/text"); !bytes.Equal(text, fresh.Text) {
+		t.Fatalf("stored text differs from a fresh run:\n%s", text)
+	}
+
+	computed := h.submit(`{"experiment": "E04"}`)
+	h.wait(computed.ID)
+	rep, err := (&deep.Runner{Store: st}).Run(context.Background(), "E04")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.StoreHits != 1 || !rep.Results[0].FromStore {
+		t.Fatalf("the daemon's E04 record did not resume the sweep: %d store hits", rep.StoreHits)
+	}
+	var resumed bytes.Buffer
+	if err := (deep.TableSink{}).Write(&resumed, rep); err != nil {
+		t.Fatal(err)
+	}
+	if _, text := h.get("/v1/jobs/" + computed.ID + "/text"); !bytes.Equal(resumed.Bytes(), text) {
+		t.Fatalf("resumed table differs from the daemon's text:\n%s", resumed.Bytes())
 	}
 }

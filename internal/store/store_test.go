@@ -354,22 +354,3 @@ func TestPutRejectsEmptyKey(t *testing.T) {
 		t.Fatal("empty key accepted")
 	}
 }
-
-func TestRunView(t *testing.T) {
-	s := openT(t, t.TempDir(), Options{})
-	defer s.Close()
-	v := RunView{Store: s}
-	if _, ok := v.LookupRun("missing"); ok {
-		t.Fatal("lookup hit on empty store")
-	}
-	if err := v.StoreRun("k", "E15", []byte(`{"v":1}`), []byte("text\n")); err != nil {
-		t.Fatal(err)
-	}
-	payload, ok := v.LookupRun("k")
-	if !ok || string(payload) != `{"v":1}` {
-		t.Fatalf("lookup: ok=%v payload=%q", ok, payload)
-	}
-	if q := s.Query("E15"); len(q) != 1 || q[0].Key != "k" {
-		t.Fatalf("run entries not tagged: %+v", q)
-	}
-}
