@@ -37,9 +37,9 @@ package deep
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/cbp"
+	"repro/internal/expt"
 	"repro/internal/fabric"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -389,22 +389,15 @@ func (m *Machine) Fidelity() Fidelity { return m.fidelity }
 // the sequential kernel, K > 1 for the partitioned kernel (negative
 // configurations resolve to GOMAXPROCS).
 func (m *Machine) Domains() int {
-	if m.domains == 0 || m.domains == 1 {
-		return 1
-	}
-	if m.domains < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return m.domains
+	k, _ := expt.Kernel(m.domains, m.maxWindow)
+	return k
 }
 
 // MaxWindow returns the adaptive-window widening cap (1 = fixed
 // windows).
 func (m *Machine) MaxWindow() int {
-	if m.maxWindow < 2 {
-		return 1
-	}
-	return m.maxWindow
+	_, w := expt.Kernel(m.domains, m.maxWindow)
+	return w
 }
 
 // String summarises the machine configuration.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cbp"
 	"repro/internal/energy"
-	"repro/internal/obs"
 	"repro/internal/resil"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -153,43 +152,16 @@ func (s ScheduledJobs) Run(ctx context.Context, env *Env) (*Result, error) {
 	sched.Ckpt = s.Ckpt.model()
 	o := m.observer()
 	run := o.Observe("scheduled-jobs", eng)
-	sched.Obs = run.Scope()
-	var waitHist *obs.Histogram
+	sched.Observe(run)
 	if reg := run.Metrics(); reg != nil {
-		reg.Gauge("queue_depth", "jobs", func() float64 { return float64(sched.QueueLen()) })
-		reg.Gauge("free_boosters", "nodes", func() float64 { return float64(pool.Free()) })
-		reg.Gauge("requeues", "", func() float64 { return float64(sched.Requeued) })
-		reg.Gauge("lost_work_s", "s", func() float64 { return sched.LostWork.Seconds() })
-		waitHist = reg.Histogram("job_wait_s", "s", 0.01, 0.1, 1, 10, 100)
-	}
-	var onDone []func(*resource.Job)
-	if waitHist != nil {
-		onDone = append(onDone, func(j *resource.Job) {
+		waitHist := reg.Histogram("job_wait_s", "s", 0.01, 0.1, 1, 10, 100)
+		sched.OnJobDone = func(j *resource.Job) {
 			waitHist.Observe((j.Start - j.Arrival).Seconds())
-		})
+		}
 	}
 	var rec *energy.Recorder
 	if m.energy {
-		rec = energy.NewRecorder(eng)
-		sched.Energy = rec.MustAddGroup("booster", m.boosterNodeModel(), pool.Size())
-		sched.Energy.Obs = run.Scope()
-		sched.Energy.ObsTid = obs.LanePower
-		// A fault injector keeps the engine alive to its horizon;
-		// energy to solution ends when the last job completes.
-		done := 0
-		onDone = append(onDone, func(*resource.Job) {
-			if done++; done == len(s.Jobs) {
-				rec.Freeze()
-			}
-		})
-	}
-	if len(onDone) > 0 {
-		hooks := onDone
-		sched.OnJobDone = func(j *resource.Job) {
-			for _, f := range hooks {
-				f(j)
-			}
-		}
+		rec = sched.Meter(m.boosterNodeModel(), len(s.Jobs))
 	}
 	if m.powerGate {
 		// Gating reshapes the schedule whether or not it is metered.
@@ -224,12 +196,10 @@ func (s ScheduledJobs) Run(ctx context.Context, env *Env) (*Result, error) {
 		if f.WeibullShape > 0 {
 			ttf = resil.Weibull{Shape: f.WeibullShape, Scale: f.NodeMTBF}
 		}
-		inj = resil.NewInjector(eng, sim.FromSeconds(horizon))
-		inj.Obs = run.Scope()
-		inj.Nodes(pool.Size(), resil.Faults{
+		inj = sched.Inject(sim.FromSeconds(horizon), resil.Faults{
 			TTF: ttf,
 			TTR: resil.Fixed{D: f.Repair},
-		}, seed, sched)
+		}, seed)
 	}
 	eng.Run()
 	run.Close()

@@ -232,9 +232,6 @@ func (r *Runner) Run(ctx context.Context, ids ...string) (*Report, error) {
 	}
 	cfg := &expt.Config{Seed: r.Seed, Scale: r.Scale, Fidelity: fabric.Fidelity(r.Fidelity),
 		Energy: r.Energy, Domains: r.Domains, MaxWindow: r.MaxWindow, MaxNodes: r.MaxNodes, Obs: o}
-	if cfg.Scale == 0 {
-		cfg.Scale = 1
-	}
 	workers := max(r.Parallel, 1)
 
 	// Resumable sweeps: consult the store per experiment under its

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/expt"
 )
@@ -138,13 +137,11 @@ func (r runSettings) canonical() runSettings {
 	if r.Fidelity == DefaultFidelity.String() {
 		r.Fidelity = ""
 	}
-	if r.Domains < 0 {
-		r.Domains = runtime.GOMAXPROCS(0)
-	}
+	r.Domains, r.MaxWindow = expt.Kernel(r.Domains, r.MaxWindow)
 	if r.Domains == 1 {
 		r.Domains = 0
 	}
-	if r.MaxWindow < 2 {
+	if r.MaxWindow == 1 {
 		r.MaxWindow = 0
 	}
 	r.MaxNodes = max(r.MaxNodes, 0)

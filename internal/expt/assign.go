@@ -45,8 +45,7 @@ func e02Run(mode resource.AssignMode, jobCount int, seed uint64, meter bool) (*r
 	s.Backfill = mode == resource.Dynamic
 	var rec *energy.Recorder
 	if meter {
-		rec = energy.NewRecorder(eng)
-		s.Energy = rec.MustAddGroup("booster", machine.KNC, 64)
+		rec = s.Meter(machine.KNC, jobCount)
 	}
 	for _, j := range e02Workload(jobCount, seed) {
 		s.Submit(j)

@@ -20,9 +20,10 @@ type resolved struct {
 }
 
 func resolve(c *Config) resolved {
+	domains, maxWindow := c.kernel()
 	return resolved{
 		seed: c.seed(42), fidelity: c.fidelity(fabric.FidelityFlow), energy: c.energyOn(),
-		domains: c.domains(), maxWindow: c.maxWindow(), maxNodes: c.maxNodes(e15SeqMaxNodes),
+		domains: domains, maxWindow: maxWindow, maxNodes: c.maxNodes(e15SeqMaxNodes),
 		sizes: [3]int{c.scale(1), c.scale(7), c.scale(200)},
 	}
 }

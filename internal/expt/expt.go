@@ -88,26 +88,26 @@ func (c *Config) fidelity(def fabric.Fidelity) fabric.Fidelity {
 // energyOn reports whether energy reporting is enabled.
 func (c *Config) energyOn() bool { return c != nil && c.Energy }
 
-// domains resolves the effective domain count: 1 for the sequential
-// kernel, K > 1 for the partitioned kernel, GOMAXPROCS for negative
-// values.
-func (c *Config) domains() int {
-	if c == nil || c.Domains == 0 || c.Domains == 1 {
-		return 1
+// Kernel resolves configured kernel knobs to the ones a run uses: a
+// domain count of 0 or 1 is the sequential kernel (1) and a negative
+// one is GOMAXPROCS; a window cap below 2 keeps fixed windows (1).
+// deep's machines and content keys resolve through it too, so a key
+// names the kernel its run uses.
+func Kernel(domains, maxWindow int) (k, window int) {
+	k = max(domains, 1)
+	if domains < 0 {
+		k = runtime.GOMAXPROCS(0)
 	}
-	if c.Domains < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Domains
+	return k, max(maxWindow, 1)
 }
 
-// maxWindow resolves the adaptive widening cap: 1 (fixed windows)
-// unless a cap of at least 2 is configured.
-func (c *Config) maxWindow() int {
-	if c == nil || c.MaxWindow < 2 {
-		return 1
+// kernel resolves the effective domain count and window cap; see
+// Kernel.
+func (c *Config) kernel() (k, window int) {
+	if c == nil {
+		return 1, 1
 	}
-	return c.MaxWindow
+	return Kernel(c.Domains, c.MaxWindow)
 }
 
 // maxNodes resolves the sweep size bound given an experiment's

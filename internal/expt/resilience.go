@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/resil"
 	"repro/internal/resource"
 	"repro/internal/rng"
@@ -79,22 +78,10 @@ func e13Run(cfg *Config, label string, size, jobCount int, mode resource.AssignM
 	s := resource.NewScheduler(eng, pool, mode)
 	s.Backfill = mode == resource.Dynamic
 	s.Ckpt = e13Ckpt()
-	s.Obs = run.Scope()
-	schedulerGauges(run.Metrics(), s)
+	s.Observe(run)
 	var rec *energy.Recorder
 	if meter {
-		rec = energy.NewRecorder(eng)
-		s.Energy = rec.MustAddGroup("booster", machine.KNC, size)
-		s.Energy.Obs = run.Scope()
-		s.Energy.ObsTid = obs.LanePower
-		// The injector keeps the engine alive to its horizon; energy
-		// to solution ends at the last job completion.
-		done := 0
-		s.OnJobDone = func(*resource.Job) {
-			if done++; done == jobCount {
-				rec.Freeze()
-			}
-		}
+		rec = s.Meter(machine.KNC, jobCount)
 	}
 	work := 0.0
 	for _, j := range e13Workload(size, jobCount, seed) {
@@ -102,27 +89,13 @@ func e13Run(cfg *Config, label string, size, jobCount int, mode resource.AssignM
 		s.Submit(j)
 	}
 	if mtbf > 0 {
-		inj := resil.NewInjector(eng, 400*sim.Second)
-		inj.Obs = run.Scope()
-		inj.Nodes(size, resil.Faults{
+		s.Inject(400*sim.Second, resil.Faults{
 			TTF: resil.Exponential{M: mtbf},
 			TTR: resil.Fixed{D: 20},
-		}, seed+99, s)
+		}, seed+99)
 	}
 	eng.Run()
 	return s, work, rec
-}
-
-// schedulerGauges registers the scheduler-health timeseries every
-// engine-backed scheduling run exports; a nil registry is inert.
-func schedulerGauges(reg *obs.Registry, s *resource.Scheduler) {
-	if reg == nil {
-		return
-	}
-	reg.Gauge("queue_depth", "jobs", func() float64 { return float64(s.QueueLen()) })
-	reg.Gauge("free_boosters", "nodes", func() float64 { return float64(s.Pool.Free()) })
-	reg.Gauge("requeues", "", func() float64 { return float64(s.Requeued) })
-	reg.Gauge("lost_work_s", "s", func() float64 { return s.LostWork.Seconds() })
 }
 
 // e13Eff is useful nominal work over delivered capacity.
@@ -199,23 +172,13 @@ func e14Run(cfg *Config, label string, interval float64, seed uint64, meter bool
 	pool := resource.NewPool(e14Nodes)
 	s := resource.NewScheduler(eng, pool, resource.Dynamic)
 	s.Backfill = true
-	s.Obs = run.Scope()
-	schedulerGauges(run.Metrics(), s)
+	s.Observe(run)
 	if interval > 0 {
 		s.Ckpt = e14Ckpt(interval)
 	}
 	var rec *energy.Recorder
 	if meter {
-		rec = energy.NewRecorder(eng)
-		s.Energy = rec.MustAddGroup("booster", machine.KNC, e14Nodes)
-		s.Energy.Obs = run.Scope()
-		s.Energy.ObsTid = obs.LanePower
-		done := 0
-		s.OnJobDone = func(*resource.Job) {
-			if done++; done == e14Nodes {
-				rec.Freeze()
-			}
-		}
+		rec = s.Meter(machine.KNC, e14Nodes)
 	}
 	for i := 0; i < e14Nodes; i++ {
 		s.Submit(&resource.Job{
@@ -223,12 +186,10 @@ func e14Run(cfg *Config, label string, interval float64, seed uint64, meter bool
 			Duration: sim.FromSeconds(e14Work),
 		})
 	}
-	inj := resil.NewInjector(eng, 3000*sim.Second)
-	inj.Obs = run.Scope()
-	inj.Nodes(e14Nodes, resil.Faults{
+	s.Inject(3000*sim.Second, resil.Faults{
 		TTF: resil.Exponential{M: e14MTBF},
 		TTR: resil.Fixed{D: 1},
-	}, seed, s)
+	}, seed)
 	eng.Run()
 	return s, rec
 }

@@ -45,10 +45,11 @@ const e15SeqMaxNodes = 103823
 // partitioned kernel can reach when Domains == 1.
 func e15Sweep(cfg *Config) ([]int, error) {
 	limit := cfg.maxNodes(e15SeqMaxNodes)
+	domains, _ := cfg.kernel()
 	var edges []int
 	for _, k := range e15Edges {
 		if n := k * k * k; n <= limit {
-			if n > e15SeqMaxNodes && cfg.domains() == 1 {
+			if n > e15SeqMaxNodes && domains == 1 {
 				return nil, fmt.Errorf(
 					"expt: E15 at %d^3 = %d nodes exceeds the sequential kernel's ceiling; set Domains >= 2 to use the partitioned kernel", k, n)
 			}
@@ -143,6 +144,7 @@ func runE15(ctx context.Context, cfg *Config) (*stats.Table, error) {
 		return nil, err
 	}
 	fid := cfg.fidelity(fabric.FidelityFlow)
+	domains, window := cfg.kernel()
 	rounds := cfg.scale(1)
 	compute := machine.KNC.Time(e15Kernel, machine.KNC.Cores)
 	tab := stats.NewTable(
@@ -154,10 +156,8 @@ func runE15(ctx context.Context, cfg *Config) (*stats.Table, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		doms, tor := machine.BoosterFabricPar(k, k, k, cfg.domains(), fid, 2013)
-		if mw := cfg.maxWindow(); mw > 1 {
-			doms.SetMaxWindow(mw)
-		}
+		doms, tor := machine.BoosterFabricPar(k, k, k, domains, fid, 2013)
+		doms.SetMaxWindow(window)
 		cl := doms.Cluster()
 		K := doms.Domains()
 		bounds := doms.Bounds()
@@ -291,18 +291,18 @@ func runE15(ctx context.Context, cfg *Config) (*stats.Table, error) {
 			rec.Joules(), rec.GFlopsPerWatt())...)
 	}
 	e15Notes(tab, cfg)
-	if cfg.domains() == 1 {
+	if domains == 1 {
 		return tab, nil // the kernel counters below describe K>1 runs only
 	}
 	// Machine-readable kernel counters for the bench harness; absent
 	// from the rendered table so the text output is the same at every K.
-	tab.SetSummary("domains", float64(cfg.domains()))
+	tab.SetSummary("domains", float64(domains))
 	tab.SetSummary("kernel_windows", float64(kwin))
 	tab.SetSummary("kernel_executed", float64(kexec))
 	tab.SetSummary("kernel_blocked_windows", float64(kblocked))
 	tab.SetSummary("kernel_cross_events", float64(kcross))
-	if mw := cfg.maxWindow(); mw > 1 {
-		tab.SetSummary("kernel_max_window", float64(mw))
+	if window > 1 {
+		tab.SetSummary("kernel_max_window", float64(window))
 		tab.SetSummary("kernel_wide_windows", float64(kwide))
 	}
 	return tab, nil

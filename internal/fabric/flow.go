@@ -70,7 +70,7 @@ func ParseFidelity(s string) (Fidelity, error) {
 func (n *Network) SetFidelity(f Fidelity) {
 	n.fidelity = f
 	if f == FidelityFlow && n.flowFree == nil {
-		// Sized to the owned link range: all links normally, the
+		// Sized to the network's link range: all links normally, the
 		// shard's contiguous slice on a partitioned fabric.
 		n.flowFree = make([]sim.Time, len(n.down))
 		n.flowBusy = make([]sim.Time, len(n.down))

@@ -36,31 +36,24 @@ type Network struct {
 	Topo topology.Topology
 	P    Params
 
-	// links is the packet path's link table, one reservation per owned
-	// link, made on the first packet: flow-only fabrics never allocate
-	// it.
+	// links is the packet path's link table, one reservation per link
+	// of the network's range, made on the first packet: flow-only
+	// fabrics never allocate it.
 	links []link
 	down  []bool // per-link outage flag, driven by resil.Injector
 	src   *rng.Source
 	Stats Stats
 
 	// Partitioned mode (see parallel.go): when part is non-nil this
-	// Network is one spatial shard of a Domains fabric — it owns the
-	// contiguous link range [linkBase, linkBase+len(links)) and runs on
-	// domain's engine. The per-link slices are indexed by li(l), which
-	// is the identity on an unpartitioned network (linkBase == 0), so
-	// the sequential path is byte-for-byte unchanged.
+	// Network is one spatial shard of a Domains fabric over a
+	// node-major topology (the torus) — it owns the contiguous link
+	// range [linkBase, linkBase+len(down)) and runs on domain's engine.
+	// The per-link slices are indexed by li(l), which is the identity
+	// on an unpartitioned network (linkBase == 0), so the sequential
+	// path is byte-for-byte unchanged.
 	part     *Domains
 	domain   int
 	linkBase int
-
-	// Owner-mapped shards (topologies whose link IDs are not node-major,
-	// e.g. fat trees): slot[l] is the dense index of global link l in
-	// the per-link slices, -1 when another shard owns it, and owned
-	// lists this shard's global link IDs in slot order. Both are nil on
-	// unpartitioned networks and on contiguous node-major shards.
-	slot  []int32
-	owned []topology.LinkID
 
 	// Flow fast-path state (see flow.go): the configured fidelity, the
 	// per-link reservation ledger and a scratch buffer for planned hop
@@ -114,11 +107,11 @@ func (n *Network) SetEnergyModel(e EnergyModel) { n.energy = e }
 
 // EnergyJoules returns the fabric's accumulated energy: transfer
 // energy charged as deliveries fired plus the static draw of every
-// owned link up to the current virtual time. Zero when no model is
-// set. On an unpartitioned network the owned links are all of them;
-// a partitioned fabric's total comes from Domains.EnergyJoules, which
-// charges the idle term over the machine-wide clock instead of the
-// shard clocks.
+// link in the network's range up to the current virtual time. Zero
+// when no model is set. On an unpartitioned network the range is
+// every link; a partitioned fabric's total comes from
+// Domains.EnergyJoules, which charges the idle term over the
+// machine-wide clock instead of the shard clocks.
 func (n *Network) EnergyJoules() float64 {
 	return n.transferJ + n.energy.IdleJ(len(n.down), n.Eng.Now())
 }
@@ -137,23 +130,12 @@ func NewNetwork(eng *sim.Engine, topo topology.Topology, p Params, seed uint64) 
 }
 
 // li maps a global link ID into this network's per-link slices: the
-// identity normally, the owned-range offset on a contiguous
-// partitioned shard, the dense slot lookup on an owner-mapped shard.
-func (n *Network) li(l topology.LinkID) int {
-	if n.slot != nil {
-		return int(n.slot[l])
-	}
-	return int(l) - n.linkBase
-}
+// identity normally, the offset into the link range on a shard.
+func (n *Network) li(l topology.LinkID) int { return int(l) - n.linkBase }
 
 // gl maps a per-shard link index back to its global link ID — the
-// inverse of li over this shard's owned links.
-func (n *Network) gl(i int) topology.LinkID {
-	if n.owned != nil {
-		return n.owned[i]
-	}
-	return topology.LinkID(i + n.linkBase)
-}
+// inverse of li over the network's link range.
+func (n *Network) gl(i int) topology.LinkID { return topology.LinkID(i + n.linkBase) }
 
 // linkName renders a diagnostic name for link l on demand.
 func (n *Network) linkName(l topology.LinkID) string {
@@ -350,7 +332,7 @@ func unpack(a0, a1 int64) packet {
 // link is one link's reservation: the time its last booked segment
 // leaves the wire and the serialization time booked on it so far. FIFO
 // service depends only on the order of requests, so a segment books
-// its slot when it asks and never waits in a queue.
+// its time on the wire when it asks and never waits in a queue.
 type link struct {
 	freeAt   sim.Time
 	busyTime sim.Time

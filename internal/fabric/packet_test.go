@@ -46,14 +46,13 @@ type packetOutcome struct {
 }
 
 // packetCase is one seeded scenario: messages (start, src, dst, size)
-// tuples inside window on topo (an 8^3 EXTOLL torus when nil), carried
+// tuples inside window on an 8^3 EXTOLL torus, carried
 // by one Network or, when k > 0, by a k-domain Domains at fidelity fid
 // (the packet model when zero). prepare may adjust a single Network
 // and schedule fault events before traffic starts.
 type packetCase struct {
 	name     string
 	p        Params
-	topo     topology.Topology
 	k        int
 	fid      Fidelity
 	seed     uint64
@@ -64,13 +63,8 @@ type packetCase struct {
 	walk     kernelWalk
 }
 
-// topology returns the case's topology, the 8^3 torus by default.
-func (c packetCase) topology() topology.Topology {
-	if c.topo == nil {
-		return topology.NewTorus3D(8, 8, 8)
-	}
-	return c.topo
-}
+// topology returns the pins' topology, the 8^3 torus.
+func (packetCase) topology() topology.Topology { return topology.NewTorus3D(8, 8, 8) }
 
 // traffic draws the case's messages.
 func (c packetCase) traffic(topo topology.Topology) []trafficItem {
@@ -180,9 +174,8 @@ func checkPinned(t *testing.T, c packetCase, got packetOutcome) {
 // (forward/traverse) for the first three cases, link booking on
 // sim.Resource and then per-link queues for every case since. Every
 // change must reproduce the model outcome: every delivery time, link
-// busy time, counter and joule, on one engine, on two z-slab domains
-// and on two fat-tree domains (the owner-mapped link layout). The
-// kernel walk moves only with the events a hop costs, each re-pin with
+// busy time, counter and joule, on one engine and on two z-slab
+// domains. The kernel walk moves only with the events a hop costs, each re-pin with
 // its reason. A one-domain Domains is the plain Network, so it
 // reproduces the one-engine pins, faults included.
 func TestPacketPathPinned(t *testing.T) {
@@ -232,13 +225,6 @@ func packetPins() []packetCase {
 				energyJ: 0.3494988267007898, links: 0x89e839efa92bff61, maxUtil: 0.7405577268562347},
 			// One event per hop, not two: 106 283 events before.
 			walk: kernelWalk{scheduled: 57210, executed: 57210, linkSteps: 39439, daySteps: 16729}},
-		{name: "fattree-k2", p: InfiniBandFDR, topo: topology.NewFatTree(8, 8, 4), k: 2, seed: 12,
-			messages: 3000, window: 100 * sim.Microsecond,
-			model: packetModel{digest: 0x576699d98cd8be5b, last: 181189270,
-				stats:   Stats{Messages: 3000, BytesDelivered: 40216384, Packets: 10783, CrossMessages: 1515},
-				energyJ: 0.05643576140800026, links: 0x33e628ed8a2a1576, maxUtil: 0.9088528421136638},
-			// One event per hop, not two: 45 554 events before.
-			walk: kernelWalk{scheduled: 26490, executed: 26490, linkSteps: 33888, daySteps: 6432}},
 		// Sparse traffic over a 12 ms window: long idle stretches walk
 		// the calendar's day buckets.
 		{name: "sparse-packet", p: Extoll, fid: FidelityPacket, seed: 14, messages: 3000, window: 12 * sim.Millisecond,

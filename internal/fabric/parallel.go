@@ -20,8 +20,10 @@ var ErrPartitionUnsupported = errors.New("not supported under the partitioned ke
 // Domains is a spatially partitioned fabric: the node space is split
 // into K contiguous index ranges, each owning the links that leave its
 // nodes and simulated by its own shard Network on its own sim.Cluster
-// domain. Traffic whose route stays inside one shard runs through the
-// unmodified sequential code path (packet or flow fidelity);
+// domain. Only node-major topologies (the booster's torus) partition,
+// so a shard's links are one contiguous range; K=1 takes any
+// topology. Traffic whose route stays inside one shard runs through
+// the unmodified sequential code path (packet or flow fidelity);
 // traffic that crosses a boundary is delivered at its zero-load
 // latency as a single cross-domain event — exact for uncontended
 // routes, an approximation under cross-boundary contention.
@@ -47,11 +49,10 @@ type Domains struct {
 // increasing sequence from 0 to Nodes(), one shard per interval) and
 // builds the K-domain fabric. At K=1 the one shard is a plain
 // unpartitioned Network on the cluster's only engine — the sequential
-// fabric, for any topology and any PacketErrorRate. At K>1 node-major
-// topologies (the torus) give each shard a contiguous link range;
-// topologies that instead anchor links to nodes via
-// topology.LinkOwner (the fat tree) get a dense owner map per shard.
-// Either layout must be present, and fault injection is refused.
+// fabric, for any topology and any PacketErrorRate. At K>1 the
+// topology must have node-major links (topology.NodeMajorLinks: the
+// torus), so each shard owns one contiguous link range, and fault
+// injection is refused.
 func NewDomains(topo topology.Topology, p Params, seed uint64, bounds []int) (*Domains, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -82,47 +83,24 @@ func NewDomains(topo topology.Topology, p Params, seed uint64, bounds []int) (*D
 	if p.PacketErrorRate > 0 {
 		return nil, fmt.Errorf("fabric: packet error injection is %w", ErrPartitionUnsupported)
 	}
-	nm, nodeMajor := topo.(topology.NodeMajorLinks)
-	lo, hasOwner := topo.(topology.LinkOwner)
-	if !nodeMajor && !hasOwner {
-		return nil, fmt.Errorf("fabric: %s has neither node-major links nor a link-ownership map; cannot partition", topo.Name())
+	nm, ok := topo.(topology.NodeMajorLinks)
+	if !ok {
+		return nil, fmt.Errorf("fabric: %s has no node-major link layout; cannot partition", topo.Name())
 	}
+	deg := nm.LinkDegree()
 	for i := 0; i < k; i++ {
-		d.shards[i] = &Network{
-			Eng:    d.cl.Engine(i),
-			Topo:   topo,
-			P:      p,
-			src:    rng.New(seed + uint64(i)),
-			part:   d,
-			domain: i,
+		sh := &Network{
+			Eng:      d.cl.Engine(i),
+			Topo:     topo,
+			P:        p,
+			down:     make([]bool, (bounds[i+1]-bounds[i])*deg),
+			src:      rng.New(seed + uint64(i)),
+			part:     d,
+			domain:   i,
+			linkBase: bounds[i] * deg,
 		}
-		d.shards[i].kind = d.shards[i].Eng.Register(d.shards[i])
-	}
-	if nodeMajor {
-		deg := nm.LinkDegree()
-		for i, sh := range d.shards {
-			sh.linkBase = bounds[i] * deg
-			sh.down = make([]bool, (bounds[i+1]-bounds[i])*deg)
-		}
-		return d, nil
-	}
-	// Owner-mapped layout: assign every link to the domain owning its
-	// anchor node and give each shard a dense slot table plus the
-	// inverse owned-link list for iteration.
-	links := topo.Links()
-	for _, sh := range d.shards {
-		sh.slot = make([]int32, links)
-		for j := range sh.slot {
-			sh.slot[j] = -1
-		}
-	}
-	for l := 0; l < links; l++ {
-		sh := d.shards[d.Owner(lo.LinkOwner(topology.LinkID(l)))]
-		sh.slot[l] = int32(len(sh.owned))
-		sh.owned = append(sh.owned, topology.LinkID(l))
-	}
-	for _, sh := range d.shards {
-		sh.down = make([]bool, len(sh.owned))
+		sh.kind = sh.Eng.Register(sh)
+		d.shards[i] = sh
 	}
 	return d, nil
 }
@@ -229,17 +207,9 @@ func (d *Domains) MaxLinkUtilisation() float64 {
 	return max
 }
 
-// routeLocal reports whether every link of route is owned by this
-// shard.
+// routeLocal reports whether every link of route lies in this
+// shard's link range.
 func (n *Network) routeLocal(route []topology.LinkID) bool {
-	if n.slot != nil {
-		for _, l := range route {
-			if n.slot[l] < 0 {
-				return false
-			}
-		}
-		return true
-	}
 	lo, hi := n.linkBase, n.linkBase+len(n.down)
 	for _, l := range route {
 		if int(l) < lo || int(l) >= hi {

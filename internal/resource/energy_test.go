@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/resil"
 	"repro/internal/sim"
 )
@@ -171,5 +172,63 @@ func TestFailureKeepsOccupancyConsistent(t *testing.T) {
 		if len(s.Completed()) != 6 {
 			t.Fatalf("gate=%v: %d jobs completed", gate, len(s.Completed()))
 		}
+	}
+}
+
+// TestSchedulerObserveMeterInject drives the wiring every scheduling
+// run shares: Observe registers the four health gauges and hands its
+// trace scope on, Meter chains its freeze behind an OnJobDone already
+// set and holds joules at the makespan while the injector's horizon
+// keeps the engine running, and Inject's failures requeue a job.
+func TestSchedulerObserveMeterInject(t *testing.T) {
+	const jobs = 4
+	eng := sim.New()
+	o := obs.New(true, sim.Second)
+	run := o.Observe("sched", eng)
+	s := NewScheduler(eng, NewPool(4), Dynamic)
+	s.Observe(run)
+	var rec *energy.Recorder
+	done, atLast := 0, 0.0
+	s.OnJobDone = func(*Job) {
+		if done++; done == jobs {
+			atLast = rec.Joules()
+		}
+	}
+	rec = s.Meter(machine.KNC, jobs)
+	for i := 0; i < jobs; i++ {
+		s.Submit(&Job{ID: i, Arrival: sim.Time(i) * sim.Second, Boosters: 1, Duration: 10 * sim.Second})
+	}
+	inj := s.Inject(200*sim.Second, resil.Faults{
+		TTF: resil.Exponential{M: 15},
+		TTR: resil.Fixed{D: 1},
+	}, 5)
+	eng.Run()
+	run.Close()
+	if s.Obs == nil || s.Energy.Obs != s.Obs || inj.Obs != s.Obs {
+		t.Fatal("trace scope not shared by scheduler, energy group and injector")
+	}
+	if len(s.Completed()) != jobs || done != jobs {
+		t.Fatalf("%d jobs completed, hook saw %d, want %d", len(s.Completed()), done, jobs)
+	}
+	if inj.NodeFailures == 0 || s.Requeued == 0 {
+		t.Fatalf("%d node failures requeued %d jobs, want both > 0", inj.NodeFailures, s.Requeued)
+	}
+	if eng.Now() <= s.Makespan() {
+		t.Fatalf("engine stopped at %v, not past the makespan %v", eng.Now(), s.Makespan())
+	}
+	if got := rec.Joules(); atLast == 0 || got != atLast {
+		t.Fatalf("joules %v after the run, %v at the last completion: not frozen at the makespan", got, atLast)
+	}
+	want := map[string]float64{"queue_depth": 0, "free_boosters": 4, "requeues": float64(s.Requeued), "lost_work_s": s.LostWork.Seconds()}
+	for _, sr := range run.Metrics().Series() {
+		if v, ok := want[sr.Name]; ok {
+			if vals := sr.Values(); vals[len(vals)-1] != v {
+				t.Fatalf("gauge %s ends at %v, want %v", sr.Name, vals[len(vals)-1], v)
+			}
+			delete(want, sr.Name)
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("gauges %v not registered", want)
 	}
 }

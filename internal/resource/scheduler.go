@@ -104,9 +104,8 @@ type Scheduler struct {
 	// efficiency does. Nil (the default) keeps the scheduler
 	// byte-identical to the unmetered one.
 	Energy *energy.NodeGroup
-	// OnJobDone, when non-nil, fires as each job completes — the hook
-	// energy-metered experiments use to freeze the recorder at the
-	// makespan when a fault injector keeps the engine alive past it.
+	// OnJobDone, when non-nil, fires as each job completes; Meter
+	// chains its recorder freeze at the makespan behind it.
 	OnJobDone func(*Job)
 	// GateIdle power-gates free boosters: released nodes drop to the
 	// sleep state and every allocation pays WakeLatency before compute
@@ -145,6 +144,54 @@ func (s *Scheduler) PowerGate(wake sim.Time) {
 	}
 	s.WakeLatency = wake
 	s.Energy.Transition(s.Pool.Free(), machine.PowerIdle, machine.PowerSleep)
+}
+
+// Observe routes the job lifecycle into run's trace scope and
+// registers the scheduler-health gauges every engine-backed
+// scheduling run exports. A nil run is inert.
+func (s *Scheduler) Observe(run *obs.Run) {
+	s.Obs = run.Scope()
+	reg := run.Metrics()
+	if reg == nil {
+		return
+	}
+	reg.Gauge("queue_depth", "jobs", func() float64 { return float64(s.QueueLen()) })
+	reg.Gauge("free_boosters", "nodes", func() float64 { return float64(s.Pool.Free()) })
+	reg.Gauge("requeues", "", func() float64 { return float64(s.Requeued) })
+	reg.Gauge("lost_work_s", "s", func() float64 { return s.LostWork.Seconds() })
+}
+
+// Meter attaches a recorder with one "booster" group of model over
+// the whole pool, drawing into the trace scope set by Observe, and
+// returns it. The recorder freezes when the jobs-th job completes —
+// after any OnJobDone already set — since a fault injector keeps the
+// engine alive to its horizon and energy to solution ends at the
+// makespan. Call after Observe and before submitting jobs.
+func (s *Scheduler) Meter(model machine.NodeModel, jobs int) *energy.Recorder {
+	rec := energy.NewRecorder(s.Eng)
+	s.Energy = rec.MustAddGroup("booster", model, s.Pool.Size())
+	s.Energy.Obs = s.Obs
+	s.Energy.ObsTid = obs.LanePower
+	prev, done := s.OnJobDone, 0
+	s.OnJobDone = func(j *Job) {
+		if prev != nil {
+			prev(j)
+		}
+		if done++; done == jobs {
+			rec.Freeze()
+		}
+	}
+	return rec
+}
+
+// Inject starts a node fail/repair process over the whole pool up to
+// horizon, tracing into the scope set by Observe, and returns the
+// injector for its counters. Call after submitting the jobs.
+func (s *Scheduler) Inject(horizon sim.Time, f resil.Faults, seed uint64) *resil.Injector {
+	inj := resil.NewInjector(s.Eng, horizon)
+	inj.Obs = s.Obs
+	inj.Nodes(s.Pool.Size(), f, seed, s)
+	return inj
 }
 
 // releaseState is the power state free nodes sit in.

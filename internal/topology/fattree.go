@@ -71,26 +71,6 @@ func (f *FatTree) spineToLeaf(leaf, spine int) LinkID {
 // spineFor deterministically spreads destination traffic over spines.
 func (f *FatTree) spineFor(dst NodeID) int { return int(dst) % f.Spines }
 
-// LinkOwner anchors every link to a node for spatial partitioning: a
-// node's up and down links anchor to the node itself, and a leaf's
-// switch links (to and from every spine) anchor to the leaf's first
-// node. With partition bounds aligned to leaf boundaries every route
-// therefore splits between the two endpoint domains — the first half
-// (node up-link, leaf-to-spine) is owned by the source's domain, the
-// second half (spine-to-leaf, node down-link) by the destination's —
-// so a route is domain-local exactly when its endpoints share a
-// domain.
-func (f *FatTree) LinkOwner(l LinkID) NodeID {
-	if int(l) < 0 || int(l) >= f.Links() {
-		panic(fmt.Sprintf("topology: link %d out of range [0,%d) in %s", l, f.Links(), f.Name()))
-	}
-	if int(l) < 2*f.Nodes() {
-		return NodeID(int(l) / 2)
-	}
-	leaf := (int(l) - 2*f.Nodes()) / (2 * f.Spines)
-	return NodeID(leaf * f.NodesPerLeaf)
-}
-
 // Route implements Topology.
 func (f *FatTree) Route(src, dst NodeID) []LinkID { return f.AppendRoute(nil, src, dst) }
 

@@ -25,7 +25,7 @@ type Topology interface {
 	// Route returns the sequence of links a packet takes from src to
 	// dst. An empty route means src == dst (loopback).
 	Route(src, dst NodeID) []LinkID
-	// AppendRoute is Route into a caller-owned buffer: it appends the
+	// AppendRoute is Route into the caller's buffer: it appends the
 	// links to buf and returns the extended slice, allocating only when
 	// buf is too small.
 	AppendRoute(buf []LinkID, src, dst NodeID) []LinkID
@@ -35,22 +35,12 @@ type Topology interface {
 
 // NodeMajorLinks is implemented by topologies whose link identifiers
 // are node-major: link IDs of node n occupy [n*LinkDegree(),
-// (n+1)*LinkDegree()), owned by the node the link leaves from. The
-// fabric's spatial domain decomposition relies on it to give each
-// domain a contiguous link range.
+// (n+1)*LinkDegree()), the links leaving node n. The
+// fabric's spatial domain decomposition needs it to give each domain
+// a contiguous link range; the torus is the only topology it
+// partitions.
 type NodeMajorLinks interface {
 	LinkDegree() int
-}
-
-// LinkOwner is implemented by topologies that can anchor every link to
-// a source node even though their link identifiers are not node-major.
-// The fabric's spatial domain decomposition uses the anchor to assign
-// each link to the domain owning that node; switch-level links should
-// anchor to the first node below the switch, so that partition bounds
-// aligned to switch boundaries keep each route's links inside the two
-// endpoint domains.
-type LinkOwner interface {
-	LinkOwner(l LinkID) NodeID
 }
 
 // HopCounter is implemented by topologies that can count route hops
