@@ -98,9 +98,11 @@ func jacobiRows(next, cur []float64, stride, r0, r1 int) {
 	}
 }
 
-// RunSequential is the single-goroutine reference. It walks the flat
-// interior index with its own loop, not jacobiRows, so the check of a
-// distributed run covers the arithmetic as well as the decomposition.
+// RunSequential is the single-goroutine reference. It walks each
+// interior row beside the rows above and below with its own loop, not
+// jacobiRows, so the check of a distributed run covers the arithmetic
+// as well as the decomposition. The sum is taken in jacobiRows' order
+// (up, down, left, right), so the two agree bit for bit.
 func (s *Stencil2D) RunSequential() []float64 {
 	stride := s.NX
 	cur := make([]float64, s.NY*stride)
@@ -110,9 +112,13 @@ func (s *Stencil2D) RunSequential() []float64 {
 	}
 	copy(next, cur) // the fixed boundary
 	for it := 0; it < s.Iters; it++ {
-		for y := 1; y < s.NY-1; y++ {
-			for i := y*stride + 1; i < (y+1)*stride-1; i++ {
-				next[i] = 0.25 * (cur[i-stride] + cur[i+stride] + cur[i-1] + cur[i+1])
+		for y := stride; y < len(cur)-stride; y += stride {
+			row := cur[y : y+stride]
+			up := cur[y-stride : y][:len(row)]
+			down := cur[y+stride : y+2*stride][:len(row)]
+			out := next[y : y+stride][:len(row)]
+			for x := 1; x < len(row)-1; x++ {
+				out[x] = 0.25 * (up[x] + down[x] + row[x-1] + row[x+1])
 			}
 		}
 		cur, next = next, cur

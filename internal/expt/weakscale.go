@@ -81,12 +81,7 @@ var e15Kernel = machine.Kernel{
 func e15HaloSlab(net *fabric.Network, tor *topology.Torus3D, lo, hi int, cb func(sim.Time, error)) {
 	for id := lo; id < hi; id++ {
 		src := topology.NodeID(id)
-		x, y, z := tor.Coord(src)
-		for _, nb := range [...]topology.NodeID{
-			tor.ID(x+1, y, z), tor.ID(x-1, y, z),
-			tor.ID(x, y+1, z), tor.ID(x, y-1, z),
-			tor.ID(x, y, z+1), tor.ID(x, y, z-1),
-		} {
+		for _, nb := range tor.Neighbours(src) {
 			net.Send(src, nb, e15HaloBytes, cb)
 		}
 	}

@@ -69,11 +69,10 @@ func ParseFidelity(s string) (Fidelity, error) {
 // bookings vs flow reservations) miss each other.
 func (n *Network) SetFidelity(f Fidelity) {
 	n.fidelity = f
-	if f == FidelityFlow && n.flowFree == nil {
+	if f == FidelityFlow && n.flowLinks == nil {
 		// Sized to the network's link range: all links normally, the
 		// shard's contiguous slice on a partitioned fabric.
-		n.flowFree = make([]sim.Time, len(n.down))
-		n.flowBusy = make([]sim.Time, len(n.down))
+		n.flowLinks = make([]link, len(n.down))
 	}
 }
 
@@ -132,9 +131,9 @@ func (n *Network) release(i int32) (size int, done func(at sim.Time, err error))
 func (n *Network) inject(now sim.Time, i int32, hop int64) {
 	f := *n.flows.At(i)
 	src, dst := topology.NodeID(f.src), topology.NodeID(f.dst)
-	route, sh := n.route(src, dst, hop), n.P.shape(f.size)
+	route, z := n.route(src, dst, hop), n.sizes.of(&n.P, f.size)
 	if n.fidelity == FidelityFlow && n.routeFaultFree(route) {
-		starts, total, delivery := n.flowPlan(route, sh)
+		starts, total, delivery := n.flowPlan(route, z)
 		if n.Obs.Enabled() {
 			n.Obs.Instant(obs.LaneNodes+int(src), "fabric", "flow-commit",
 				now, obs.KV{K: "dst", V: int(dst)}, obs.KV{K: "bytes", V: f.size})
@@ -143,7 +142,7 @@ func (n *Network) inject(now sim.Time, i int32, hop int64) {
 		n.Eng.ScheduleKind(delivery, n.kind, int64(i), flowDeliver)
 		return
 	}
-	n.packetSend(i, route, sh)
+	n.packetSend(i, route, z)
 }
 
 // flowPlan computes the flow-level trajectory of one message over
@@ -152,16 +151,13 @@ func (n *Network) inject(now sim.Time, i int32, hop int64) {
 // reservation), the per-link busy-until times, and the delivery time.
 // The arithmetic mirrors the packet model's pipelined store-and-
 // forward recurrence, so with idle links the two agree exactly.
-func (n *Network) flowPlan(route []topology.LinkID, sh segShape) (starts []sim.Time, total sim.Time, delivery sim.Time) {
-	ser0, total := n.P.serTimes(sh)
+func (n *Network) flowPlan(route []topology.LinkID, z *sizing) (starts []sim.Time, total sim.Time, delivery sim.Time) {
+	ser0, total := z.ser0, z.total
 	perHop := n.P.RouterDelay + n.P.LinkLatency
 	h := n.Eng.Now()
 	starts = n.flowStarts[:0]
 	for _, l := range route {
-		s := h
-		if free := n.flowFree[n.li(l)]; free > s {
-			s = free
-		}
+		s := max(h, n.flowLinks[n.li(l)].freeAt)
 		starts = append(starts, s)
 		h = s + ser0 + perHop
 	}
@@ -174,8 +170,9 @@ func (n *Network) flowPlan(route []topology.LinkID, sh segShape) (starts []sim.T
 // same utilisation statistics the packet model records.
 func (n *Network) commitFlow(route []topology.LinkID, size int, starts []sim.Time, total sim.Time) {
 	for k, l := range route {
-		n.flowFree[n.li(l)] = starts[k] + total
-		n.flowBusy[n.li(l)] += total
+		q := &n.flowLinks[n.li(l)]
+		q.freeAt = starts[k] + total
+		q.busyTime += total
 	}
 	n.Stats.FlowMessages++
 	if n.energy.PerByteJ != 0 {

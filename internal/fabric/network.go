@@ -56,12 +56,16 @@ type Network struct {
 	linkBase int
 
 	// Flow fast-path state (see flow.go): the configured fidelity, the
-	// per-link reservation ledger and a scratch buffer for planned hop
-	// start times.
+	// per-link reservation ledger (a link's flow reservation ends at
+	// freeAt, and busyTime sums the serialization time booked on it) and
+	// a scratch buffer for planned hop start times.
 	fidelity   Fidelity
-	flowFree   []sim.Time
-	flowBusy   []sim.Time
+	flowLinks  []link
 	flowStarts []sim.Time
+
+	// sizes holds the sizing of the last message size sent, for both
+	// paths.
+	sizes sizeMemo
 
 	// scratch holds the route of the message being injected or, on a
 	// shard, sent. The next one overwrites it, so whatever outlives the
@@ -163,8 +167,8 @@ func (n *Network) linkBusyTime(l topology.LinkID, now sim.Time) sim.Time {
 		q := &n.links[n.li(l)]
 		t += q.busyTime - max(0, q.freeAt-now)
 	}
-	if n.flowBusy != nil {
-		t += n.flowBusy[n.li(l)]
+	if n.flowLinks != nil {
+		t += n.flowLinks[n.li(l)].busyTime
 	}
 	return t
 }
@@ -221,10 +225,10 @@ func (n *Network) Send(src, dst topology.NodeID, size int, done func(at sim.Time
 		n.Eng.ScheduleKind(n.Eng.Now()+n.P.SendOverhead+n.P.RecvOverhead, n.kind, n.newFlow(src, dst, size, done), flowDeliver)
 		return
 	}
-	sh := n.P.shape(size)
-	n.Stats.Packets += uint64(sh.packets)
+	z := n.sizes.of(&n.P, size)
+	n.Stats.Packets += uint64(z.sh.packets)
 	if n.part != nil && !n.routeLocal(route) {
-		n.crossSend(dst, len(route), sh, size, done)
+		n.crossSend(dst, len(route), z, size, done)
 		return
 	}
 	var hop int64 // a shard's one-hop route, as link+1: see route
@@ -303,7 +307,8 @@ func (n *Network) obsWrap(src, dst topology.NodeID, size int,
 type message struct {
 	route     []topology.LinkID
 	sh        segShape
-	remaining int // segments still in flight
+	seg       [2]sim.Time // serialization times, as in sizing
+	remaining int         // segments still in flight
 	failed    bool
 }
 
@@ -329,10 +334,12 @@ func unpack(a0, a1 int64) packet {
 	return packet{int32(a0 >> 32), int32(a0), int32(a1 >> 32), int32(uint32(a1) >> phaseBits)}
 }
 
-// link is one link's reservation: the time its last booked segment
-// leaves the wire and the serialization time booked on it so far. FIFO
-// service depends only on the order of requests, so a segment books
-// its time on the wire when it asks and never waits in a queue.
+// link is one link's reservation: the time its last booking leaves
+// the wire and the serialization time booked on it so far. The packet
+// path books a segment at a time, the flow path a whole message (see
+// flowPlan), each in its own table. FIFO service depends only on the
+// order of requests, so a booking takes its time on the wire when it
+// asks and never waits in a queue.
 type link struct {
 	freeAt   sim.Time
 	busyTime sim.Time
@@ -341,15 +348,15 @@ type link struct {
 // packetSend injects flow mi into the exact per-packet model: every
 // segment contends for every link of the route, which the message
 // keeps a copy of.
-func (n *Network) packetSend(mi int32, route []topology.LinkID, sh segShape) {
+func (n *Network) packetSend(mi int32, route []topology.LinkID, z *sizing) {
 	if n.links == nil {
 		n.links = make([]link, len(n.down))
 	}
 	n.msgs.Reach(mi, &msgPages)
 	m := n.msgs.At(mi)
 	m.route = append(m.route[:0], route...)
-	m.sh, m.remaining, m.failed = sh, sh.packets, false
-	for k := 0; k < sh.packets; k++ {
+	m.sh, m.seg, m.remaining, m.failed = z.sh, z.seg, z.sh.packets, false
+	for k := 0; k < m.sh.packets; k++ {
 		n.acquire(packet{msg: mi, seg: int32(k)}, m, route[0])
 	}
 }
@@ -360,7 +367,10 @@ func (n *Network) packetSend(mi int32, route []topology.LinkID, sh segShape) {
 // the far end.
 func (n *Network) acquire(p packet, m *message, l topology.LinkID) {
 	q := &n.links[n.li(l)]
-	ser := n.P.serTime(m.sh.seg(int(p.seg)))
+	ser := m.seg[0]
+	if int(p.seg) < m.sh.rem {
+		ser = m.seg[1]
+	}
 	q.freeAt = max(n.Eng.Now(), q.freeAt) + ser
 	q.busyTime += ser
 	a0, a1 := p.args(pktArrived)
@@ -455,25 +465,59 @@ func (s segShape) seg(i int) int {
 	return s.base
 }
 
-// serTimes returns the serialization time of the first segment and of
-// all segments together on one link.
-func (p *Params) serTimes(s segShape) (ser0, total sim.Time) {
-	base := p.serTime(s.base)
-	if s.rem == 0 {
-		return base, sim.Time(s.packets) * base
+// sizing is what a message of one size costs on one link: how it is
+// cut into segments, and the serialization times of its segments.
+type sizing struct {
+	sh          segShape
+	seg         [2]sim.Time // one segment of sh.base bytes, one of sh.base+1
+	ser0, total sim.Time    // the first segment, and all of them together
+}
+
+// sizing returns the sizing of a size-byte message.
+func (p *Params) sizing(size int) sizing {
+	sh := p.shape(size)
+	z := sizing{sh: sh, seg: [2]sim.Time{p.serTime(sh.base), p.serTime(sh.base + 1)}}
+	z.ser0, z.total = z.seg[0], sim.Time(sh.packets)*z.seg[0]
+	if sh.rem != 0 {
+		z.ser0, z.total = z.seg[1], sim.Time(sh.rem)*z.seg[1]+sim.Time(sh.packets-sh.rem)*z.seg[0]
 	}
-	ser0 = p.serTime(s.base + 1)
-	return ser0, sim.Time(s.rem)*ser0 + sim.Time(s.packets-s.rem)*base
+	return z
+}
+
+// sizeMemo holds the sizing of the last message size asked about,
+// with the parameters it was computed from. A network sends a few
+// message sizes over and over, and a sizing costs up to three integer
+// divisions and two float ones, which a repeated size skips. The
+// packet path copies the segment times into the message, so a hop
+// reads its serialization time instead of dividing.
+type sizeMemo struct {
+	key sizeKey
+	z   sizing
+}
+
+// sizeKey is everything a sizing is computed from.
+type sizeKey struct {
+	size, mtu, maxPackets int
+	bw                    float64
+}
+
+// of returns p.sizing(size), from the memo when size and the
+// parameters are the last call's. The result is valid until the next
+// call.
+func (m *sizeMemo) of(p *Params, size int) *sizing {
+	if k := (sizeKey{size, p.MTU, p.MaxPackets, p.LinkBandwidth}); k != m.key {
+		m.z, m.key = p.sizing(size), k
+	}
+	return &m.z
 }
 
 // zeroLoad is the pipelined store-and-forward latency of a message of
-// shape sh over hops idle links: the first segment pays every hop, the
+// sizing z over hops idle links: the first segment pays every hop, the
 // remaining segments stream behind on the bottleneck (uniform links,
 // so any hop).
-func (p *Params) zeroLoad(hops int, sh segShape) sim.Time {
-	ser0, total := p.serTimes(sh)
+func (p *Params) zeroLoad(hops int, z *sizing) sim.Time {
 	return p.SendOverhead + p.RecvOverhead +
-		sim.Time(hops)*(p.RouterDelay+p.LinkLatency+ser0) + total - ser0
+		sim.Time(hops)*(p.RouterDelay+p.LinkLatency+z.ser0) + z.total - z.ser0
 }
 
 // LinkFailed implements resil.LinkTarget: the link stops delivering
@@ -528,5 +572,6 @@ func (n *Network) ZeroLoadLatency(src, dst topology.NodeID, size int) sim.Time {
 	if hops == 0 {
 		return n.P.SendOverhead + n.P.RecvOverhead
 	}
-	return n.P.zeroLoad(hops, n.P.shape(size))
+	z := n.P.sizing(size)
+	return n.P.zeroLoad(hops, &z)
 }

@@ -227,10 +227,10 @@ func (n *Network) routeLocal(route []topology.LinkID) bool {
 // transfer energy, and the completion callback runs on the destination
 // domain's engine: any further sends it issues must go through the
 // destination node's shard.
-func (n *Network) crossSend(dst topology.NodeID, hops int, sh segShape, size int,
+func (n *Network) crossSend(dst topology.NodeID, hops int, z *sizing, size int,
 	done func(at sim.Time, err error)) {
 	n.Stats.CrossMessages++
-	t := n.Eng.Now() + n.P.zeroLoad(hops, sh)
+	t := n.Eng.Now() + n.P.zeroLoad(hops, z)
 	owner := n.part.Owner(dst)
 	dsh := n.part.shards[owner]
 	n.part.cl.Post(n.domain, owner, t, func() {

@@ -73,6 +73,10 @@ type job struct {
 	entry     *Entry
 	events    []Event
 	subs      map[chan Event]struct{}
+	// tally counts the job by state while the server retains its
+	// record (nil before register and after pruning); the job moves
+	// itself in it under mu on every transition.
+	tally *stateTally
 
 	// cancel aborts the job's run context (set while running); stop
 	// requests cancellation for jobs that have no context yet (queued,
@@ -134,7 +138,7 @@ func (j *job) setRunning(cancel context.CancelFunc) bool {
 		j.mu.Unlock()
 		return false
 	}
-	j.state = StateRunning
+	j.setState(StateRunning)
 	j.started = time.Now()
 	j.cancel = cancel
 	j.mu.Unlock()
@@ -149,7 +153,7 @@ func (j *job) finish(state State, entry *Entry, errMsg string, cacheHit bool) {
 		j.mu.Unlock()
 		return
 	}
-	j.state = state
+	j.setState(state)
 	j.entry = entry
 	j.err = errMsg
 	j.cacheHit = cacheHit
@@ -157,6 +161,83 @@ func (j *job) finish(state State, entry *Entry, errMsg string, cacheHit bool) {
 	j.mu.Unlock()
 	j.emit(string(state), errMsg)
 	close(j.done)
+}
+
+// setState moves the job to state, and its count in the tally with
+// it. The caller holds j.mu.
+func (j *job) setState(state State) {
+	if j.tally != nil {
+		j.tally.move(j.state, state)
+	}
+	j.state = state
+}
+
+// retain enters the job in t under its current state.
+func (j *job) retain(t *stateTally) {
+	j.mu.Lock()
+	j.tally = t
+	t.move("", j.state)
+	j.mu.Unlock()
+}
+
+// prune takes a terminal job out of its tally and reports true; a live
+// job stays and reports false.
+func (j *job) prune() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.state.terminal() {
+		return false
+	}
+	if j.tally != nil {
+		j.tally.move(j.state, "")
+		j.tally = nil
+	}
+	return true
+}
+
+// outcome returns the job's state, error message and terminal entry.
+func (j *job) outcome() (State, string, *Entry) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state, j.err, j.entry
+}
+
+// stateTally counts the job records a server retains, by state. It
+// has its own lock, taken inside a job's, so a transition updates the
+// counts without the server lock and /v1/stats reads them without
+// walking the records.
+type stateTally struct {
+	mu sync.Mutex
+	n  map[State]int
+}
+
+// move shifts one job from state from to state to; an empty state is
+// outside the tally. A state whose count reaches zero is dropped.
+func (t *stateTally) move(from, to State) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if from != "" {
+		if t.n[from]--; t.n[from] == 0 {
+			delete(t.n, from)
+		}
+	}
+	if to != "" {
+		if t.n == nil {
+			t.n = make(map[State]int)
+		}
+		t.n[to]++
+	}
+}
+
+// counts returns a copy of the non-zero counts.
+func (t *stateTally) counts() map[State]int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make(map[State]int, len(t.n))
+	for st, n := range t.n {
+		out[st] = n
+	}
+	return out
 }
 
 // requestCancel asks the job to stop: running jobs get their context
@@ -183,13 +264,6 @@ func (j *job) requestCancel() bool {
 		j.finish(StateCancelled, nil, "cancelled", false)
 	}
 	return true
-}
-
-// result returns the terminal entry (nil while live or failed).
-func (j *job) result() *Entry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.entry
 }
 
 // status snapshots the job.

@@ -82,6 +82,7 @@ type Server struct {
 	jobs     map[string]*job
 	order    []string        // submission order, for listing/pruning
 	inflight map[string]*job // content key -> live primary job
+	retained stateTally      // the records in jobs, by state
 	seq      int
 
 	submitted   uint64
@@ -190,15 +191,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Submitted: s.submitted,
 		CacheHits: s.cacheHits,
 		Coalesced: s.coalesced,
-		Jobs:      make(map[State]int),
-	}
-	for _, id := range s.order {
-		st.Jobs[s.jobs[id].status().State]++
 	}
 	st.StoreHits = s.storeHits
 	st.StoreErrors = s.storeErrors
 	st.StoreWarmed = s.warmed
 	s.mu.Unlock()
+	st.Jobs = s.retained.counts()
 	st.Cache = s.cache.Stats()
 	if s.store != nil {
 		sst := s.store.Stats()
@@ -298,11 +296,12 @@ func (s *Server) admit(key string, spec *JobSpec) (*job, error) {
 func (s *Server) register(j *job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
+	j.retain(&s.retained)
 	excess := len(s.order) - s.opts.RetainJobs
 	// Jobs finish roughly in submission order, so the records to drop
 	// are almost always at the front: a steady stream of submits prunes
 	// in constant time instead of rebuilding the list under the lock.
-	for excess > 0 && s.jobs[s.order[0]].status().State.terminal() {
+	for excess > 0 && s.jobs[s.order[0]].prune() {
 		delete(s.jobs, s.order[0])
 		s.order = s.order[1:]
 		excess--
@@ -314,7 +313,7 @@ func (s *Server) register(j *job) {
 	// oldest terminal records behind it.
 	kept := s.order[:0]
 	for _, id := range s.order {
-		if excess > 0 && s.jobs[id].status().State.terminal() {
+		if excess > 0 && s.jobs[id].prune() {
 			delete(s.jobs, id)
 			excess--
 			continue
@@ -332,19 +331,19 @@ func (s *Server) awaitPrimary(j, prim *job) {
 		j.finish(StateCancelled, nil, "cancelled", false)
 		return
 	}
-	st := prim.status()
-	switch st.State {
+	state, msg, entry := prim.outcome()
+	switch state {
 	case StateDone:
 		s.mu.Lock()
 		s.cacheHits++
 		s.mu.Unlock()
-		j.finish(StateDone, prim.result(), "", true)
+		j.finish(StateDone, entry, "", true)
 	case StateCancelled:
 		// The primary died without producing a result; rerunning would
 		// surprise the queue bound, so report the cancellation.
 		j.finish(StateCancelled, nil, "coalesced onto cancelled job "+prim.id, false)
 	default:
-		j.finish(StateFailed, nil, st.Error, false)
+		j.finish(StateFailed, nil, msg, false)
 	}
 }
 
@@ -450,14 +449,13 @@ func (s *Server) finishedEntry(id string) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := j.status()
-	if !st.State.terminal() {
+	state, msg, entry := j.outcome()
+	if !state.terminal() {
 		return nil, errf(ErrNotFinished, http.StatusConflict,
-			"job %s is %s; poll GET /v1/jobs/%s until it finishes", id, st.State, id)
+			"job %s is %s; poll GET /v1/jobs/%s until it finishes", id, state, id)
 	}
-	entry := j.result()
 	if entry == nil {
-		return nil, errf(ErrJobFailed, http.StatusConflict, "job %s %s: %s", id, st.State, st.Error)
+		return nil, errf(ErrJobFailed, http.StatusConflict, "job %s %s: %s", id, state, msg)
 	}
 	return entry, nil
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -585,4 +587,134 @@ func TestRetentionKeepsRunningOldest(t *testing.T) {
 	}
 	release()
 	h.wait(slow.ID)
+}
+
+// TestStatsCountsFollowRecords: /v1/stats counts the retained records
+// by state without walking them, so at every step of a lifecycle —
+// queued, running, done, failed, cancelled while queued, coalesced, a
+// cache hit, and records pruned past RetainJobs — its counts must equal
+// a walk of the records, with zero states absent.
+func TestStatsCountsFollowRecords(t *testing.T) {
+	h := newHarness(t, Options{Workers: 1, RetainJobs: 4})
+	outcomes := map[uint64]chan error{}
+	for seed := uint64(1); seed <= 5; seed++ {
+		outcomes[seed] = make(chan error, 1)
+	}
+	h.srv.exec = func(ctx context.Context, spec *JobSpec, progress func(string)) (*Entry, error) {
+		key, err := spec.Key()
+		if err != nil {
+			return nil, err
+		}
+		select {
+		case err := <-outcomes[spec.Seed]:
+			if err != nil {
+				return nil, err
+			}
+			return &Entry{Key: key, Result: []byte(`{"kind":"test"}`), Verified: true}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	spec := func(seed int) string { return fmt.Sprintf(`{"experiment": "E04", "seed": %d}`, seed) }
+	check := func(step string, want map[State]int) {
+		t.Helper()
+		walked := map[State]int{}
+		h.srv.mu.Lock()
+		for _, id := range h.srv.order {
+			walked[h.srv.jobs[id].status().State]++
+		}
+		h.srv.mu.Unlock()
+		got := h.stats().Jobs
+		if !maps.Equal(got, walked) || !maps.Equal(got, want) {
+			t.Fatalf("%s: stats count %v, the records %v, want %v", step, got, walked, want)
+		}
+	}
+	check("empty", map[State]int{})
+
+	a := h.submit(spec(1))
+	h.waitState(a.ID, StateRunning)
+	check("running", map[State]int{StateRunning: 1})
+	b := h.submit(spec(2))
+	check("queued", map[State]int{StateRunning: 1, StateQueued: 1})
+	coalesced := h.submit(spec(1))
+	check("coalesced", map[State]int{StateRunning: 1, StateQueued: 2})
+
+	if code, body := h.post("/v1/jobs/" + b.ID + "/cancel"); code != http.StatusOK {
+		t.Fatalf("cancel: %d: %s", code, body)
+	}
+	h.wait(b.ID)
+	check("cancelled while queued", map[State]int{StateRunning: 1, StateQueued: 1, StateCancelled: 1})
+
+	outcomes[1] <- nil
+	h.wait(a.ID)
+	if st := h.wait(coalesced.ID); st.State != StateDone || !st.CacheHit {
+		t.Fatalf("coalesced job finished %+v", st)
+	}
+	check("done", map[State]int{StateDone: 2, StateCancelled: 1})
+
+	d := h.submit(spec(3))
+	h.waitState(d.ID, StateRunning)
+	check("running again", map[State]int{StateRunning: 1, StateDone: 2, StateCancelled: 1})
+	outcomes[3] <- errors.New("boom")
+	if st := h.wait(d.ID); st.State != StateFailed {
+		t.Fatalf("failing job finished %s", st.State)
+	}
+	check("failed", map[State]int{StateDone: 2, StateCancelled: 1, StateFailed: 1})
+
+	// Four records retained: a cache hit prunes the oldest, a.
+	if hit := h.submit(spec(1)); hit.State != StateDone || !hit.CacheHit {
+		t.Fatalf("resubmission not a cache hit: %+v", hit)
+	}
+	check("cache hit, one pruned", map[State]int{StateDone: 2, StateCancelled: 1, StateFailed: 1})
+	if code, _ := h.get("/v1/jobs/" + a.ID); code != http.StatusNotFound {
+		t.Fatalf("oldest record survived pruning: %d", code)
+	}
+
+	// A running job is never pruned; the terminal records behind it go.
+	e := h.submit(spec(4))
+	h.waitState(e.ID, StateRunning)
+	check("running, b pruned", map[State]int{StateRunning: 1, StateDone: 2, StateFailed: 1})
+	f := h.submit(spec(5))
+	check("queued, coalesced pruned", map[State]int{StateRunning: 1, StateQueued: 1, StateDone: 1, StateFailed: 1})
+	outcomes[4] <- nil
+	outcomes[5] <- nil
+	h.wait(e.ID)
+	h.wait(f.ID)
+	check("drained", map[State]int{StateDone: 3, StateFailed: 1})
+}
+
+// post POSTs an empty body to path, returning status and body.
+func (h *harness) post(path string) (int, []byte) {
+	h.t.Helper()
+	resp, err := http.Post(h.ts.URL+path, "", nil)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, body
+}
+
+// BenchmarkStatsHandler times GET /v1/stats in the handler with
+// RetainJobs finished records retained (the default bound, 4096).
+func BenchmarkStatsHandler(b *testing.B) {
+	srv := New(Options{Workers: 1})
+	defer srv.Drain(time.Second)
+	srv.mu.Lock()
+	for i := 0; i < srv.opts.RetainJobs; i++ {
+		j := newJob(fmt.Sprintf("j-%06d", i), "k", &JobSpec{Experiment: "E04"})
+		srv.register(j)
+		j.finish(StateDone, &Entry{Verified: true}, "", false)
+	}
+	srv.mu.Unlock()
+	h := srv.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatal(rec.Code)
+		}
+	}
 }

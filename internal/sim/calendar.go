@@ -1,6 +1,10 @@
 package sim
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/fastdiv"
+)
 
 // This file implements the calendar-queue event scheduler that backs
 // Engine: a ring of buckets, each covering one "day" of virtual time,
@@ -51,7 +55,9 @@ type bucket struct {
 type calendar struct {
 	buckets []bucket
 	mask    int
-	width   Time
+	// width is the day width and div divides by it (see setWidth).
+	width Time
+	div   fastdiv.Divisor
 	// count is the number of live (scheduled, uncancelled) events;
 	// nodes additionally counts cancelled events not yet unlinked.
 	count int
@@ -128,13 +134,26 @@ func (c *calendar) init() {
 	if c.buckets == nil {
 		c.buckets = make([]bucket, minBuckets)
 		c.mask = minBuckets - 1
-		c.width = initialWidth
+		c.setWidth(initialWidth)
 	}
 }
 
-// bucketOf maps an event time to its bucket index.
+// setWidth sets the day width, w >= 1, and its reciprocal: every
+// scheduled event finds its bucket with a multiply, not a divide.
+func (c *calendar) setWidth(w Time) {
+	c.width, c.div = w, fastdiv.New(uint64(w))
+}
+
+// bucketOf maps an event time, never negative, to its bucket index.
 func (c *calendar) bucketOf(t Time) int {
-	return int(uint64(t/c.width) & uint64(c.mask))
+	day, _ := c.div.DivMod(uint64(t))
+	return int(day & uint64(c.mask))
+}
+
+// dayOf returns the start of the day that contains t.
+func (c *calendar) dayOf(t Time) Time {
+	_, r := c.div.DivMod(uint64(t))
+	return t - Time(r)
 }
 
 // less orders events by (time, sequence).
@@ -304,7 +323,7 @@ func (c *calendar) popMin(deadline Time, remove bool) (int32, *Event) {
 		return 0, nil
 	}
 	if remove {
-		c.day = best.at - best.at%c.width
+		c.day = c.dayOf(best.at)
 		c.cur = c.bucketOf(c.day)
 		return c.unlinkHead(bestIdx, best), best
 	}
@@ -409,10 +428,10 @@ func (c *calendar) resize(n int) {
 		c.buckets = make([]bucket, n)
 		c.mask = n - 1
 	}
-	c.width = width
+	c.setWidth(width)
 	c.resizes++
 	c.strain = 0
-	c.day -= c.day % width
+	c.day = c.dayOf(c.day)
 	c.cur = c.bucketOf(c.day)
 	for all != 0 {
 		ev := c.ev(all)

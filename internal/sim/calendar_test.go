@@ -556,3 +556,38 @@ func TestCalendarTwoInstantBurst(t *testing.T) {
 		}
 	}
 }
+
+// TestBucketOfMatchesDivision holds the reciprocal bucket and day
+// arithmetic to the hardware divide: for widths from one picosecond to
+// past a second and for every bucket count, bucketOf(t) must be
+// (t / width) masked and dayOf(t) must be t - t % width, at times of
+// every magnitude and next to multiples of the width.
+func TestBucketOfMatchesDivision(t *testing.T) {
+	r := rng.New(44)
+	widths := []Time{1, 2, 3, 7, 100 * Nanosecond, 333, Microsecond, 1<<31 - 1, 1 << 32, 3 * Second / 2}
+	for i := 0; i < 200; i++ {
+		widths = append(widths, Time(r.Uint64()>>(1+r.Intn(63)))+1)
+	}
+	for _, w := range widths {
+		for _, n := range []int{minBuckets, 1 << 10, maxBuckets} {
+			c := calendar{mask: n - 1} // bucketOf reads the mask alone
+			c.setWidth(w)
+			times := []Time{0, 1, w - 1, w, w + 1, math.MaxInt64, math.MaxInt64 - w}
+			for j := 0; j < 200; j++ {
+				t := Time(r.Uint64() >> (1 + r.Intn(63)))
+				times = append(times, t, t-t%w, t-t%w+w-1)
+			}
+			for _, at := range times {
+				if at < 0 {
+					continue
+				}
+				if got, want := c.bucketOf(at), int(uint64(at/w)&uint64(n-1)); got != want {
+					t.Fatalf("width %d, %d buckets: bucketOf(%d) = %d, want %d", w, n, at, got, want)
+				}
+				if got, want := c.dayOf(at), at-at%w; got != want {
+					t.Fatalf("width %d: dayOf(%d) = %d, want %d", w, at, got, want)
+				}
+			}
+		}
+	}
+}

@@ -19,9 +19,6 @@ type FatTree struct {
 	NodesPerLeaf int
 	Leaves       int
 	Spines       int
-
-	// name memoizes Name(); see Torus3D.
-	name string
 }
 
 // NewFatTree builds a fat tree with the given shape. A Spines count
@@ -31,18 +28,12 @@ func NewFatTree(nodesPerLeaf, leaves, spines int) *FatTree {
 	if nodesPerLeaf < 1 || leaves < 1 || spines < 1 {
 		panic(fmt.Sprintf("topology: invalid fat tree %d/%d/%d", nodesPerLeaf, leaves, spines))
 	}
-	return &FatTree{
-		NodesPerLeaf: nodesPerLeaf, Leaves: leaves, Spines: spines,
-		name: fmt.Sprintf("fattree-%dx%d-s%d", nodesPerLeaf, leaves, spines),
-	}
+	return &FatTree{NodesPerLeaf: nodesPerLeaf, Leaves: leaves, Spines: spines}
 }
 
 // Name implements Topology.
 func (f *FatTree) Name() string {
-	if f.name == "" {
-		f.name = fmt.Sprintf("fattree-%dx%d-s%d", f.NodesPerLeaf, f.Leaves, f.Spines)
-	}
-	return f.name
+	return fmt.Sprintf("fattree-%dx%d-s%d", f.NodesPerLeaf, f.Leaves, f.Spines)
 }
 
 // Nodes implements Topology.
@@ -53,7 +44,7 @@ func (f *FatTree) Links() int { return 2*f.Nodes() + 2*f.Leaves*f.Spines }
 
 // Leaf returns the leaf switch index of node id.
 func (f *FatTree) Leaf(id NodeID) int {
-	validateNode(id, f.Nodes(), f.Name())
+	validateNode(id, f)
 	return int(id) / f.NodesPerLeaf
 }
 
@@ -94,8 +85,8 @@ func (f *FatTree) AppendRoute(buf []LinkID, src, dst NodeID) []LinkID {
 
 // Hops implements HopCounter: 2 links within a leaf, 4 across spines.
 func (f *FatTree) Hops(src, dst NodeID) int {
-	validateNode(src, f.Nodes(), f.Name())
-	validateNode(dst, f.Nodes(), f.Name())
+	validateNode(src, f)
+	validateNode(dst, f)
 	switch {
 	case src == dst:
 		return 0

@@ -138,3 +138,97 @@ func FuzzFatTreeRoute(f *testing.F) {
 		}
 	})
 }
+
+// refTorus is the division-based reference the torus is held to: its
+// coordinates, ring distances, neighbours and routes use / and % and
+// the wrapping ID, as the torus did before it divided by multiplying.
+type refTorus struct{ x, y, z int }
+
+func (r refTorus) coord(id NodeID) (x, y, z int) {
+	n := int(id)
+	return n % r.x, n / r.x % r.y, n / (r.x * r.y)
+}
+
+func (r refTorus) id(x, y, z int) NodeID {
+	return NodeID(mod(x, r.x) + mod(y, r.y)*r.x + mod(z, r.z)*r.x*r.y)
+}
+
+// ring returns the signed shortest step from a to b in a ring of m,
+// positive on ties.
+func (r refTorus) ring(a, b, m int) int {
+	fwd := mod(b-a, m)
+	if fwd <= m-fwd {
+		return fwd
+	}
+	return fwd - m
+}
+
+func (r refTorus) neighbours(id NodeID) [6]NodeID {
+	x, y, z := r.coord(id)
+	return [6]NodeID{
+		r.id(x+1, y, z), r.id(x-1, y, z),
+		r.id(x, y+1, z), r.id(x, y-1, z),
+		r.id(x, y, z+1), r.id(x, y, z-1),
+	}
+}
+
+func (r refTorus) route(src, dst NodeID) []LinkID {
+	var links []LinkID
+	c := [3]int{}
+	c[0], c[1], c[2] = r.coord(src)
+	var d [3]int
+	d[0], d[1], d[2] = r.coord(dst)
+	size := [3]int{r.x, r.y, r.z}
+	for dim := 0; dim < 3; dim++ {
+		s := r.ring(c[dim], d[dim], size[dim])
+		dir, inc := 2*dim, 1
+		if s < 0 {
+			s, dir, inc = -s, 2*dim+1, -1
+		}
+		for ; s > 0; s-- {
+			links = append(links, LinkID(int(r.id(c[0], c[1], c[2]))*6+dir))
+			c[dim] = mod(c[dim]+inc, size[dim])
+		}
+	}
+	return links
+}
+
+// FuzzTorusCoord holds Coord, Hops, Neighbours and AppendRoute to the
+// division-based reference on shapes up to 1024 a side, both for a
+// torus from NewTorus3D (which divides by multiplying with stored
+// reciprocals) and for one built as a struct literal (which has none).
+func FuzzTorusCoord(f *testing.F) {
+	f.Add(uint16(4), uint16(4), uint16(4), uint32(0), uint32(63))
+	f.Add(uint16(1), uint16(1), uint16(1), uint32(0), uint32(0))
+	f.Add(uint16(2), uint16(1), uint16(2), uint32(3), uint32(0))
+	f.Add(uint16(47), uint16(47), uint16(47), uint32(103822), uint32(52000))
+	f.Add(uint16(1023), uint16(1023), uint16(1023), uint32(1<<30-1), uint32(12345))
+	f.Add(uint16(1023), uint16(0), uint16(7), uint32(7000), uint32(1023))
+	f.Fuzz(func(t *testing.T, x, y, z uint16, srcRaw, dstRaw uint32) {
+		ref := refTorus{int(x%1024) + 1, int(y%1024) + 1, int(z%1024) + 1}
+		n := ref.x * ref.y * ref.z
+		src, dst := NodeID(int(srcRaw)%n), NodeID(int(dstRaw)%n)
+		for _, tor := range []*Torus3D{
+			NewTorus3D(ref.x, ref.y, ref.z),
+			{X: ref.x, Y: ref.y, Z: ref.z},
+		} {
+			for _, id := range []NodeID{src, dst, 0, NodeID(n - 1)} {
+				gx, gy, gz := tor.Coord(id)
+				wx, wy, wz := ref.coord(id)
+				if gx != wx || gy != wy || gz != wz {
+					t.Fatalf("%s: Coord(%d) = (%d,%d,%d), want (%d,%d,%d)", tor.Name(), id, gx, gy, gz, wx, wy, wz)
+				}
+				if got, want := tor.Neighbours(id), ref.neighbours(id); got != want {
+					t.Fatalf("%s: Neighbours(%d) = %v, want %v", tor.Name(), id, got, want)
+				}
+			}
+			want := ref.route(src, dst)
+			if got := tor.AppendRoute(nil, src, dst); !slices.Equal(got, want) {
+				t.Fatalf("%s: AppendRoute(%d, %d) = %v, want %v", tor.Name(), src, dst, got, want)
+			}
+			if got := tor.Hops(src, dst); got != len(want) {
+				t.Fatalf("%s: Hops(%d, %d) = %d, want %d", tor.Name(), src, dst, got, len(want))
+			}
+		}
+	})
+}

@@ -74,10 +74,17 @@ func Diameter(t Topology) int {
 	return max
 }
 
-// validateNode panics when id is outside [0, n); routing with a bad
-// endpoint is always a caller bug.
-func validateNode(id NodeID, n int, topo string) {
-	if int(id) < 0 || int(id) >= n {
-		panic(fmt.Sprintf("topology: node %d out of range [0,%d) in %s", id, n, topo))
+// validateNode panics when id is outside [0, t.Nodes()); routing with
+// a bad endpoint is always a caller bug.
+func validateNode(id NodeID, t Topology) {
+	if uint(id) >= uint(t.Nodes()) {
+		badNode(id, t)
 	}
+}
+
+// badNode is validateNode's panic, apart so that a caller with the
+// node count at hand pays one compare and renders the topology's name
+// only on the way out.
+func badNode(id NodeID, t Topology) {
+	panic(fmt.Sprintf("topology: node %d out of range [0,%d) in %s", id, t.Nodes(), t.Name()))
 }

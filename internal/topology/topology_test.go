@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -197,19 +198,48 @@ func TestFatTreeSpineSpreading(t *testing.T) {
 
 func TestValidatePanics(t *testing.T) {
 	tor := NewTorus3D(2, 2, 2)
-	for _, fn := range []func(){
-		func() { tor.Route(-1, 0) },
-		func() { tor.Route(0, 99) },
-		func() { tor.Coord(8) },
+	ft := NewFatTree(2, 2, 1)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{tor.Name(), func() { tor.Route(-1, 0) }},
+		{tor.Name(), func() { tor.Route(0, 99) }},
+		{tor.Name(), func() { tor.Coord(8) }},
+		{tor.Name(), func() { tor.Neighbours(8) }},
+		{"torus3d-2x1x1", func() { (&Torus3D{X: 2, Y: 1, Z: 1}).Hops(0, 2) }},
+		{ft.Name(), func() { ft.Hops(0, 4) }},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Error("expected panic for out-of-range node")
+				if msg, _ := recover().(string); !strings.Contains(msg, "out of range") || !strings.Contains(msg, c.name) {
+					t.Errorf("out-of-range node on %s: panic %q", c.name, msg)
 				}
 			}()
-			fn()
+			c.fn()
 		}()
+	}
+}
+
+// TestNeighboursMatchID checks Neighbours against the wrapping ID on
+// every node of every shape up to 4 a side, rings of one and two nodes
+// included, for a built torus and a struct literal alike.
+func TestNeighboursMatchID(t *testing.T) {
+	for x := 1; x <= 4; x++ {
+		for y := 1; y <= 4; y++ {
+			for z := 1; z <= 4; z++ {
+				for _, tor := range []*Torus3D{NewTorus3D(x, y, z), {X: x, Y: y, Z: z}} {
+					for id := NodeID(0); int(id) < tor.Nodes(); id++ {
+						nb := tor.Neighbours(id)
+						for d := range nb {
+							if from, to := linkEndpoints(tor, LinkID(int(id)*torusDegree+d)); from != id || to != nb[d] {
+								t.Fatalf("%s: Neighbours(%d)[%d] = %d, link %d ends at %d", tor.Name(), id, d, nb[d], int(id)*torusDegree+d, to)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

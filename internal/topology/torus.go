@@ -1,6 +1,10 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/fastdiv"
+)
 
 // Torus3D is a 3-dimensional torus with dimension-ordered routing
 // (X, then Y, then Z), matching the 6-link EXTOLL NIC described in the
@@ -9,9 +13,11 @@ import "fmt"
 type Torus3D struct {
 	X, Y, Z int
 
-	// name memoizes Name(): the routing validators pass it on every
-	// call, and rendering it each time dominated 100k-node sweeps.
-	name string
+	// divX and divY divide by X and Y with a multiply: Coord runs twice
+	// per route. A torus built as a struct literal has neither, and
+	// Coord makes them on each call instead of storing them, because K
+	// domain goroutines share one torus.
+	divX, divY fastdiv.Divisor
 }
 
 // Direction indices for a node's six torus links.
@@ -30,16 +36,11 @@ func NewTorus3D(x, y, z int) *Torus3D {
 	if x < 1 || y < 1 || z < 1 {
 		panic(fmt.Sprintf("topology: invalid torus %dx%dx%d", x, y, z))
 	}
-	return &Torus3D{X: x, Y: y, Z: z, name: fmt.Sprintf("torus3d-%dx%dx%d", x, y, z)}
+	return &Torus3D{X: x, Y: y, Z: z, divX: fastdiv.New(uint64(x)), divY: fastdiv.New(uint64(y))}
 }
 
 // Name implements Topology.
-func (t *Torus3D) Name() string {
-	if t.name == "" {
-		t.name = fmt.Sprintf("torus3d-%dx%dx%d", t.X, t.Y, t.Z)
-	}
-	return t.name
-}
+func (t *Torus3D) Name() string { return fmt.Sprintf("torus3d-%dx%dx%d", t.X, t.Y, t.Z) }
 
 // Nodes implements Topology.
 func (t *Torus3D) Nodes() int { return t.X * t.Y * t.Z }
@@ -54,11 +55,16 @@ func (t *Torus3D) LinkDegree() int { return torusDegree }
 
 // Coord returns the (x, y, z) coordinates of node id.
 func (t *Torus3D) Coord(id NodeID) (x, y, z int) {
-	validateNode(id, t.Nodes(), t.Name())
-	n := int(id)
-	row := n / t.X
-	z = row / t.Y
-	return n - row*t.X, row - z*t.Y, z
+	if uint(id) >= uint(t.Nodes()) {
+		badNode(id, t)
+	}
+	divX, divY := t.divX, t.divY
+	if divX == (fastdiv.Divisor{}) {
+		divX, divY = fastdiv.New(uint64(t.X)), fastdiv.New(uint64(t.Y))
+	}
+	row, ux := divX.DivMod(uint64(id))
+	uz, uy := divY.DivMod(row)
+	return int(ux), int(uy), int(uz)
 }
 
 // ID returns the node at coordinates (x, y, z), taken modulo each
@@ -143,11 +149,38 @@ func (t *Torus3D) walk(buf []LinkID, node, cur, target, size, stride, plus int) 
 // the sum of the per-dimension shortest ring distances, computed
 // without materializing the route.
 func (t *Torus3D) Hops(src, dst NodeID) int {
-	validateNode(src, t.Nodes(), t.Name())
-	validateNode(dst, t.Nodes(), t.Name())
 	sx, sy, sz := t.Coord(src)
 	dx, dy, dz := t.Coord(dst)
 	return absStep(step(sx, dx, t.X)) + absStep(step(sy, dy, t.Y)) + absStep(step(sz, dz, t.Z))
+}
+
+// Neighbours returns the six nodes one link away from id, in link
+// direction order (+X, -X, +Y, -Y, +Z, -Z): Neighbours(id)[d] is the
+// far end of link id*6+d. Each is what ID gives for the coordinate one
+// step along that direction, without ID's modulo: in a ring of one
+// node both neighbours are id itself, in a ring of two both are the
+// other node.
+func (t *Torus3D) Neighbours(id NodeID) [torusDegree]NodeID {
+	x, y, z := t.Coord(id)
+	sy, sz := t.X, t.X*t.Y
+	return [...]NodeID{
+		id + NodeID(ringStep(x, t.X, 1)), id + NodeID(ringStep(x, t.X, -1)),
+		id + NodeID(sy*ringStep(y, t.Y, 1)), id + NodeID(sy*ringStep(y, t.Y, -1)),
+		id + NodeID(sz*ringStep(z, t.Z, 1)), id + NodeID(sz*ringStep(z, t.Z, -1)),
+	}
+}
+
+// ringStep returns the coordinate change of one step by inc (+1 or -1)
+// from c in a ring of size m, wrapping with a compare.
+func ringStep(c, m, inc int) int {
+	switch next := c + inc; {
+	case next == m:
+		return -c
+	case next < 0:
+		return m - 1
+	default:
+		return inc
+	}
 }
 
 func absStep(a int) int {
