@@ -216,10 +216,18 @@ func TestSegmentPartition(t *testing.T) {
 		if sh.packets != len(want) || sh.packets > p.maxPackets() {
 			t.Fatalf("size %d: %d segments, reference has %d", size, sh.packets, len(want))
 		}
+		var z sizing
+		p.size(&z, size)
+		if z.sh != sh {
+			t.Fatalf("size %d: sizing %+v, shape %+v", size, z, sh)
+		}
 		total, ser := 0, sim.Time(0)
 		for i, w := range want {
 			if got := sh.seg(i); got != w {
 				t.Fatalf("size %d: segment %d is %d bytes, reference %d", size, i, got, w)
+			}
+			if segT := z.segTime(i); segT != p.serTime(w) {
+				t.Fatalf("size %d: segment %d takes %v, reference %v", size, i, segT, p.serTime(w))
 			}
 			total += sh.seg(i)
 			ser += p.serTime(w)
@@ -227,27 +235,8 @@ func TestSegmentPartition(t *testing.T) {
 		if total != size {
 			t.Fatalf("segments of %d sum to %d", size, total)
 		}
-		z := p.sizing(size)
-		if z.sh != sh || z.seg != [2]sim.Time{p.serTime(sh.base), p.serTime(sh.base + 1)} {
-			t.Fatalf("size %d: sizing %+v, shape %+v", size, z, sh)
-		}
-		if z.ser0 != p.serTime(want[0]) || z.total != ser {
-			t.Fatalf("size %d: sizing times (%v, %v), reference (%v, %v)", size, z.ser0, z.total, p.serTime(want[0]), ser)
-		}
-	}
-}
-
-// TestSizeMemo: the memo answers what sizing computes, through size
-// changes, repeats, and changes of MTU, segment cap and bandwidth.
-func TestSizeMemo(t *testing.T) {
-	var m sizeMemo
-	capped := Extoll
-	capped.MaxPackets = 4
-	for _, p := range []Params{Extoll, InfiniBandFDR, capped, Extoll} {
-		for _, size := range []int{0, 1, 1, p.MTU, 1 << 20, p.MTU, p.MTU + 1, p.MTU + 1, 1 << 20} {
-			if got, want := *m.of(&p, size), p.sizing(size); got != want {
-				t.Fatalf("%v B/s, MTU %d, cap %d, size %d: memo %+v, want %+v", p.LinkBandwidth, p.MTU, p.MaxPackets, size, got, want)
-			}
+		if z.total != ser {
+			t.Fatalf("size %d: sizing total %v, reference %v", size, z.total, ser)
 		}
 	}
 }

@@ -131,9 +131,12 @@ func (n *Network) release(i int32) (size int, done func(at sim.Time, err error))
 func (n *Network) inject(now sim.Time, i int32, hop int64) {
 	f := *n.flows.At(i)
 	src, dst := topology.NodeID(f.src), topology.NodeID(f.dst)
-	route, z := n.route(src, dst, hop), n.sizes.of(&n.P, f.size)
+	route := n.route(src, dst, hop)
+	var z sizing
+	n.P.size(&z, f.size)
+	n.Stats.Packets += uint64(z.sh.packets)
 	if n.fidelity == FidelityFlow && n.routeFaultFree(route) {
-		starts, total, delivery := n.flowPlan(route, z)
+		starts, total, delivery := n.flowPlan(route, &z)
 		if n.Obs.Enabled() {
 			n.Obs.Instant(obs.LaneNodes+int(src), "fabric", "flow-commit",
 				now, obs.KV{K: "dst", V: int(dst)}, obs.KV{K: "bytes", V: f.size})
@@ -142,7 +145,7 @@ func (n *Network) inject(now sim.Time, i int32, hop int64) {
 		n.Eng.ScheduleKind(delivery, n.kind, int64(i), flowDeliver)
 		return
 	}
-	n.packetSend(i, route, z)
+	n.packetSend(i, route, &z)
 }
 
 // flowPlan computes the flow-level trajectory of one message over
@@ -152,7 +155,7 @@ func (n *Network) inject(now sim.Time, i int32, hop int64) {
 // The arithmetic mirrors the packet model's pipelined store-and-
 // forward recurrence, so with idle links the two agree exactly.
 func (n *Network) flowPlan(route []topology.LinkID, z *sizing) (starts []sim.Time, total sim.Time, delivery sim.Time) {
-	ser0, total := z.ser0, z.total
+	ser0, total := z.segTime(0), z.total
 	perHop := n.P.RouterDelay + n.P.LinkLatency
 	h := n.Eng.Now()
 	starts = n.flowStarts[:0]

@@ -13,9 +13,11 @@ import (
 type Stats struct {
 	Messages       uint64
 	BytesDelivered uint64
-	Packets        uint64
-	Retransmits    uint64
-	Drops          uint64
+	// Packets counts segments: a message's are counted when it is
+	// injected, or, crossing a partition boundary, when it is sent.
+	Packets     uint64
+	Retransmits uint64
+	Drops       uint64
 	// LinkOutageHits counts packet traversals that found their link
 	// down (each burns a retransmission attempt).
 	LinkOutageHits uint64
@@ -62,10 +64,6 @@ type Network struct {
 	fidelity   Fidelity
 	flowLinks  []link
 	flowStarts []sim.Time
-
-	// sizes holds the sizing of the last message size sent, for both
-	// paths.
-	sizes sizeMemo
 
 	// scratch holds the route of the message being injected or, on a
 	// shard, sent. The next one overwrites it, so whatever outlives the
@@ -225,10 +223,11 @@ func (n *Network) Send(src, dst topology.NodeID, size int, done func(at sim.Time
 		n.Eng.ScheduleKind(n.Eng.Now()+n.P.SendOverhead+n.P.RecvOverhead, n.kind, n.newFlow(src, dst, size, done), flowDeliver)
 		return
 	}
-	z := n.sizes.of(&n.P, size)
-	n.Stats.Packets += uint64(z.sh.packets)
 	if n.part != nil && !n.routeLocal(route) {
-		n.crossSend(dst, len(route), z, size, done)
+		var z sizing
+		n.P.size(&z, size)
+		n.Stats.Packets += uint64(z.sh.packets)
+		n.crossSend(dst, len(route), &z, size, done)
 		return
 	}
 	var hop int64 // a shard's one-hop route, as link+1: see route
@@ -306,9 +305,8 @@ func (n *Network) obsWrap(src, dst topology.NodeID, size int,
 // buffer makes it the one fabric record with a pointer.
 type message struct {
 	route     []topology.LinkID
-	sh        segShape
-	seg       [2]sim.Time // serialization times, as in sizing
-	remaining int         // segments still in flight
+	z         sizing // a hop reads its segment's time here, not divides
+	remaining int    // segments still in flight
 	failed    bool
 }
 
@@ -355,8 +353,8 @@ func (n *Network) packetSend(mi int32, route []topology.LinkID, z *sizing) {
 	n.msgs.Reach(mi, &msgPages)
 	m := n.msgs.At(mi)
 	m.route = append(m.route[:0], route...)
-	m.sh, m.seg, m.remaining, m.failed = z.sh, z.seg, z.sh.packets, false
-	for k := 0; k < m.sh.packets; k++ {
+	m.z, m.remaining, m.failed = *z, z.sh.packets, false
+	for k := 0; k < z.sh.packets; k++ {
 		n.acquire(packet{msg: mi, seg: int32(k)}, m, route[0])
 	}
 }
@@ -367,10 +365,7 @@ func (n *Network) packetSend(mi int32, route []topology.LinkID, z *sizing) {
 // the far end.
 func (n *Network) acquire(p packet, m *message, l topology.LinkID) {
 	q := &n.links[n.li(l)]
-	ser := m.seg[0]
-	if int(p.seg) < m.sh.rem {
-		ser = m.seg[1]
-	}
+	ser := m.z.segTime(int(p.seg))
 	q.freeAt = max(n.Eng.Now(), q.freeAt) + ser
 	q.busyTime += ser
 	a0, a1 := p.args(pktArrived)
@@ -385,7 +380,7 @@ func (n *Network) arrive(p packet) {
 		// The bytes crossed the link whether or not the CRC rejects
 		// them at the far end: retransmissions burn energy, which is
 		// exactly what E10's inflation shows.
-		n.transferJ += n.energy.PerByteJ * float64(m.sh.seg(int(p.seg)))
+		n.transferJ += n.energy.PerByteJ * float64(m.z.sh.seg(int(p.seg)))
 	}
 	corrupted := n.P.PacketErrorRate > 0 && n.src.Bool(n.P.PacketErrorRate)
 	down := n.down[n.li(l)]
@@ -468,47 +463,35 @@ func (s segShape) seg(i int) int {
 // sizing is what a message of one size costs on one link: how it is
 // cut into segments, and the serialization times of its segments.
 type sizing struct {
-	sh          segShape
-	seg         [2]sim.Time // one segment of sh.base bytes, one of sh.base+1
-	ser0, total sim.Time    // the first segment, and all of them together
+	sh segShape
+	// serBase is the time of a segment of sh.base bytes and serLong of
+	// one of sh.base+1. With no such segment (sh.rem == 0) serLong is
+	// 0, which saves a float division on every single-segment message.
+	serBase, serLong sim.Time
+	total            sim.Time // all segments together
 }
 
-// sizing returns the sizing of a size-byte message.
-func (p *Params) sizing(size int) sizing {
-	sh := p.shape(size)
-	z := sizing{sh: sh, seg: [2]sim.Time{p.serTime(sh.base), p.serTime(sh.base + 1)}}
-	z.ser0, z.total = z.seg[0], sim.Time(sh.packets)*z.seg[0]
-	if sh.rem != 0 {
-		z.ser0, z.total = z.seg[1], sim.Time(sh.rem)*z.seg[1]+sim.Time(sh.packets-sh.rem)*z.seg[0]
+// size sets z to the sizing of a size-byte message. It fills z in
+// place: a returned sizing is too large for registers, and its copy
+// through the stack reloads in 16 bytes what was stored in 8, which
+// stalls store-to-load forwarding once per message.
+func (p *Params) size(z *sizing, size int) {
+	z.sh = p.shape(size)
+	z.serBase, z.serLong = p.serTime(z.sh.base), 0
+	z.total = sim.Time(z.sh.packets) * z.serBase
+	if z.sh.rem != 0 {
+		z.serLong = p.serTime(z.sh.base + 1)
+		z.total = sim.Time(z.sh.rem)*z.serLong + sim.Time(z.sh.packets-z.sh.rem)*z.serBase
 	}
-	return z
 }
 
-// sizeMemo holds the sizing of the last message size asked about,
-// with the parameters it was computed from. A network sends a few
-// message sizes over and over, and a sizing costs up to three integer
-// divisions and two float ones, which a repeated size skips. The
-// packet path copies the segment times into the message, so a hop
-// reads its serialization time instead of dividing.
-type sizeMemo struct {
-	key sizeKey
-	z   sizing
-}
-
-// sizeKey is everything a sizing is computed from.
-type sizeKey struct {
-	size, mtu, maxPackets int
-	bw                    float64
-}
-
-// of returns p.sizing(size), from the memo when size and the
-// parameters are the last call's. The result is valid until the next
-// call.
-func (m *sizeMemo) of(p *Params, size int) *sizing {
-	if k := (sizeKey{size, p.MTU, p.MaxPackets, p.LinkBandwidth}); k != m.key {
-		m.z, m.key = p.sizing(size), k
+// segTime returns the serialization time of segment i; segTime(0) is
+// the first segment's, which every hop of a pipelined route pays.
+func (z *sizing) segTime(i int) sim.Time {
+	if i < z.sh.rem {
+		return z.serLong
 	}
-	return &m.z
+	return z.serBase
 }
 
 // zeroLoad is the pipelined store-and-forward latency of a message of
@@ -517,7 +500,7 @@ func (m *sizeMemo) of(p *Params, size int) *sizing {
 // so any hop).
 func (p *Params) zeroLoad(hops int, z *sizing) sim.Time {
 	return p.SendOverhead + p.RecvOverhead +
-		sim.Time(hops)*(p.RouterDelay+p.LinkLatency+z.ser0) + z.total - z.ser0
+		sim.Time(hops)*(p.RouterDelay+p.LinkLatency+z.segTime(0)) + z.total - z.segTime(0)
 }
 
 // LinkFailed implements resil.LinkTarget: the link stops delivering
@@ -572,6 +555,7 @@ func (n *Network) ZeroLoadLatency(src, dst topology.NodeID, size int) sim.Time {
 	if hops == 0 {
 		return n.P.SendOverhead + n.P.RecvOverhead
 	}
-	z := n.P.sizing(size)
+	var z sizing
+	n.P.size(&z, size)
 	return n.P.zeroLoad(hops, &z)
 }

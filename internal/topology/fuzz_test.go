@@ -204,6 +204,18 @@ func FuzzTorusCoord(f *testing.F) {
 	f.Add(uint16(47), uint16(47), uint16(47), uint32(103822), uint32(52000))
 	f.Add(uint16(1023), uint16(1023), uint16(1023), uint32(1<<30-1), uint32(12345))
 	f.Add(uint16(1023), uint16(0), uint16(7), uint32(7000), uint32(1023))
+	// Every node of every shape up to 4 a side, rings of one and two
+	// nodes included.
+	for x := uint16(0); x < 4; x++ {
+		for y := uint16(0); y < 4; y++ {
+			for z := uint16(0); z < 4; z++ {
+				n := uint32(x+1) * uint32(y+1) * uint32(z+1)
+				for id := uint32(0); id < n; id++ {
+					f.Add(x, y, z, id, n-1-id)
+				}
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, x, y, z uint16, srcRaw, dstRaw uint32) {
 		ref := refTorus{int(x%1024) + 1, int(y%1024) + 1, int(z%1024) + 1}
 		n := ref.x * ref.y * ref.z

@@ -221,28 +221,6 @@ func TestValidatePanics(t *testing.T) {
 	}
 }
 
-// TestNeighboursMatchID checks Neighbours against the wrapping ID on
-// every node of every shape up to 4 a side, rings of one and two nodes
-// included, for a built torus and a struct literal alike.
-func TestNeighboursMatchID(t *testing.T) {
-	for x := 1; x <= 4; x++ {
-		for y := 1; y <= 4; y++ {
-			for z := 1; z <= 4; z++ {
-				for _, tor := range []*Torus3D{NewTorus3D(x, y, z), {X: x, Y: y, Z: z}} {
-					for id := NodeID(0); int(id) < tor.Nodes(); id++ {
-						nb := tor.Neighbours(id)
-						for d := range nb {
-							if from, to := linkEndpoints(tor, LinkID(int(id)*torusDegree+d)); from != id || to != nb[d] {
-								t.Fatalf("%s: Neighbours(%d)[%d] = %d, link %d ends at %d", tor.Name(), id, d, nb[d], int(id)*torusDegree+d, to)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 func BenchmarkTorusRoute(b *testing.B) {
 	tor := NewTorus3D(8, 8, 8)
 	r := rng.New(1)

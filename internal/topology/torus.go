@@ -9,7 +9,8 @@ import (
 // Torus3D is a 3-dimensional torus with dimension-ordered routing
 // (X, then Y, then Z), matching the 6-link EXTOLL NIC described in the
 // paper. Each node owns 6 outgoing links: +X, -X, +Y, -Y, +Z, -Z, in
-// that order, so link IDs are node*6 + direction.
+// that order, so link IDs are node*6 + direction. X, Y and Z must not
+// change after NewTorus3D: it stores divisors made from them.
 type Torus3D struct {
 	X, Y, Z int
 
