@@ -15,7 +15,12 @@ import (
 // claims go through `go run ./bench` (see bench/README.md).
 func benchExperiment(b *testing.B, id string, fid deep.Fidelity) {
 	b.Helper()
-	runner := &deep.Runner{Fidelity: fid}
+	benchRunner(b, &deep.Runner{Fidelity: fid}, id)
+}
+
+// benchRunner is benchExperiment on a runner of the caller's choosing.
+func benchRunner(b *testing.B, runner *deep.Runner, id string) {
+	b.Helper()
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -90,6 +95,11 @@ func BenchmarkE14Checkpoint(b *testing.B) { benchExperiment(b, "E14", deep.Defau
 // BenchmarkE15WeakScaling regenerates the 1k-100k booster weak-scaling
 // sweep at its default flow fidelity — the 100k-node headline run.
 func BenchmarkE15WeakScaling(b *testing.B) { benchExperiment(b, "E15", deep.DefaultFidelity) }
+
+// BenchmarkE15WeakScalingK2 is the same sweep on the 2-domain parallel
+// kernel, the run `go run ./bench --workload weakscale_k2` times: profile
+// it with `go test -bench E15WeakScalingK2 -cpuprofile cpu.prof ./deep`.
+func BenchmarkE15WeakScalingK2(b *testing.B) { benchRunner(b, &deep.Runner{Domains: 2}, "E15") }
 
 // BenchmarkE09Fidelity contrasts the exact packet model with the
 // flow-level fast path on the loaded-torus experiment: same figure

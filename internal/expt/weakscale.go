@@ -77,7 +77,8 @@ var e15Kernel = machine.Kernel{
 // e15HaloSlab injects the halo exchange of the nodes in [lo, hi). On a
 // partitioned fabric the slab range must match the shard: a halo is a
 // single hop over the source's own link, so every send stays
-// shard-local even when the neighbour lives in the next slab.
+// shard-local even when the neighbour lives in the next slab, and the
+// shard finds that link with the torus's OneHop instead of routing.
 func e15HaloSlab(net *fabric.Network, tor *topology.Torus3D, lo, hi int, cb func(sim.Time, error)) {
 	for id := lo; id < hi; id++ {
 		src := topology.NodeID(id)

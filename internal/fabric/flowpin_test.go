@@ -239,22 +239,30 @@ func (c *countingTorus) AppendRoute(buf []topology.LinkID, src, dst topology.Nod
 
 // TestRoutesPerMessage pins how often a message is routed: once, at
 // injection, on an unpartitioned network; on a shard also in Send, to
-// tell whether it leaves the shard — unless that route was a single
-// link, which the injection event then carries. Loopback is never
+// tell whether it leaves the shard — unless it is one hop, whose link
+// OneHop finds without routing and the injection event then carries.
+// A one-hop message stays on the shard that owns its source, even
+// into the next slab, and crosses from any other. Loopback is never
 // routed off a shard, and the delivery times stay the zero-load ones.
 func TestRoutesPerMessage(t *testing.T) {
 	for _, fid := range []Fidelity{FidelityPacket, FidelityFlow} {
 		for _, c := range []struct {
-			name string
-			k    int
-			dst  topology.NodeID
-			want int
+			name     string
+			k        int
+			src, dst topology.NodeID
+			want     int
+			cross    uint64
 		}{
 			{name: "network, loopback", k: 1, dst: 0, want: 0},
 			{name: "network, 1 hop", k: 1, dst: 1, want: 1},
 			{name: "network, 3 hops", k: 1, dst: 3, want: 1},
-			{name: "shard, 1 hop", k: 2, dst: 1, want: 1},
+			{name: "shard, 1 hop", k: 2, dst: 1, want: 0},
 			{name: "shard, 3 hops", k: 2, dst: 3, want: 2},
+			// Shard 0 of an 8x8x8 torus holds the planes z = 0..3; node
+			// 192 is (0,0,3) and 256 is (0,0,4), the +Z link between them
+			// 192's.
+			{name: "shard, 1 hop up across the slab boundary", k: 2, src: 192, dst: 256, want: 0},
+			{name: "shard, 1 hop from a node another shard owns", k: 2, src: 256, dst: 192, want: 0, cross: 1},
 		} {
 			topo := &countingTorus{Torus3D: topology.NewTorus3D(8, 8, 8)}
 			var at sim.Time
@@ -274,12 +282,15 @@ func TestRoutesPerMessage(t *testing.T) {
 				net, run = doms.Shard(0), doms.Run
 			}
 			net.SetFidelity(fid)
-			net.Eng.At(0, func() { net.Send(0, c.dst, Extoll.MTU, done) })
+			net.Eng.At(0, func() { net.Send(c.src, c.dst, Extoll.MTU, done) })
 			run()
 			if topo.routes != c.want {
 				t.Errorf("%v, %s: routed %d times, want %d", fid, c.name, topo.routes, c.want)
 			}
-			if want := net.ZeroLoadLatency(0, c.dst, Extoll.MTU); at != want {
+			if net.Stats.CrossMessages != c.cross {
+				t.Errorf("%v, %s: %d cross messages, want %d", fid, c.name, net.Stats.CrossMessages, c.cross)
+			}
+			if want := net.ZeroLoadLatency(c.src, c.dst, Extoll.MTU); at != want {
 				t.Errorf("%v, %s: delivered at %v, want %v", fid, c.name, at, want)
 			}
 		}

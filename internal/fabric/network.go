@@ -210,11 +210,17 @@ func (n *Network) Send(src, dst topology.NodeID, size int, done func(at sim.Time
 	if n.Obs.Enabled() {
 		done = n.obsWrap(src, dst, size, done)
 	}
-	// A shard routes now, to tell whether the message leaves it; any other
-	// network routes at injection and here only checks the endpoints.
-	var route []topology.LinkID
+	// A shard tells now whether the message leaves it, by a one-hop link
+	// (see route) or by the route; any other network routes at
+	// injection and here only checks the endpoints.
+	hop, hops, local := int64(0), 0, true
 	if n.part != nil {
-		route = n.route(src, dst, 0)
+		if l, ok := n.part.nm.OneHop(src, dst); ok {
+			hop, hops, local = int64(l)+1, 1, uint(n.li(l)) < uint(len(n.down))
+		} else {
+			route := n.route(src, dst, 0)
+			hops, local = len(route), n.routeLocal(route)
+		}
 	} else if nodes := n.Topo.Nodes(); uint(src) >= uint(nodes) || uint(dst) >= uint(nodes) {
 		panic(fmt.Sprintf("fabric: send %d -> %d outside the %d nodes of %s", src, dst, nodes, n.Topo.Name()))
 	}
@@ -223,16 +229,9 @@ func (n *Network) Send(src, dst topology.NodeID, size int, done func(at sim.Time
 		n.Eng.ScheduleKind(n.Eng.Now()+n.P.SendOverhead+n.P.RecvOverhead, n.kind, n.newFlow(src, dst, size, done), flowDeliver)
 		return
 	}
-	if n.part != nil && !n.routeLocal(route) {
-		var z sizing
-		n.P.size(&z, size)
-		n.Stats.Packets += uint64(z.sh.packets)
-		n.crossSend(dst, len(route), &z, size, done)
+	if !local {
+		n.crossSend(dst, hops, size, done)
 		return
-	}
-	var hop int64 // a shard's one-hop route, as link+1: see route
-	if len(route) == 1 {
-		hop = int64(route[0]) + 1
 	}
 	n.Eng.ScheduleKind(n.Eng.Now()+n.P.SendOverhead, n.kind, n.newFlow(src, dst, size, done), hop<<phaseBits|flowInject)
 }
@@ -270,9 +269,9 @@ func (n *Network) OnEvent(now sim.Time, a0, a1 int64) {
 }
 
 // route writes the route from src to dst into the scratch buffer. A
-// non-zero hop is that route already, the one link hop-1: found by a
-// shard's Send (neighbour traffic, which link ownership keeps on the
-// sender's shard) and carried by the injection event.
+// non-zero hop is that route already, the one link hop-1: found by
+// OneHop in a shard's Send (neighbour traffic, which link ownership
+// keeps on the sender's shard) and carried by the injection event.
 func (n *Network) route(src, dst topology.NodeID, hop int64) []topology.LinkID {
 	if hop != 0 {
 		n.scratch = append(n.scratch[:0], topology.LinkID(hop-1))

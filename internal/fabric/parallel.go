@@ -22,11 +22,12 @@ var ErrPartitionUnsupported = errors.New("not supported under the partitioned ke
 // nodes and simulated by its own shard Network on its own sim.Cluster
 // domain. Only node-major topologies (the booster's torus) partition,
 // so a shard's links are one contiguous range; K=1 takes any
-// topology. Traffic whose route stays inside one shard runs through
-// the unmodified sequential code path (packet or flow fidelity);
-// traffic that crosses a boundary is delivered at its zero-load
-// latency as a single cross-domain event — exact for uncontended
-// routes, an approximation under cross-boundary contention.
+// topology. A shard finds a one-hop message's link with the
+// topology's OneHop and routes any other. Traffic that stays inside one
+// shard runs through the unmodified sequential code path (packet or
+// flow fidelity); traffic that crosses a boundary is delivered at its
+// zero-load latency as a single cross-domain event — exact for
+// uncontended routes, an approximation under cross-boundary contention.
 //
 // The cluster's lookahead is Params.Lookahead(): every cross-boundary
 // message pays at least the software overheads plus one router and
@@ -40,6 +41,7 @@ var ErrPartitionUnsupported = errors.New("not supported under the partitioned ke
 type Domains struct {
 	cl     *sim.Cluster
 	topo   topology.Topology
+	nm     topology.NodeMajorLinks // topo's link layout, nil at K=1
 	p      Params
 	shards []*Network
 	bounds []int // K+1 node-index bounds, bounds[0]=0, bounds[K]=Nodes()
@@ -87,6 +89,7 @@ func NewDomains(topo topology.Topology, p Params, seed uint64, bounds []int) (*D
 	if !ok {
 		return nil, fmt.Errorf("fabric: %s has no node-major link layout; cannot partition", topo.Name())
 	}
+	d.nm = nm
 	deg := nm.LinkDegree()
 	for i := 0; i < k; i++ {
 		sh := &Network{
@@ -227,10 +230,13 @@ func (n *Network) routeLocal(route []topology.LinkID) bool {
 // transfer energy, and the completion callback runs on the destination
 // domain's engine: any further sends it issues must go through the
 // destination node's shard.
-func (n *Network) crossSend(dst topology.NodeID, hops int, z *sizing, size int,
+func (n *Network) crossSend(dst topology.NodeID, hops, size int,
 	done func(at sim.Time, err error)) {
+	var z sizing
+	n.P.size(&z, size)
+	n.Stats.Packets += uint64(z.sh.packets)
 	n.Stats.CrossMessages++
-	t := n.Eng.Now() + n.P.zeroLoad(hops, z)
+	t := n.Eng.Now() + n.P.zeroLoad(hops, &z)
 	owner := n.part.Owner(dst)
 	dsh := n.part.shards[owner]
 	n.part.cl.Post(n.domain, owner, t, func() {

@@ -196,7 +196,9 @@ func (r refTorus) route(src, dst NodeID) []LinkID {
 // FuzzTorusCoord holds Coord, Hops, Neighbours and AppendRoute to the
 // division-based reference on shapes up to 1024 a side, both for a
 // torus from NewTorus3D (which divides by multiplying with stored
-// reciprocals) and for one built as a struct literal (which has none).
+// reciprocals) and for one built as a struct literal (which has none),
+// and OneHop to the route: it finds a link exactly when the route is
+// that one link.
 func FuzzTorusCoord(f *testing.F) {
 	f.Add(uint16(4), uint16(4), uint16(4), uint32(0), uint32(63))
 	f.Add(uint16(1), uint16(1), uint16(1), uint32(0), uint32(0))
@@ -240,6 +242,9 @@ func FuzzTorusCoord(f *testing.F) {
 			}
 			if got := tor.Hops(src, dst); got != len(want) {
 				t.Fatalf("%s: Hops(%d, %d) = %d, want %d", tor.Name(), src, dst, got, len(want))
+			}
+			if l, ok := tor.OneHop(src, dst); ok != (len(want) == 1) || ok && l != want[0] {
+				t.Fatalf("%s: OneHop(%d, %d) = %d, %v; route %v", tor.Name(), src, dst, l, ok, want)
 			}
 		}
 	})

@@ -41,6 +41,10 @@ type Topology interface {
 // partitions.
 type NodeMajorLinks interface {
 	LinkDegree() int
+	// OneHop returns the link from src to dst when the route between
+	// them is that one link, without building the route: a partition
+	// finds a neighbour message's link, and so its owner, with it.
+	OneHop(src, dst NodeID) (LinkID, bool)
 }
 
 // HopCounter is implemented by topologies that can count route hops

@@ -207,6 +207,9 @@ func TestValidatePanics(t *testing.T) {
 		{tor.Name(), func() { tor.Route(0, 99) }},
 		{tor.Name(), func() { tor.Coord(8) }},
 		{tor.Name(), func() { tor.Neighbours(8) }},
+		{tor.Name(), func() { tor.OneHop(8, 0) }},
+		{tor.Name(), func() { tor.OneHop(0, 8) }},
+		{tor.Name(), func() { tor.OneHop(0, -1) }},
 		{"torus3d-2x1x1", func() { (&Torus3D{X: 2, Y: 1, Z: 1}).Hops(0, 2) }},
 		{ft.Name(), func() { ft.Hops(0, 4) }},
 	} {

@@ -171,6 +171,35 @@ func (t *Torus3D) Neighbours(id NodeID) [torusDegree]NodeID {
 	}
 }
 
+// OneHop implements NodeMajorLinks: it compares dst - src with the six
+// steps of Neighbours in link direction order, so that in a ring of two
+// it picks the + link, as step does. Loopback is not one hop.
+func (t *Torus3D) OneHop(src, dst NodeID) (LinkID, bool) {
+	x, y, z := t.Coord(src)
+	if uint(dst) >= uint(t.Nodes()) {
+		badNode(dst, t)
+	}
+	dir, sy, sz := DirXPlus, t.X, t.X*t.Y
+	switch int(dst - src) {
+	case 0:
+		return 0, false
+	case ringStep(x, t.X, 1): // DirXPlus
+	case ringStep(x, t.X, -1):
+		dir = DirXMinus
+	case sy * ringStep(y, t.Y, 1):
+		dir = DirYPlus
+	case sy * ringStep(y, t.Y, -1):
+		dir = DirYMinus
+	case sz * ringStep(z, t.Z, 1):
+		dir = DirZPlus
+	case sz * ringStep(z, t.Z, -1):
+		dir = DirZMinus
+	default:
+		return 0, false
+	}
+	return LinkID(int(src)*torusDegree + dir), true
+}
+
 // ringStep returns the coordinate change of one step by inc (+1 or -1)
 // from c in a ring of size m, wrapping with a compare.
 func ringStep(c, m, inc int) int {
